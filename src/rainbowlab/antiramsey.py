@@ -10,8 +10,6 @@ a partition is nonempty.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -30,6 +28,7 @@ from .core import (
 from .turan import (
     MissingRecordError,
     SOLVER_VERSION,
+    _Search,
     singleton,
     subgraph_copies,
 )
@@ -119,15 +118,13 @@ def find_rainbow_copy(chi, target):
         return None
     degs = target.degrees()
     isolated = [v for v in range(target.n) if degs[v] == 0]
-    groups = _component_vertices(target)
-    groups.sort(key=lambda vs: (canonical_form(target.induced(vs)), vs))
+    comps = sorted((canonical_form(target.induced(vs)), vs) for vs in target.components())
+    comp_keys = [key for key, _ in comps]
 
     # order: component by component; inside a component, most-anchored first
     order = []
     comp_of = {}
-    comp_keys = []
-    for ci, vs in enumerate(groups):
-        comp_keys.append(canonical_form(target.induced(vs)))
+    for ci, (_, vs) in enumerate(comps):
         verts = sorted(vs, key=lambda v: -degs[v])
         placed = []
         while verts:
@@ -164,7 +161,7 @@ def find_rainbow_copy(chi, target):
     mapping = [-1] * target.n
     used = 0
     used_colors = set()
-    comp_min = [n] * len(groups)
+    comp_min = [n] * len(comps)
     full = (1 << n) - 1
 
     def rec(k):
@@ -213,28 +210,6 @@ def find_rainbow_copy(chi, target):
         return None
 
     return rec(0)
-
-
-def _component_vertices(F):
-    """Vertex groups of the connected components of F's edge support."""
-    parent = list(range(F.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in F.edges:
-        a = find(e[0])
-        for v in e[1:]:
-            parent[find(v)] = a
-    groups = {}
-    degs = F.degrees()
-    for v in range(F.n):
-        if degs[v] > 0:
-            groups.setdefault(find(v), []).append(v)
-    return [sorted(vs) for vs in groups.values()]
 
 
 def max_rainbow_subgraph(chi):
@@ -341,32 +316,6 @@ class ArRecord:
         return self.status == "exact"
 
 
-class _ArShared:
-    def __init__(self, budget):
-        self.best = 0
-        self.incumbent = None
-        self.nodes = 0
-        self.budget = budget
-        self.truncated = False
-        self.lock = threading.Lock()
-
-    def offer(self, k, rgs):
-        with self.lock:
-            if k > self.best:
-                self.best = k
-                self.incumbent = tuple(rgs)
-
-    def tick(self):
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            self.truncated = True
-            raise _ArBudget
-
-
-class _ArBudget(Exception):
-    pass
-
-
 def _allowed_colors(by_max_i, assign):
     """Colors safe at this edge: None means unconstrained; otherwise the
     intersection of the earlier-color sets of all rainbow-threatening copies
@@ -382,57 +331,45 @@ def _allowed_colors(by_max_i, assign):
     return allowed
 
 
-def _ar_dfs(by_max, E, assign, i, k, shared):
-    shared.tick()
+def _ar_dfs(search, by_max, E, assign, i, k):
+    """Assign a color to each edge i.. of the colex order; k classes so far.
+
+    Value mode tries the fresh class first, then earlier classes downward.
+    First-optimum mode tries ascending colors and never opens more than
+    best + 1 classes, so its first leaf is the lexicographically least
+    restricted growth string with best + 1 classes.
+    """
+    search.tick()
     if i == E:
-        shared.offer(k, assign)
+        if k > search.best:
+            search.offer(k, tuple(assign))
         return
-    if k + (E - i) <= shared.best:
+    if k + (E - i) <= search.best:
         return
     allowed = _allowed_colors(by_max[i], assign)
-    if allowed is None:
+    if search.first:
+        top = min(k, search.best)
+        cand = range(top + 1) if allowed is None else sorted(c for c in allowed if c <= top)
+    elif allowed is None:
         cand = range(k, -1, -1)  # fresh class first
     else:
         cand = sorted((c for c in allowed if c < k), reverse=True)
     for c in cand:
         assign[i] = c
-        _ar_dfs(by_max, E, assign, i + 1, k + (1 if c == k else 0), shared)
+        _ar_dfs(search, by_max, E, assign, i + 1, k + (1 if c == k else 0))
     assign[i] = -1
 
 
-def _ar_witness(by_max, E, target):
-    """Lexicographically least restricted growth string attaining ``target``
-    classes with no rainbow copy."""
-    assign = [-1] * E
-
-    def rec(i, k):
-        if i == E:
-            return k == target
-        if k + (E - i) < target:
-            return False
-        allowed = _allowed_colors(by_max[i], assign)
-        top = min(k, target - 1)
-        for c in range(top + 1):
-            if allowed is not None and c not in allowed:
-                continue
-            assign[i] = c
-            if rec(i + 1, k + (1 if c == k else 0)):
-                return True
-        assign[i] = -1
-        return False
-
-    if not rec(0, 0):
-        raise RuntimeError("witness reconstruction failed (value inconsistent)")
-    return assign
-
-
-def ar_exact(n, t, F, budget=None, threads=1):
+def ar_exact(n, t, F, budget=None):
     """Exact ar(n, tF): max color classes of a no-rainbow-tF partition, plus one.
 
     Enumerates restricted growth strings over the colex edge order, pruning on
     class count and on completed rainbow copies (copies indexed by their colex
-    maximum edge).  The witness is the lexicographically least maximizer.
-    With an exhausted node budget the record degrades to bounds(lo, hi).
+    maximum edge).  One sequential search runs in two modes: the value pass
+    finds the maximum A, the witness pass starts from A-1 and stops at its
+    first leaf, the lexicographically least maximizer.  ``nodes`` counts both
+    passes and is the same on every run.  With an exhausted node budget the
+    record degrades to bounds(lo, hi).
     """
     if t < 1:
         raise ValueError("t = 0 tilings are rejected (rainbow copy would be vacuous)")
@@ -450,54 +387,22 @@ def ar_exact(n, t, F, budget=None, threads=1):
     for cp in copies:
         by_max[cp[-1]].append(cp)
 
-    shared = _ArShared(budget)
-
-    # split work over assignments of the first few edges (valid RGS prefixes)
-    depth = 1
-    if threads > 1:
-        while depth < E and 2**depth < 8 * threads:
-            depth += 1
-
-    prefixes = []
-
-    def expand(i, k, assign):
-        if i == min(depth, E):
-            prefixes.append((list(assign), i, k))
-            return
-        allowed = _allowed_colors(by_max[i], assign)
-        cand = range(k + 1) if allowed is None else sorted(c for c in allowed if c <= k)
-        for c in cand:
-            assign[i] = c
-            expand(i + 1, k + (1 if c == k else 0), assign)
-        assign[i] = -1
-
-    expand(0, 0, [-1] * E)
-
-    def run(task):
-        assign, i, k = task
-        try:
-            _ar_dfs(by_max, E, assign, i, k, shared)
-        except _ArBudget:
-            pass
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, prefixes))
-    else:
-        for task in prefixes:
-            run(task)
-
+    value_pass = _Search(0, budget=budget).run(_ar_dfs, by_max, E, [-1] * E, 0, 0)
     key = family_key(singleton(F))
-    A = shared.best
-    if shared.truncated:
-        witness = _coloring_from_rgs(r, n, shared.incumbent) if shared.incumbent else None
+    A = value_pass.best
+    if value_pass.truncated:
+        rgs = value_pass.incumbent
+        witness = _coloring_from_rgs(r, n, rgs) if rgs else None
         return ArRecord(
-            n, t, r, key, A + 1, witness, "bounds", lo=A + 1, hi=E + 1, nodes=shared.nodes
+            n, t, r, key, A + 1, witness, "bounds", lo=A + 1, hi=E + 1, nodes=value_pass.nodes
         )
+    nodes = value_pass.nodes
     witness = None
     if A > 0:
-        witness = _coloring_from_rgs(r, n, _ar_witness(by_max, E, A))
-    return ArRecord(n, t, r, key, A + 1, witness, "exact", nodes=shared.nodes)
+        witness_pass = _Search(A - 1, first=True).run(_ar_dfs, by_max, E, [-1] * E, 0, 0)
+        witness = _coloring_from_rgs(r, n, witness_pass.incumbent)
+        nodes += witness_pass.nodes
+    return ArRecord(n, t, r, key, A + 1, witness, "exact", nodes=nodes)
 
 
 def _coloring_from_rgs(r, n, rgs):
@@ -615,13 +520,6 @@ def verify_identity_thm15(n, t, F, turan_table, ar_table):
 
 
 @dataclass(frozen=True)
-class StabilityParams:
-    alpha: Fraction
-    t: int
-    L: tuple
-
-
-@dataclass(frozen=True)
 class CensusResult:
     threshold: Fraction
     alpha: Fraction
@@ -641,10 +539,3 @@ def stability_degree_census(H, F, pi, table):
     degs = H.degrees()
     vertices = tuple(v for v in range(n) if Fraction(degs[v]) >= threshold)
     return CensusResult(threshold=threshold, alpha=alpha, vertices=vertices)
-
-
-def stability_params(H, F, pi, table, t):
-    """Census packaged against a target size t: the stability-style diagnostic
-    asks whether H exposes at least t vertices above the degree threshold."""
-    res = stability_degree_census(H, F, pi, table)
-    return StabilityParams(alpha=res.alpha, t=t, L=res.vertices)

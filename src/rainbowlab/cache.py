@@ -204,21 +204,21 @@ class Cache:
 # -- compute-through helpers -----------------------------------------------------
 
 
-def turan_record(cache, n, fam, budget=None, threads=1, canonical_aug=False, manifest=""):
+def turan_record(cache, n, fam, budget=None, manifest=""):
     """Cached ex(n, fam): load + re-verify, else compute and store."""
     rec = cache.load_turan(n, fam)
     if rec is not None and rec.is_exact():
         return rec
-    rec = ex_exact(n, fam, budget=budget, threads=threads, canonical_aug=canonical_aug)
+    rec = ex_exact(n, fam, budget=budget)
     cache.store_turan(rec, manifest)
     return rec
 
 
-def ar_record(cache, n, t, F, budget=None, threads=1, manifest=""):
+def ar_record(cache, n, t, F, budget=None, manifest=""):
     """Cached ar(n, tF): load + re-verify, else compute and store."""
     rec = cache.load_ar(n, t, F)
     if rec is not None and rec.is_exact():
         return rec
-    rec = ar_exact(n, t, F, budget=budget, threads=threads)
+    rec = ar_exact(n, t, F, budget=budget)
     cache.store_ar(rec, manifest)
     return rec

@@ -90,15 +90,7 @@ def cmd_turan(args, cache, argv):
     hashes = {p: _hash_file(p) for p in args.forbid}
     mid = cache.manifest_id(argv, hashes)
     t0 = time.time()
-    rec = turan_record(
-        cache,
-        args.n,
-        fam,
-        budget=args.budget,
-        threads=args.threads,
-        canonical_aug=args.canonical_aug,
-        manifest=mid,
-    )
+    rec = turan_record(cache, args.n, fam, budget=args.budget, manifest=mid)
     cache.write_manifest(argv, hashes, time.time() - t0, [f"value={rec.value}", rec.status])
     print(f"TURAN n={rec.n} fam={rec.family_key} value={rec.value} status={rec.status}")
     return 0
@@ -109,7 +101,7 @@ def cmd_ar(args, cache, argv):
     hashes = {args.F: _hash_file(args.F)}
     mid = cache.manifest_id(argv, hashes)
     t0 = time.time()
-    rec = ar_record(cache, args.n, args.t, F, budget=args.budget, threads=args.threads, manifest=mid)
+    rec = ar_record(cache, args.n, args.t, F, budget=args.budget, manifest=mid)
     cache.write_manifest(argv, hashes, time.time() - t0, [f"value={rec.value}", rec.status])
     status = rec.status if rec.is_exact() else f"bounds:{rec.lo}:{rec.hi}"
     print(f"AR n={rec.n} t={rec.t} F={rec.F_key} value={rec.value} status={status}")
@@ -122,9 +114,7 @@ def cmd_construct(args, cache, argv):
     if args.construct_cmd == "fact21":
         mid = cache.manifest_id(argv, hashes)
         t0 = time.time()
-        rec = turan_record(
-            cache, args.n, singleton(disjoint_union(F, args.t)), threads=args.threads, manifest=mid
-        )
+        rec = turan_record(cache, args.n, singleton(disjoint_union(F, args.t)), manifest=mid)
         chi = anti.build_coloring_fact21(args.n, args.t, F, rec)
         target = f"rainbow-{args.t + 1}F-free"
     else:
@@ -145,6 +135,7 @@ def cmd_construct(args, cache, argv):
 def cmd_verify(args, cache, argv):
     F = _load_graph(args.F)
     hashes = {args.F: _hash_file(args.F)}
+    t0 = time.time()
     verdicts = []
     code = 0
     ar_table = anti.ArTable()
@@ -206,7 +197,7 @@ def cmd_verify(args, cache, argv):
         code = 0 if v.holds else 1
     for line in verdicts:
         print(line)
-    cache.write_manifest(argv, hashes, 0.0, verdicts)
+    cache.write_manifest(argv, hashes, time.time() - t0, verdicts)
     return code
 
 
@@ -214,11 +205,12 @@ def cmd_derived(args, cache, argv):
     F = _load_graph(args.F)
     hashes = {args.F: _hash_file(args.F)}
     mid = cache.manifest_id(argv, hashes)
+    t0 = time.time()
     table = TuranTable()
     for n in (args.n - 1, args.n):
-        table.put(turan_record(cache, n, singleton(F), threads=args.threads, manifest=mid))
+        table.put(turan_record(cache, n, singleton(F), manifest=mid))
     dq = tur.derived_quantities(F, table, args.n)
-    cache.write_manifest(argv, hashes, 0.0, [f"delta={dq.delta_n}", f"d={dq.d_n}", f"pi_hat={dq.pi_hat}"])
+    cache.write_manifest(argv, hashes, time.time() - t0, [f"delta={dq.delta_n}", f"d={dq.d_n}", f"pi_hat={dq.pi_hat}"])
     print(f"n={dq.n} delta={dq.delta_n} d={dq.d_n} pi_hat={dq.pi_hat}")
     return 0
 
@@ -227,6 +219,7 @@ def cmd_report(args, cache, argv):
     F = _load_graph(args.F) if args.F else None
     hashes = {args.F: _hash_file(args.F)} if args.F else {}
     mid = cache.manifest_id(argv, hashes)
+    t0 = time.time()
     rows = []
     if args.report_cmd == "gap":
         fam_F = singleton(F)
@@ -234,8 +227,8 @@ def cmd_report(args, cache, argv):
         table = TuranTable()
         print(f"{'n':>4} {'gap':>6} {'threshold':>10} {'t_max':>6}")
         for n in _parse_range(args.n_range):
-            table.put(turan_record(cache, n, fam_F, threads=args.threads, manifest=mid))
-            table.put(turan_record(cache, n, fam_union, threads=args.threads, manifest=mid))
+            table.put(turan_record(cache, n, fam_F, manifest=mid))
+            table.put(turan_record(cache, n, fam_union, manifest=mid))
             g = tur.edge_sensitivity_gap(F, n, table)
             rows.append(f"gap n={n} gap={g.gap} t_max={g.t_max}")
             print(f"{n:>4} {g.gap:>6} {g.threshold:>10} {g.t_max:>6}")
@@ -243,7 +236,7 @@ def cmd_report(args, cache, argv):
         ns = _parse_range(args.n_range)
         table = TuranTable()
         for n in range(min(ns) - 1, max(ns) + 1):
-            table.put(turan_record(cache, n, singleton(F), threads=args.threads, manifest=mid))
+            table.put(turan_record(cache, n, singleton(F), manifest=mid))
         if args.pi is not None:
             pi = Fraction(args.pi)
         else:
@@ -269,7 +262,7 @@ def cmd_report(args, cache, argv):
                         print(f"{r:>3} {n:>4} {tt:>4} {'False':>6}")
         print("fact51 grid complete" + (" (all hold)" if not rows else ""))
         rows.append("fact51 grid done")
-    cache.write_manifest(argv, hashes, 0.0, rows)
+    cache.write_manifest(argv, hashes, time.time() - t0, rows)
     return 0
 
 
@@ -279,7 +272,6 @@ def cmd_report(args, cache, argv):
 def build_parser():
     p = argparse.ArgumentParser(prog="lab", description=__doc__)
     p.add_argument("--cache-dir", default=None, help="cache root (default $LAB_CACHE_DIR or ./cache)")
-    p.add_argument("--threads", type=int, default=1, help="parallelism cap for searches")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     zoo = sub.add_parser("zoo", help="emit named hypergraphs")
@@ -297,7 +289,6 @@ def build_parser():
     t.add_argument("-n", type=int, required=True)
     t.add_argument("--forbid", action="append", required=True, help="hypergraph file (repeatable)")
     t.add_argument("--budget", type=int, default=None)
-    t.add_argument("--canonical-aug", action="store_true")
 
     a = sub.add_parser("ar", help="exact ar(n, tF) with witness coloring")
     a.add_argument("-n", type=int, required=True)

@@ -1,8 +1,8 @@
 """r-uniform hypergraphs on dense integer vertices.
 
 Representation, canonical labeling, isomorphism, and embedding search.
-All objects are immutable after construction; every operation here is pure,
-so concurrent use from many threads is safe.
+All objects are immutable after construction and every operation here is
+pure, so objects are safe to share.
 
 Conventions
 -----------
@@ -127,6 +127,28 @@ class HyperGraph:
 
     def max_degree(self):
         return max(self.degrees(), default=0) if self.n else 0
+
+    def components(self):
+        """Vertex lists (ascending) of the connected components of the edge
+        support, in order of their smallest vertex; isolated vertices are left out."""
+        parent = list(range(self.n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for e in self.edges:
+            a = find(e[0])
+            for v in e[1:]:
+                parent[find(v)] = a
+        groups = {}
+        degs = self.degrees()
+        for v in range(self.n):
+            if degs[v] > 0:
+                groups.setdefault(find(v), []).append(v)
+        return list(groups.values())
 
     def isolated_vertices(self):
         d = self.degrees()
@@ -265,7 +287,7 @@ def _cert_bytes(H, pos):
 
 
 def _canonical_search(H):
-    """Individualization-refinement search; returns (min certificate, labeling).
+    """Individualization-refinement search; returns the minimum certificate.
 
     Discovered automorphisms (pairs of leaves with equal certificates) prune
     sibling branches whose target vertices lie in an already-explored orbit of
@@ -273,7 +295,7 @@ def _canonical_search(H):
     """
     n = H.n
     inc = _incidence(H)
-    best = None  # (cert, pos)
+    best = None
     seen = {}  # cert -> pos of first leaf producing it
     auts = []  # known automorphisms as tuples (vertex -> vertex)
 
@@ -316,8 +338,8 @@ def _canonical_search(H):
                     auts.append(g)
             elif len(seen) < 4096:
                 seen[cert] = list(pos)
-            if best is None or cert < best[0]:
-                best = (cert, tuple(pos))
+            if best is None or cert < best:
+                best = cert
             return
         explored = []
         for v in sorted(target):
@@ -341,16 +363,7 @@ def canonical_form(H):
         raise CapacityError(
             f"canonical labeling supports at most {MAX_CANON_VERTICES} vertices, got {H.n}"
         )
-    return _canonical_search(H)[0]
-
-
-def canonical_labeling(H):
-    """A labeling (vertex -> new label) realizing canonical_form(H)."""
-    if H.n > MAX_CANON_VERTICES:
-        raise CapacityError(
-            f"canonical labeling supports at most {MAX_CANON_VERTICES} vertices, got {H.n}"
-        )
-    return _canonical_search(H)[1]
+    return _canonical_search(H)
 
 
 def is_isomorphic(H1, H2):

@@ -4,7 +4,8 @@ Two independent routes to ex(n, family):
 
 - ``ex_exact``: branch and bound over edges in colex order (include-first),
   pruned by an edge-disjoint copy packing bound, copy-completion tests, and
-  root-level symmetry fixing (the host K_n^r is r-set transitive).
+  symmetry fixing of the first two included edges (the host K_n^r is r-set
+  transitive).
 - ``ex_enumerate``: vectorized sweep over all 2^C(n,r) edge subsets,
   usable up to 20 edges.  This is the dual oracle; it shares only the copy
   enumeration with the branch and bound.
@@ -17,13 +18,9 @@ certified interval.
 from __future__ import annotations
 
 import random
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
-
-import numpy as np
 
 from .core import (
     CapacityError,
@@ -53,30 +50,6 @@ class MissingRecordError(LookupError):
 # -- copies of a pattern inside the complete host -------------------------------
 
 
-def _components(F):
-    """Connected components of the edge support, as induced sub-hypergraphs
-    relabeled to dense vertices."""
-    parent = list(range(F.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in F.edges:
-        a = find(e[0])
-        for v in e[1:]:
-            b = find(v)
-            parent[b] = a
-    groups = {}
-    degs = F.degrees()
-    for v in range(F.n):
-        if degs[v] > 0:
-            groups.setdefault(find(v), []).append(v)
-    return [F.induced(vs) for vs in groups.values()]
-
-
 def subgraph_copies(F, n):
     """Every copy of F in K_n^r as a frozenset of colex edge ranks.
 
@@ -86,7 +59,7 @@ def subgraph_copies(F, n):
     """
     if F.n > n or not F.edges:
         return []
-    comps = _components(F)
+    comps = [F.induced(vs) for vs in F.components()]
     comps.sort(key=lambda c: (canonical_form(c), c.n))
     host = complete_host(n, F.r)
     placements = []  # per component: list of (vertex_mask, frozenset of ranks)
@@ -162,6 +135,8 @@ def ex_enumerate(n, fam):
 
     Returns (value, witness).  Witness is the smallest colex bitmask optimum.
     """
+    import numpy as np  # only this oracle needs it; keeps `lab` start-up light
+
     r = fam.r
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
@@ -209,38 +184,57 @@ class TuranRecord:
         return self.status == "exact"
 
 
-class _BudgetExhausted(Exception):
-    pass
+class _Stop(Exception):
+    """Ends a search: the node budget is spent, or the first optimum is found."""
 
 
-class _Shared:
-    def __init__(self, best, incumbent, budget):
+class _Search:
+    """Incumbent and node count of one sequential depth-first search.
+
+    Value mode: ``best`` starts at a known lower bound and the search runs to
+    the end.  First-optimum mode (``first=True``): ``best`` starts at value-1
+    and the search stops at the first leaf that beats it, so the incumbent is
+    the first optimum in decision order.  Searches call ``offer`` only with
+    k > best.
+    """
+
+    def __init__(self, best, incumbent=None, budget=None, first=False):
         self.best = best
         self.incumbent = incumbent
-        self.nodes = 0
         self.budget = budget
+        self.first = first
+        self.nodes = 0
         self.truncated = False
-        self.lock = threading.Lock()
 
-    def offer(self, k, chosen):
-        with self.lock:
-            if k > self.best:
-                self.best = k
-                self.incumbent = chosen
+    def offer(self, k, incumbent):
+        self.best = k
+        self.incumbent = incumbent
+        if self.first:
+            raise _Stop
 
     def tick(self):
-        self.nodes += 1  # racy under threads; budget is approximate there
+        self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
             self.truncated = True
-            raise _BudgetExhausted
+            raise _Stop
+
+    def run(self, dfs, *args):
+        """Call dfs(self, *args) until it returns or stops; return self."""
+        try:
+            dfs(self, *args)
+        except _Stop:
+            return self
+        if self.first:
+            raise RuntimeError("witness pass found no optimum (value inconsistent)")
+        return self
 
 
 class _Ctx:
-    """Immutable per-problem search data shared by all workers."""
+    """Immutable search data of one ex(n, fam) problem."""
 
-    def __init__(self, E, masks, canonical_aug):
+    def __init__(self, edges, masks):
+        E = len(edges)
         self.E = E
-        self.canonical_aug = canonical_aug
         self.cmax = [[] for _ in range(E)]
         for m in masks:
             top = m.bit_length() - 1
@@ -261,30 +255,40 @@ class _Ctx:
                 self.pack_of[low.bit_length() - 1] = pid
                 mm ^= low
         self.pack_size = sizes
+        # orbit-minimal candidates for the second included edge (the
+        # stabilizer of edge 0 classifies edges by their intersection size with it)
+        e0 = set(edges[0])
+        classmin = {}
+        for i in range(1, E):
+            classmin.setdefault(len(e0.intersection(edges[i])), i)
+        self.ok_second = [False] * E
+        for i in classmin.values():
+            self.ok_second[i] = True
 
-    def counters(self, i, chosen):
-        """Pack counters for the state where edges < i are decided."""
+    def run(self, search):
+        """Run the include-first search from the root, where edge 0 is fixed in."""
         inc = [0] * len(self.pack_size)
         und = list(self.pack_size)
-        unpacked = 0
-        for e in range(self.E):
-            p = self.pack_of[e]
-            if e < i:
-                if p >= 0:
-                    und[p] -= 1
-                    if chosen >> e & 1:
-                        inc[p] += 1
-            elif p < 0:
-                unpacked += 1
-        return inc, und, unpacked
+        p = self.pack_of[0]
+        if p >= 0:
+            inc[p] += 1
+            und[p] -= 1
+        unpacked = self.pack_of[1:].count(-1)
+        return search.run(_dfs, self, 1, 1, 1, inc, und, unpacked, True)
 
 
-def _dfs(ctx, shared, i, chosen, k, inc, und, unpacked, second_pending):
-    """Include-first DFS; updates shared.best at leaves."""
-    shared.tick()
+def _dfs(search, ctx, i, chosen, k, inc, und, unpacked, second_pending):
+    """Include-first DFS over the edges i.. of the colex order.
+
+    ``inc[p]`` / ``und[p]`` count the included / undecided edges of pack p,
+    ``unpacked`` the undecided edges outside every pack; ``second_pending``
+    holds until a second edge is included.
+    """
+    search.tick()
     E = ctx.E
     if i == E:
-        shared.offer(k, chosen)
+        if k > search.best:
+            search.offer(k, chosen)
         return
     # counting bound: chosen + what packs can still contribute + loose edges
     bound = k + unpacked
@@ -293,7 +297,7 @@ def _dfs(ctx, shared, i, chosen, k, inc, und, unpacked, second_pending):
         cap = sizes[p] - 1 - inc[p]
         u = und[p]
         bound += u if u < cap else cap
-    if bound <= shared.best:
+    if bound <= search.best:
         return
     p = ctx.pack_of[i]
     # include branch
@@ -302,7 +306,7 @@ def _dfs(ctx, shared, i, chosen, k, inc, und, unpacked, second_pending):
         if mw & ~chosen == 0:
             ok = False
             break
-    if ok and second_pending and ctx.canonical_aug and not ctx.ok_second[i]:
+    if ok and second_pending and not ctx.ok_second[i]:
         ok = False
     if ok:
         if p >= 0:
@@ -310,17 +314,7 @@ def _dfs(ctx, shared, i, chosen, k, inc, und, unpacked, second_pending):
             und[p] -= 1
         else:
             unpacked -= 1
-        _dfs(
-            ctx,
-            shared,
-            i + 1,
-            chosen | (1 << i),
-            k + 1,
-            inc,
-            und,
-            unpacked,
-            False,
-        )
+        _dfs(search, ctx, i + 1, chosen | (1 << i), k + 1, inc, und, unpacked, False)
         if p >= 0:
             inc[p] -= 1
             und[p] += 1
@@ -329,10 +323,10 @@ def _dfs(ctx, shared, i, chosen, k, inc, und, unpacked, second_pending):
     # exclude branch
     if p >= 0:
         und[p] -= 1
-        _dfs(ctx, shared, i + 1, chosen, k, inc, und, unpacked, second_pending)
+        _dfs(search, ctx, i + 1, chosen, k, inc, und, unpacked, second_pending)
         und[p] += 1
     else:
-        _dfs(ctx, shared, i + 1, chosen, k, inc, und, unpacked - 1, second_pending)
+        _dfs(search, ctx, i + 1, chosen, k, inc, und, unpacked - 1, second_pending)
 
 
 def _greedy(ctx):
@@ -343,33 +337,26 @@ def _greedy(ctx):
     return chosen
 
 
-def _expand_tasks(ctx, depth):
-    """Decision prefixes of the root-fixed tree down to ``depth`` edges."""
-    tasks = []
-
-    def rec(i, chosen, second_pending):
-        if i == min(depth, ctx.E):
-            tasks.append((i, chosen, second_pending))
-            return
-        ok = all(mw & ~chosen != 0 for mw in ctx.cmax[i])
-        if ok and second_pending and ctx.canonical_aug and not ctx.ok_second[i]:
-            ok = False
-        if ok:
-            rec(i + 1, chosen | (1 << i), False)
-        rec(i + 1, chosen, second_pending)
-
-    rec(1, 1, True)
-    return tasks
-
-
-def ex_exact(n, fam, budget=None, threads=1, canonical_aug=False):
+def ex_exact(n, fam, budget=None):
     """Exact ex(n, fam) with an extremal witness.
 
-    Branch and bound; with a node budget the search may stop early, in which
-    case status is ``lower_bound_only`` and the witness is the incumbent.
-    The optimal value is computed first (parallelizable over prefix tasks with
-    a shared best); the witness is then re-derived by a deterministic pass, so
-    (value, witness) do not depend on thread count.
+    One sequential branch and bound, run in two modes.  The value pass starts
+    from a greedy incumbent and proves the optimum.  The witness pass starts
+    from value-1 and stops at its first leaf, so the witness is the first
+    optimum in include-first colex order: among the optima that contain edge
+    0, the one whose indicator vector, read by ascending colex rank, is
+    lexicographically greatest.
+
+    Both passes fix edge 0 in (K_n^r is edge-transitive) and admit as second
+    included edge only the least edge of each orbit of the stabilizer of edge
+    0 (orderly generation, McKay 1998).  That witness passes the rule: an
+    optimum whose second edge lay above its orbit minimum would map to one
+    with a smaller second edge, which would come first.  So the rule changes
+    neither the value nor the witness.  ``nodes`` counts both passes and is
+    the same on every run.
+
+    With a node budget the value pass may stop early; the status is then
+    ``lower_bound_only`` and the witness is the incumbent.
     """
     r = fam.r
     if n < r:
@@ -388,101 +375,19 @@ def ex_exact(n, fam, budget=None, threads=1, canonical_aug=False):
     if not masks:
         return TuranRecord(n, r, key, E, complete_host(n, r), "exact", nodes=1)
 
-    ctx = _Ctx(E, masks, canonical_aug)
-    # orbit-minimal candidates for the second included edge (stabilizer of
-    # edge 0 classifies edges by their intersection size with it)
-    e0 = set(edges[0])
-    classmin = {}
-    for i in range(1, E):
-        s = len(e0.intersection(edges[i]))
-        if s not in classmin:
-            classmin[s] = i
-    ctx.ok_second = [False] * E
-    for i in classmin.values():
-        ctx.ok_second[i] = True
-
+    ctx = _Ctx(edges, masks)
     greedy = _greedy(ctx)
-    shared = _Shared(greedy.bit_count(), greedy, budget)
-
-    depth = 1
-    if threads > 1:
-        while depth < E and 2**depth < 4 * threads:
-            depth += 1
-    tasks = _expand_tasks(ctx, max(depth, 1))
-
-    def run(task):
-        i, chosen, second_pending = task
-        inc, und, unpacked = ctx.counters(i, chosen)
-        try:
-            _dfs(ctx, shared, i, chosen, chosen.bit_count(), inc, und, unpacked, second_pending)
-        except _BudgetExhausted:
-            pass
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, tasks))
+    value_pass = ctx.run(_Search(greedy.bit_count(), greedy, budget))
+    value = value_pass.best
+    nodes = value_pass.nodes
+    if value_pass.truncated:
+        status, witness_mask = "lower_bound_only", value_pass.incumbent
     else:
-        for t in tasks:
-            run(t)
-
-    value = shared.best
-    status = "lower_bound_only" if shared.truncated else "exact"
-    if status == "exact":
-        witness_mask = _first_optimum(ctx, value)
-    else:
-        witness_mask = shared.incumbent
+        witness_pass = ctx.run(_Search(value - 1, first=True))
+        status, witness_mask = "exact", witness_pass.incumbent
+        nodes += witness_pass.nodes
     witness = HyperGraph(r, n, [edges[i] for i in range(E) if witness_mask >> i & 1])
-    return TuranRecord(n, r, key, value, witness, status, nodes=shared.nodes)
-
-
-def _first_optimum(ctx, value):
-    """Deterministic witness: first fam-free edge set of size ``value`` in
-    include-first colex decision order (root edge fixed)."""
-    if value == 0:
-        return 0
-    E = ctx.E
-
-    def rec(i, chosen, k, inc, und, unpacked):
-        if k == value:
-            return chosen
-        if i == E:
-            return None
-        bound = k + unpacked
-        sizes = ctx.pack_size
-        for p in range(len(sizes)):
-            cap = sizes[p] - 1 - inc[p]
-            u = und[p]
-            bound += u if u < cap else cap
-        if bound < value:
-            return None
-        p = ctx.pack_of[i]
-        if all(mw & ~chosen != 0 for mw in ctx.cmax[i]):
-            if p >= 0:
-                inc[p] += 1
-                und[p] -= 1
-            else:
-                unpacked -= 1
-            got = rec(i + 1, chosen | (1 << i), k + 1, inc, und, unpacked)
-            if p >= 0:
-                inc[p] -= 1
-                und[p] += 1
-            else:
-                unpacked += 1
-            if got is not None:
-                return got
-        if p >= 0:
-            und[p] -= 1
-            got = rec(i + 1, chosen, k, inc, und, unpacked)
-            und[p] += 1
-        else:
-            got = rec(i + 1, chosen, k, inc, und, unpacked - 1)
-        return got
-
-    inc, und, unpacked = ctx.counters(1, 1)
-    got = rec(1, 1, 1, inc, und, unpacked)
-    if got is None:
-        raise RuntimeError("witness reconstruction failed (value inconsistent)")
-    return got
+    return TuranRecord(n, r, key, value, witness, status, nodes=nodes)
 
 
 def verify_witness(record, fam):
@@ -633,7 +538,7 @@ def boundedness_falsifier(F, params, n, samples, table, seed=0):
         return chosen
 
     rng = random.Random(seed)
-    candidates = [record_mask(table.get(fam, n).witness, edges)]
+    candidates = [sum(1 << colex_rank(e) for e in table.get(fam, n).witness.edges)]
     through0 = [i for i in range(E) if 0 in edges[i]]
     others = [i for i in range(E) if 0 not in edges[i]]
     for _ in range(samples):
@@ -657,14 +562,6 @@ def boundedness_falsifier(F, params, n, samples, table, seed=0):
             continue  # independent re-check; greedy should never let this pass
         hits.append(H)
     return hits
-
-
-def record_mask(H, edges):
-    rank = {e: i for i, e in enumerate(edges)}
-    mask = 0
-    for e in H.edges:
-        mask |= 1 << rank[e]
-    return mask
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,15 @@ lines.  Tolerances are exact (integer equality / inequality); each criterion
 also enforces its wall-clock budget.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 from math import comb
+from pathlib import Path
 
+import rainbowlab
 from rainbowlab import antiramsey as anti
 from rainbowlab import constructions as cons
 from rainbowlab import turan as tu
@@ -189,19 +195,43 @@ def test_criterion_8_numeric_facts():
         assert all(row.note.startswith("advisory") for row in reports)
 
 
-def test_criterion_9_determinism_across_threads():
-    with _Criterion(9, "thread determinism", 1800.0):
-        for n, fam in _dual_oracle_matrix():
-            base = tu.ex_exact(n, fam, threads=1)
-            for threads in (2, 8):
-                rec = tu.ex_exact(n, fam, threads=threads)
-                assert rec.value == base.value, (n, threads)
-                assert rec.witness == base.witness, (n, threads)
-                assert canonical_form(rec.witness) == canonical_form(base.witness)
-        ar_matrix = [(4, 2, K2), (5, 2, K2), (5, 1, K3)]
-        for n, t, F in ar_matrix:
-            base = anti.ar_exact(n, t, F, threads=1)
-            for threads in (2, 8):
-                rec = anti.ar_exact(n, t, F, threads=threads)
-                assert rec.value == base.value, (n, t, threads)
-                assert rec.witness == base.witness, (n, t, threads)
+AR_DETERMINISM_MATRIX = [(4, 2, K2), (5, 2, K2), (5, 1, K3)]
+
+
+def _determinism_summary():
+    """Value, witness and node count of every criterion-9 case, as plain data."""
+    out = []
+    for n, fam in _dual_oracle_matrix():
+        rec = tu.ex_exact(n, fam)
+        out.append(["ex", n, rec.family_key, rec.value, to_text(rec.witness), rec.nodes])
+    for n, t, F in AR_DETERMINISM_MATRIX:
+        rec = anti.ar_exact(n, t, F)
+        colors = None if rec.witness is None else list(rec.witness.colors)
+        out.append(["ar", n, t, rec.value, colors, rec.nodes])
+    return out
+
+
+def _summary_in_fresh_interpreter(hash_seed):
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); "
+        "import test_acceptance as ta; print(json.dumps(ta._determinism_summary()))"
+    )
+    src = str(Path(rainbowlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    tests_dir = str(Path(__file__).resolve().parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code, tests_dir], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout)
+
+
+def test_criterion_9_determinism():
+    with _Criterion(9, "determinism", 1800.0):
+        first = _determinism_summary()
+        assert len(first) == len(_dual_oracle_matrix()) + len(AR_DETERMINISM_MATRIX)
+        assert _determinism_summary() == first
+        # round-trip through JSON so both sides compare as the same plain types
+        first = json.loads(json.dumps(first))
+        assert _summary_in_fresh_interpreter(1) == first
+        assert _summary_in_fresh_interpreter(2) == first

@@ -1,5 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rainbowlab
 from rainbowlab.antiramsey import ArRecord, ar_exact
 from rainbowlab.cache import (
     Cache,
@@ -11,7 +18,7 @@ from rainbowlab.cache import (
     turan_record_from_text,
     turan_record_to_text,
 )
-from rainbowlab.cli import main
+from rainbowlab.cli import _hash_file, main
 from rainbowlab.constructions import complete_graph
 from rainbowlab.core import HyperGraph, disjoint_union, from_text
 from rainbowlab.turan import ex_exact, singleton
@@ -218,19 +225,22 @@ class TestCli:
         assert run(tmp_path, "report", "facts", "--r-range", "2:2", "--n-range", "20:25") == 0
         assert "all hold" in capsys.readouterr().out
 
-    def test_threads_flag_reproduces_records(self, tmp_path):
+    def test_report_manifest_records_wall_time(self, tmp_path):
         k3 = tmp_path / "k3.hg"
         run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
-        assert main(["--cache-dir", str(tmp_path / "c1"), "turan", "-n", "6", "--forbid", str(k3)]) == 0
-        assert main(
-            ["--cache-dir", str(tmp_path / "c2"), "--threads", "4", "turan", "-n", "6", "--forbid", str(k3)]
-        ) == 0
-        def payload(root):
-            lines = next((root / "turan").iterdir()).read_text().split("\n")
-            return [ln for ln in lines if not ln.startswith("meta ")]
+        argv = ["--cache-dir", str(tmp_path / "cache"), "report", "gap", "-F", str(k3), "--n-range", "5:6"]
+        assert main(argv) == 0
+        mid = Cache(tmp_path / "cache").manifest_id(argv, {str(k3): _hash_file(k3)})
+        doc = json.loads((tmp_path / "cache" / "manifests" / f"{mid}.json").read_text())
+        assert doc["wall_time"] > 0
 
-        # identical value and witness; only the manifest reference may differ
-        assert payload(tmp_path / "c1") == payload(tmp_path / "c2")
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # numpy serves only the enumeration oracle; `lab` start-up must not pay for it
+        code = "import sys, rainbowlab.cli; print('numpy' in sys.modules)"
+        src = str(Path(rainbowlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_malformed_input_exit_two(self, tmp_path):
         bad = tmp_path / "bad.hg"

@@ -154,20 +154,6 @@ class TestExExact:
         assert len(rec.witness.edges) == rec.value
         assert not contains_member(rec.witness, singleton(K3))
 
-    def test_canonical_aug_same_value(self):
-        for n in (6, 7):
-            assert (
-                ex_exact(n, singleton(K3), canonical_aug=True).value
-                == ex_exact(n, singleton(K3)).value
-            )
-
-    def test_threads_same_result(self):
-        base = ex_exact(7, singleton(K3))
-        for threads in (2, 8):
-            rec = ex_exact(7, singleton(K3), threads=threads)
-            assert rec.value == base.value
-            assert rec.witness == base.witness
-
 
 class TestDerived:
     def test_triangle_values(self):
