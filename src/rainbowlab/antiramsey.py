@@ -415,18 +415,28 @@ def verify_no_rainbow(chi, F, t):
 
 
 class ArTable:
-    """In-memory map (F key, n, t) -> ArRecord."""
+    """Map (F key, n, t) -> ArRecord.
 
-    def __init__(self):
+    On a miss the table asks ``loader(n, t, F)`` for the record (None when
+    there is none) and keeps what it returns, so each record is loaded once.
+    """
+
+    def __init__(self, loader=None):
         self._records = {}
+        self._loader = loader
 
     def put(self, record):
         self._records[record.F_key, record.n, record.t] = record
 
     def get(self, F, n, t):
-        rec = self._records.get((family_key(singleton(F)), n, t))
+        key = family_key(singleton(F))
+        rec = self._records.get((key, n, t))
+        if rec is None and self._loader is not None:
+            rec = self._loader(n, t, F)
+            if rec is not None:
+                self.put(rec)
         if rec is None or not rec.is_exact():
-            raise MissingRecordError(f"no exact ar record for n={n}, t={t}")
+            raise MissingRecordError(f"no exact ar record for n={n}, t={t}, F={key}")
         return rec
 
     def ar(self, F, n, t):

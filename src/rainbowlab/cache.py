@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from .antiramsey import (
@@ -50,6 +51,32 @@ def _atomic_write(path, text):
         raise
 
 
+def _fields(line, tag, names):
+    """The values of ``<tag> name=value ...`` with exactly ``names``, in order."""
+    head, *parts = line.split(" ")
+    pairs = [part.partition("=") for part in parts]
+    if head != tag or [key for key, _, _ in pairs] != list(names):
+        raise CacheError(f"expected {tag} with fields {', '.join(names)}: {line!r}")
+    return [value for _, _, value in pairs]
+
+
+def _int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise CacheError(f"non-integer field {text!r}") from None
+
+
+def _parse_record(text, tag, names):
+    """Split a record into its header values, meta values and witness text."""
+    lines = text.split("\n", 2)
+    if len(lines) < 3:
+        raise CacheError(f"not a {tag} record")
+    head = _fields(lines[0], tag, names)
+    meta = _fields(lines[1], "meta", ("solver", "manifest"))
+    return head, meta, lines[2]
+
+
 def turan_record_to_text(rec, manifest=""):
     status = rec.status
     head = f"TURAN n={rec.n} fam={rec.family_key} value={rec.value} status={status}"
@@ -58,21 +85,24 @@ def turan_record_to_text(rec, manifest=""):
 
 
 def turan_record_from_text(text):
-    lines = text.split("\n", 2)
-    if len(lines) < 3 or not lines[0].startswith("TURAN "):
-        raise CacheError("not a TURAN record")
-    fields = dict(kv.split("=", 1) for kv in lines[0].split(" ")[1:])
-    meta = dict(kv.split("=", 1) for kv in lines[1].split(" ")[1:])
-    witness = from_text(lines[2])
-    return TuranRecord(
-        n=int(fields["n"]),
-        r=witness.r,
-        family_key=fields["fam"],
-        value=int(fields["value"]),
-        witness=witness,
-        status=fields["status"],
-        solver=meta.get("solver", ""),
+    (n, fam, value, status), (solver, manifest), body = _parse_record(
+        text, "TURAN", ("n", "fam", "value", "status")
     )
+    if status not in ("exact", "lower_bound_only"):
+        raise CacheError(f"unknown TURAN status {status!r}")
+    witness = from_text(body)
+    rec = TuranRecord(
+        n=_int(n),
+        r=witness.r,
+        family_key=fam,
+        value=_int(value),
+        witness=witness,
+        status=status,
+        solver=solver,
+    )
+    if turan_record_to_text(rec, manifest) != text:
+        raise CacheError("record is not in canonical serialization")
+    return rec
 
 
 def ar_record_to_text(rec, manifest=""):
@@ -86,31 +116,34 @@ def ar_record_to_text(rec, manifest=""):
 
 
 def ar_record_from_text(text):
-    lines = text.split("\n", 2)
-    if len(lines) < 3 or not lines[0].startswith("AR "):
-        raise CacheError("not an AR record")
-    fields = dict(kv.split("=", 1) for kv in lines[0].split(" ")[1:])
-    meta = dict(kv.split("=", 1) for kv in lines[1].split(" ")[1:])
-    status = fields["status"]
+    """Parse an AR record; without a witness ``r`` is 0 (``Cache.load_ar`` sets it)."""
+    (n, t, F, value, status), (solver, manifest), body = _parse_record(
+        text, "AR", ("n", "t", "F", "value", "status")
+    )
     lo = hi = 0
     if status.startswith("bounds:"):
-        _, lo, hi = status.split(":")
-        status, lo, hi = "bounds", int(lo), int(hi)
-    witness = None
-    if lines[2] != "nowitness\n":
-        witness = coloring_from_text(lines[2])
-    return ArRecord(
-        n=int(fields["n"]),
-        t=int(fields["t"]),
+        bounds = status.split(":")
+        if len(bounds) != 3:
+            raise CacheError(f"malformed bounds status {status!r}")
+        status, lo, hi = "bounds", _int(bounds[1]), _int(bounds[2])
+    elif status != "exact":
+        raise CacheError(f"unknown AR status {status!r}")
+    witness = None if body == "nowitness\n" else coloring_from_text(body)
+    rec = ArRecord(
+        n=_int(n),
+        t=_int(t),
         r=witness.r if witness is not None else 0,
-        F_key=fields["F"],
-        value=int(fields["value"]),
+        F_key=F,
+        value=_int(value),
         witness=witness,
         status=status,
         lo=lo,
         hi=hi,
-        solver=meta.get("solver", ""),
+        solver=solver,
     )
+    if ar_record_to_text(rec, manifest) != text:
+        raise CacheError("record is not in canonical serialization")
+    return rec
 
 
 class Cache:
@@ -172,20 +205,24 @@ class Cache:
         _atomic_write(self._ar_path(rec.n, rec.t, rec.F_key), ar_record_to_text(rec, manifest))
 
     def load_ar(self, n, t, F):
-        path = self._ar_path(n, t, family_key(singleton(F)))
+        """Load and re-verify a record for (n, t, F); None when absent."""
+        key = family_key(singleton(F))
+        path = self._ar_path(n, t, key)
         if not path.exists():
             return None
         rec = ar_record_from_text(path.read_text(encoding="ascii"))
-        if rec.n != n or rec.t != t:
+        if (rec.n, rec.t, rec.F_key) != (n, t, key):
             raise CacheError(f"record at {path} does not match its key")
         if rec.witness is not None:
-            if rec.witness.n != n or rec.witness.ncolors != rec.value - 1:
+            w = rec.witness
+            if w.r != F.r or w.n != n or w.ncolors != rec.value - 1:
                 raise CacheError(f"witness shape mismatch for {path}")
-            if not verify_no_rainbow(rec.witness, F, t):
+            if not verify_no_rainbow(w, F, t):
                 raise CacheError(f"witness verification failed for {path}")
-        elif rec.is_exact() and rec.value != 1:
+            return rec
+        if rec.is_exact() and rec.value != 1:
             raise CacheError(f"missing witness for {path}")
-        return rec
+        return replace(rec, r=F.r)
 
     # -- colorings -----------------------------------------------------------------
 

@@ -23,7 +23,6 @@ from .core import (
     FormatError,
     HyperGraphFamily,
     disjoint_union,
-    family_key,
     read_file,
     write_file,
 )
@@ -42,30 +41,28 @@ def _parse_range(text):
     return range(lo, hi + 1)
 
 
-def _load_graph(path):
+def _fraction(text):
+    """argparse type for rationals like 1/2; a zero denominator is a usage error."""
     try:
-        return read_file(path)
-    except FileNotFoundError:
-        raise FormatError(f"no such file: {path}")
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
-def _turan_table_from_cache(cache, fams_ns):
-    """Build an in-memory table from cached records; raise when any is missing."""
-    table = TuranTable()
-    for fam, n in fams_ns:
-        rec = cache.load_turan(n, fam)
-        if rec is None or not rec.is_exact():
-            raise MissingRecordError(
-                f"missing exact turan record n={n} fam={family_key(fam)}"
-            )
-        table.put(rec)
-    return table
+def _inputs(args):
+    """The input files of a command, in manifest order: --forbid, -F, --inner."""
+    paths = list(getattr(args, "forbid", None) or [])
+    paths += [p for p in (getattr(args, "F", None), getattr(args, "inner", None)) if p]
+    return paths
 
 
 # -- subcommands ------------------------------------------------------------------
+#
+# Each command but ``zoo`` takes the manifest id its records should cite and
+# returns (exit code, verdicts); ``main`` times it and writes the manifest.
 
 
-def cmd_zoo(args, cache):
+def cmd_zoo(args):
     if args.zoo_cmd == "list":
         for name, (_, params) in sorted(cons.ZOO.items()):
             sig = " ".join(f"--{p}" if p == "minus" else f"-{p} <int>" for p in params)
@@ -84,162 +81,95 @@ def cmd_zoo(args, cache):
     return 0
 
 
-def cmd_turan(args, cache, argv):
-    members = [_load_graph(p) for p in args.forbid]
+def cmd_turan(args, cache, mid):
+    members = [read_file(p) for p in args.forbid]
     fam = HyperGraphFamily(members[0].r, members)
-    hashes = {p: _hash_file(p) for p in args.forbid}
-    mid = cache.manifest_id(argv, hashes)
-    t0 = time.time()
     rec = turan_record(cache, args.n, fam, budget=args.budget, manifest=mid)
-    cache.write_manifest(argv, hashes, time.time() - t0, [f"value={rec.value}", rec.status])
     print(f"TURAN n={rec.n} fam={rec.family_key} value={rec.value} status={rec.status}")
-    return 0
+    return 0, [f"value={rec.value}", rec.status]
 
 
-def cmd_ar(args, cache, argv):
-    F = _load_graph(args.F)
-    hashes = {args.F: _hash_file(args.F)}
-    mid = cache.manifest_id(argv, hashes)
-    t0 = time.time()
-    rec = ar_record(cache, args.n, args.t, F, budget=args.budget, manifest=mid)
-    cache.write_manifest(argv, hashes, time.time() - t0, [f"value={rec.value}", rec.status])
+def cmd_ar(args, cache, mid):
+    rec = ar_record(cache, args.n, args.t, read_file(args.F), budget=args.budget, manifest=mid)
     status = rec.status if rec.is_exact() else f"bounds:{rec.lo}:{rec.hi}"
     print(f"AR n={rec.n} t={rec.t} F={rec.F_key} value={rec.value} status={status}")
-    return 0
+    return 0, [f"value={rec.value}", rec.status]
 
 
-def cmd_construct(args, cache, argv):
-    F = _load_graph(args.F)
-    hashes = {args.F: _hash_file(args.F)}
+def cmd_construct(args, cache, mid):
+    F = read_file(args.F)
     if args.construct_cmd == "fact21":
-        mid = cache.manifest_id(argv, hashes)
-        t0 = time.time()
         rec = turan_record(cache, args.n, singleton(disjoint_union(F, args.t)), manifest=mid)
         chi = anti.build_coloring_fact21(args.n, args.t, F, rec)
         target = f"rainbow-{args.t + 1}F-free"
     else:
         inner = cache.load_coloring(args.inner)
-        hashes[args.inner] = _hash_file(args.inner)
-        mid = cache.manifest_id(argv, hashes)
-        t0 = time.time()
         chi = anti.build_coloring_fact31(args.n, args.t, F, inner)
         target = f"rainbow-{args.t + 2}F-free"
     path = cache.store_coloring(chi) if args.output is None else Path(args.output)
     if args.output is not None:
         path.write_text(anti.coloring_to_text(chi), encoding="ascii")
-    cache.write_manifest(argv, hashes, time.time() - t0, [f"ncolors={chi.ncolors}", "certified"])
     print(f"coloring r={chi.r} n={chi.n} ncolors={chi.ncolors} certified {target} -> {path}")
-    return 0
+    return 0, [f"ncolors={chi.ncolors}", "certified"]
 
 
-def cmd_verify(args, cache, argv):
-    F = _load_graph(args.F)
-    hashes = {args.F: _hash_file(args.F)}
-    t0 = time.time()
-    verdicts = []
-    code = 0
-    ar_table = anti.ArTable()
+def cmd_verify(args, cache, mid):
+    """Check one statement against cached records; a missing one raises
+    MissingRecordError, and nothing is computed."""
+    F = read_file(args.F)
+    table = TuranTable(cache.load_turan)
+    ar_table = anti.ArTable(cache.load_ar)
     if args.verify_cmd == "sandwich":
-        s = args.t
-        rec = cache.load_ar(args.n, s, F)
-        if rec is None or not rec.is_exact():
-            print(f"insufficient records: need exact ar(n={args.n}, t={s})", file=sys.stderr)
-            return 2
-        ar_table.put(rec)
-        fams = [(singleton(disjoint_union(F, s)), args.n)]
-        if s >= 2:
-            fams.append((singleton(disjoint_union(F, s - 1)), args.n))
-        table = _turan_table_from_cache(cache, fams)
-        v = anti.sandwich_check(args.n, s, F, table, ar_table)
-        verdicts.append(
+        v = anti.sandwich_check(args.n, args.t, F, table, ar_table)
+        line = (
             f"sandwich n={v.n} s={v.s}: {v.lower} <= ar={v.ar_value} <= {v.upper}: "
             + ("holds" if v.holds else "VIOLATION")
         )
-        code = 0 if v.holds else 1
+        ok = v.holds
     elif args.verify_cmd == "identity":
-        rec = cache.load_ar(args.n, args.t + 1, F)
-        if rec is None or not rec.is_exact():
-            print(
-                f"insufficient records: need exact ar(n={args.n}, t={args.t + 1})",
-                file=sys.stderr,
-            )
-            return 2
-        ar_table.put(rec)
-        fam_F = singleton(F)
-        fam_union = fam_F.union(cons.edge_sum_family(F, F))
-        table = _turan_table_from_cache(
-            cache,
-            [
-                (singleton(disjoint_union(F, args.t)), args.n),
-                (fam_F, args.n),
-                (fam_union, args.n),
-            ],
-        )
         v = anti.verify_identity_thm15(args.n, args.t, F, table, ar_table)
-        verdicts.append(
+        line = (
             f"identity n={v.n} t={v.t}: ar={v.ar_value} vs ex+2={v.ex_value + 2} "
             f"t_max={v.t_max}: {v.status}"
         )
-        code = 1 if v.status == "violation" else 0
+        ok = v.status != "violation"
     else:  # reduction
-        big = cache.load_ar(args.n, args.t + 2, F)
-        inner = cache.load_ar(args.n - args.t, 2, F)
-        if any(r is None or not r.is_exact() for r in (big, inner)):
-            print("insufficient records: need exact ar at (n,t+2) and (n-t,2)", file=sys.stderr)
-            return 2
-        ar_table.put(big)
-        ar_table.put(inner)
         v = anti.reduction_check(args.n, args.t, F, ar_table)
-        verdicts.append(
+        line = (
             f"reduction n={v.n} t={v.t}: ar={v.ar_big} >= {v.crossing}+{v.ar_inner}: "
             + ("holds" if v.holds else "VIOLATION")
         )
-        code = 0 if v.holds else 1
-    for line in verdicts:
-        print(line)
-    cache.write_manifest(argv, hashes, time.time() - t0, verdicts)
-    return code
+        ok = v.holds
+    print(line)
+    return (0 if ok else 1), [line]
 
 
-def cmd_derived(args, cache, argv):
-    F = _load_graph(args.F)
-    hashes = {args.F: _hash_file(args.F)}
-    mid = cache.manifest_id(argv, hashes)
-    t0 = time.time()
-    table = TuranTable()
-    for n in (args.n - 1, args.n):
-        table.put(turan_record(cache, n, singleton(F), manifest=mid))
-    dq = tur.derived_quantities(F, table, args.n)
-    cache.write_manifest(argv, hashes, time.time() - t0, [f"delta={dq.delta_n}", f"d={dq.d_n}", f"pi_hat={dq.pi_hat}"])
+def _computing_table(cache, mid):
+    return TuranTable(lambda n, fam: turan_record(cache, n, fam, manifest=mid))
+
+
+def cmd_derived(args, cache, mid):
+    F = read_file(args.F)
+    dq = tur.derived_quantities(F, _computing_table(cache, mid), args.n)
     print(f"n={dq.n} delta={dq.delta_n} d={dq.d_n} pi_hat={dq.pi_hat}")
-    return 0
+    return 0, [f"delta={dq.delta_n}", f"d={dq.d_n}", f"pi_hat={dq.pi_hat}"]
 
 
-def cmd_report(args, cache, argv):
-    F = _load_graph(args.F) if args.F else None
-    hashes = {args.F: _hash_file(args.F)} if args.F else {}
-    mid = cache.manifest_id(argv, hashes)
-    t0 = time.time()
+def cmd_report(args, cache, mid):
+    F = read_file(args.F) if args.F else None
     rows = []
     if args.report_cmd == "gap":
-        fam_F = singleton(F)
-        fam_union = fam_F.union(cons.edge_sum_family(F, F))
-        table = TuranTable()
+        table = _computing_table(cache, mid)
         print(f"{'n':>4} {'gap':>6} {'threshold':>10} {'t_max':>6}")
         for n in _parse_range(args.n_range):
-            table.put(turan_record(cache, n, fam_F, manifest=mid))
-            table.put(turan_record(cache, n, fam_union, manifest=mid))
             g = tur.edge_sensitivity_gap(F, n, table)
             rows.append(f"gap n={n} gap={g.gap} t_max={g.t_max}")
             print(f"{n:>4} {g.gap:>6} {g.threshold:>10} {g.t_max:>6}")
     elif args.report_cmd == "smoothness":
         ns = _parse_range(args.n_range)
-        table = TuranTable()
-        for n in range(min(ns) - 1, max(ns) + 1):
-            table.put(turan_record(cache, n, singleton(F), manifest=mid))
-        if args.pi is not None:
-            pi = Fraction(args.pi)
-        else:
+        table = _computing_table(cache, mid)
+        pi = args.pi
+        if pi is None:
             pi = tur.derived_quantities(F, table, max(ns)).pi_hat
         params = tur.CheckParams(c1=Fraction(1), c2=Fraction(1), pi=pi, m=F.n)
         print(f"pi = {pi}")
@@ -262,8 +192,17 @@ def cmd_report(args, cache, argv):
                         print(f"{r:>3} {n:>4} {tt:>4} {'False':>6}")
         print("fact51 grid complete" + (" (all hold)" if not rows else ""))
         rows.append("fact51 grid done")
-    cache.write_manifest(argv, hashes, time.time() - t0, rows)
-    return 0
+    return 0, rows
+
+
+COMMANDS = {
+    "turan": cmd_turan,
+    "ar": cmd_ar,
+    "construct": cmd_construct,
+    "verify": cmd_verify,
+    "derived": cmd_derived,
+    "report": cmd_report,
+}
 
 
 # -- parser -----------------------------------------------------------------------
@@ -327,7 +266,7 @@ def build_parser():
     rs = rsub.add_parser("smoothness")
     rs.add_argument("-F", required=True)
     rs.add_argument("--n-range", required=True)
-    rs.add_argument("--pi", default=None, help="rational like 1/2 (default: pi_hat)")
+    rs.add_argument("--pi", type=_fraction, default=None, help="rational like 1/2 (default: pi_hat)")
     rf = rsub.add_parser("facts")
     rf.add_argument("--r-range", default="2:4")
     rf.add_argument("--n-range", default="20:60")
@@ -342,21 +281,13 @@ def main(argv=None):
     cache = Cache(args.cache_dir)
     try:
         if args.cmd == "zoo":
-            return cmd_zoo(args, cache)
-        if args.cmd == "turan":
-            return cmd_turan(args, cache, argv)
-        if args.cmd == "ar":
-            return cmd_ar(args, cache, argv)
-        if args.cmd == "construct":
-            return cmd_construct(args, cache, argv)
-        if args.cmd == "verify":
-            return cmd_verify(args, cache, argv)
-        if args.cmd == "derived":
-            return cmd_derived(args, cache, argv)
-        if args.cmd == "report":
-            return cmd_report(args, cache, argv)
-        raise AssertionError(f"unhandled command {args.cmd}")
-    except (FormatError, ValueError, CapacityError, CacheError) as exc:
+            return cmd_zoo(args)
+        hashes = {p: _hash_file(p) for p in _inputs(args)}
+        t0 = time.time()
+        code, verdicts = COMMANDS[args.cmd](args, cache, cache.manifest_id(argv, hashes))
+        cache.write_manifest(argv, hashes, time.time() - t0, verdicts)
+        return code
+    except (OSError, FormatError, ValueError, CapacityError, CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MissingRecordError as exc:

@@ -378,25 +378,30 @@ def is_isomorphic(H1, H2):
 
 
 class HyperGraphFamily:
-    """A finite set of r-graphs, pairwise non-isomorphic (deduped on construction)."""
+    """A finite set of r-graphs, pairwise non-isomorphic (deduped on construction).
 
-    __slots__ = ("r", "members")
+    ``forms[i]`` is the canonical form of ``members[i]``; each is computed
+    once, here, and reused by ``union`` and ``family_key``.
+    """
+
+    __slots__ = ("r", "members", "forms")
 
     def __init__(self, r, members):
         members = list(members)
         for m in members:
             if m.r != r:
                 raise ValueError(f"family uniformity {r} but member has r={m.r}")
-        # cheap invariant bucketing before canonical dedupe
-        kept, forms = [], set()
-        for m in members:
-            f = canonical_form(m)
-            if f not in forms:
-                forms.add(f)
-                kept.append(m)
-        kept.sort(key=lambda m: (m.n, len(m.edges), canonical_form(m)))
+        self._keep(r, [(canonical_form(m), m) for m in members])
+
+    def _keep(self, r, pairs):
+        """Keep the first member of each form, sorted by (n, edges, form)."""
+        first = {}
+        for f, m in pairs:
+            first.setdefault(f, m)
+        kept = sorted(first.items(), key=lambda p: (p[1].n, len(p[1].edges), p[0]))
         self.r = r
-        self.members = tuple(kept)
+        self.members = tuple(m for _, m in kept)
+        self.forms = tuple(f for f, _ in kept)
 
     def __len__(self):
         return len(self.members)
@@ -410,7 +415,9 @@ class HyperGraphFamily:
     def union(self, other):
         if self.r != other.r:
             raise ValueError("uniformity mismatch in family union")
-        return HyperGraphFamily(self.r, list(self.members) + list(other.members))
+        fam = HyperGraphFamily.__new__(HyperGraphFamily)
+        fam._keep(self.r, [*zip(self.forms, self.members), *zip(other.forms, other.members)])
+        return fam
 
 
 def family_key(fam):
@@ -419,7 +426,7 @@ def family_key(fam):
 
     h = hashlib.sha256()
     h.update(f"r={fam.r};".encode())
-    for f in sorted(canonical_form(m) for m in fam.members):
+    for f in sorted(fam.forms):
         h.update(f)
         h.update(b"|")
     return h.hexdigest()[:16]

@@ -329,10 +329,16 @@ def _dfs(search, ctx, i, chosen, k, inc, und, unpacked, second_pending):
         _dfs(search, ctx, i + 1, chosen, k, inc, und, unpacked - 1, second_pending)
 
 
-def _greedy(ctx):
+def _greedy(order, copies_at):
+    """A maximal fam-free edge set: take the edges of ``order`` in turn, each
+    unless it completes a copy.  ``copies_at[i]`` lists, with bit i cleared,
+    the copy masks that edge i can complete.  In ascending colex order only
+    the copies whose largest edge is i can be complete at step i, so there
+    ``_Ctx.cmax`` serves.
+    """
     chosen = 0
-    for i in range(ctx.E):
-        if all(mw & ~chosen != 0 for mw in ctx.cmax[i]):
+    for i in order:
+        if all(mw & ~chosen for mw in copies_at[i]):
             chosen |= 1 << i
     return chosen
 
@@ -376,7 +382,7 @@ def ex_exact(n, fam, budget=None):
         return TuranRecord(n, r, key, E, complete_host(n, r), "exact", nodes=1)
 
     ctx = _Ctx(edges, masks)
-    greedy = _greedy(ctx)
+    greedy = _greedy(range(E), ctx.cmax)
     value_pass = ctx.run(_Search(greedy.bit_count(), greedy, budget))
     value = value_pass.best
     nodes = value_pass.nodes
@@ -401,19 +407,22 @@ def verify_witness(record, fam):
     real = HyperGraphFamily(fam.r, [m for m in fam.members if m.edges])
     if real.members and contains_member(w, real):
         return False
-    if record.is_exact() and len(w.edges) != record.value:
-        return False
-    return len(w.edges) <= record.value or not record.is_exact()
+    return not record.is_exact() or len(w.edges) == record.value
 
 
 # -- tables and derived quantities ------------------------------------------------
 
 
 class TuranTable:
-    """In-memory map (family key, n) -> TuranRecord."""
+    """Map (family key, n) -> TuranRecord.
 
-    def __init__(self):
+    On a miss the table asks ``loader(n, fam)`` for the record (None when
+    there is none) and keeps what it returns, so each record is loaded once.
+    """
+
+    def __init__(self, loader=None):
         self._records = {}
+        self._loader = loader
 
     def put(self, record):
         self._records[record.family_key, record.n] = record
@@ -421,8 +430,12 @@ class TuranTable:
     def get(self, fam, n):
         key = family_key(fam)
         rec = self._records.get((key, n))
+        if rec is None and self._loader is not None:
+            rec = self._loader(n, fam)
+            if rec is not None:
+                self.put(rec)
         if rec is None or not rec.is_exact():
-            raise MissingRecordError(f"no exact record for n={n}, fam={key}")
+            raise MissingRecordError(f"no exact turan record for n={n}, fam={key}")
         return rec
 
     def ex(self, fam, n):
@@ -516,26 +529,14 @@ def boundedness_falsifier(F, params, n, samples, table, seed=0):
         return []  # no F-free graph has any edge
     E = comb(n, r)
     edges = all_edges_colex(n, r)
-    cmax = [[] for _ in range(E)]
-    for m in masks:
-        top = m.bit_length() - 1
-        cmax[top].append(m ^ (1 << top))
-
-    # completion test needs masks grouped by membership, not colex max
-    cmax_full = [[] for _ in range(E)]
+    # in a random order an edge can complete any copy it lies in
+    copies_at = [[] for _ in range(E)]
     for m in masks:
         mm = m
         while mm:
             low = mm & -mm
-            cmax_full[low.bit_length() - 1].append(m ^ low)
+            copies_at[low.bit_length() - 1].append(m ^ low)
             mm ^= low
-
-    def greedy(order):
-        chosen = 0
-        for i in order:
-            if all(mw & ~(chosen | (1 << i)) != 0 for mw in cmax_full[i]):
-                chosen |= 1 << i
-        return chosen
 
     rng = random.Random(seed)
     candidates = [sum(1 << colex_rank(e) for e in table.get(fam, n).witness.edges)]
@@ -545,7 +546,7 @@ def boundedness_falsifier(F, params, n, samples, table, seed=0):
         a, b = through0[:], others[:]
         rng.shuffle(a)
         rng.shuffle(b)
-        candidates.append(greedy(a + b))
+        candidates.append(_greedy(a + b, copies_at))
 
     hits = []
     seen = set()

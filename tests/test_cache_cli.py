@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +58,37 @@ class TestRecordFormats:
         assert back.status == "bounds" and (back.lo, back.hi) == (rec.lo, rec.hi)
 
 
+#: (record kind, text to replace, replacement): header faults the parsers reject
+HEADER_FAULTS = [
+    ("turan", "value=6 ", ""),  # missing field
+    ("turan", "status=exact", "status=exact extra=1"),  # extra field
+    ("turan", "value=6", "value=six"),  # non-integer value
+    ("turan", "value=6", "value=06"),  # not the writer's serialization
+    ("turan", "n=5 fam=", "fam=5 n="),  # fields out of order
+    ("turan", "meta solver=", "meta version="),  # unknown meta field
+    ("ar", "value=5 ", ""),  # missing field
+    ("ar", "status=exact", "status=bounds:5"),  # malformed bounds status
+    ("ar", "status=exact", "status=bounds:x:7"),  # non-integer bound
+    ("ar", "status=exact", "status=done"),  # unknown status
+]
+
+
+@pytest.mark.parametrize("kind,old,new", HEADER_FAULTS)
+def test_header_fault_rejected(tmp_path, kind, old, new):
+    k3 = tmp_path / "k3.hg"
+    run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
+    argv = ["turan", "-n", "5", "--forbid", str(k3)] if kind == "turan" else ["ar", "-n", "5", "-t", "1", "-F", str(k3)]
+    assert run(tmp_path, *argv) == 0
+    (path,) = (tmp_path / "cache" / kind).iterdir()
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    parse = turan_record_from_text if kind == "turan" else ar_record_from_text
+    with pytest.raises(CacheError):
+        parse(path.read_text())
+    assert run(tmp_path, *argv) == 2
+
+
 class TestCache:
     def test_store_load_verify(self, tmp_path):
         cache = Cache(tmp_path)
@@ -92,6 +124,25 @@ class TestCache:
         path.write_text(bad.replace("value=4", "value=7"))
         with pytest.raises(CacheError):
             cache.load_ar(4, 2, K2)
+
+    def test_ar_record_with_wrong_F_key_rejected(self, tmp_path):
+        k3 = tmp_path / "k3.hg"
+        run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
+        assert run(tmp_path, "ar", "-n", "5", "-t", "1", "-F", str(k3)) == 0
+        cache = Cache(tmp_path / "cache")
+        path = cache._ar_path(5, 1, ar_exact(5, 1, K3).F_key)
+        text = path.read_text()
+        path.write_text(re.sub(r"F=[0-9a-f]{16}", "F=0000000000000000", text))
+        with pytest.raises(CacheError):
+            cache.load_ar(5, 1, K3)
+        assert run(tmp_path, "ar", "-n", "5", "-t", "1", "-F", str(k3)) == 2
+
+    def test_ar_record_without_witness_gets_r_from_F(self, tmp_path):
+        cache = Cache(tmp_path)
+        edge3 = HyperGraph(3, 3, [(0, 1, 2)])
+        rec = ar_record(cache, 4, 1, edge3)
+        assert rec.witness is None and rec.value == 1
+        assert cache.load_ar(4, 1, edge3).r == 3
 
     def test_recompute_byte_identical(self, tmp_path):
         cache = Cache(tmp_path)
@@ -247,6 +298,31 @@ class TestCli:
         bad.write_text("bogus\n")
         assert run(tmp_path, "turan", "-n", "5", "--forbid", str(bad)) == 2
 
+    def test_zero_denominator_pi_exit_two(self, tmp_path):
+        k3 = tmp_path / "k3.hg"
+        run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
+        for pi in ("1/0", "half"):
+            with pytest.raises(SystemExit) as exc:
+                run(tmp_path, "report", "smoothness", "-F", str(k3), "--n-range", "5:6", "--pi", pi)
+            assert exc.value.code == 2
+
+    def test_missing_input_file_exit_two(self, tmp_path):
+        k3 = tmp_path / "k3.hg"
+        run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
+        missing = str(tmp_path / "missing.col")
+        argv = ["construct", "fact31", "-n", "7", "-t", "1", "-F", str(k3), "--inner", missing]
+        assert run(tmp_path, *argv) == 2
+        assert run(tmp_path, "ar", "-n", "5", "-t", "1", "-F", str(tmp_path / "missing.hg")) == 2
+
+    @pytest.mark.parametrize("check", ["sandwich", "identity", "reduction"])
+    def test_verify_on_empty_cache_computes_nothing(self, tmp_path, capsys, check):
+        k3 = tmp_path / "k3.hg"
+        run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
+        assert run(tmp_path, "verify", check, "-n", "6", "-t", "1", "-F", str(k3)) == 2
+        assert "insufficient records: no exact" in capsys.readouterr().err
+        for kind in ("turan", "ar", "manifests"):
+            assert not list((tmp_path / "cache" / kind).glob("*"))
+
     def test_unknown_zoo_exit_two(self, tmp_path):
         assert run(tmp_path, "zoo", "emit", "nonesuch", "-o", str(tmp_path / "x.hg")) == 2
 
@@ -277,3 +353,7 @@ class TestCli:
         ]
         for line in session:
             assert main(line.split()) == 0, line
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```")[1]
+        documented = [ln.split("#")[0].strip()[len("lab "):] for ln in block.splitlines() if ln.startswith("lab ")]
+        assert documented == session

@@ -172,6 +172,34 @@ class TestIsIsomorphic:
         assert not is_isomorphic(junk, fano())
 
 
+class TestFamily:
+    def test_each_canonical_form_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(H):
+            calls.append(H)
+            return canonical_form(H)
+
+        monkeypatch.setattr(core, "canonical_form", counting)
+        members = [path(k) for k in range(2, 6)] + [complete(3, 2)]
+        fam = HyperGraphFamily(2, members)
+        assert len(fam) == len(members)
+        assert len(calls) == len(members)
+        calls.clear()
+        key = core.family_key(fam)
+        both = fam.union(HyperGraphFamily(2, []))
+        assert calls == []
+        assert core.family_key(both) == key
+        assert fam.forms == tuple(canonical_form(m) for m in fam.members)
+
+    def test_union_matches_fresh_family(self):
+        a = HyperGraphFamily(2, [path(4), complete(3, 2)])
+        b = HyperGraphFamily(2, [path(3), random_relabel(path(4), random.Random(1))])
+        fresh = HyperGraphFamily(2, list(a) + list(b))
+        u = a.union(b)
+        assert (u.members, u.forms) == (fresh.members, fresh.forms)
+
+
 class TestEmbedding:
     def test_single_edge(self):
         F = HyperGraph(2, 2, [(0, 1)])
