@@ -99,6 +99,7 @@ def turan_record_from_text(text):
         witness=witness,
         status=status,
         solver=solver,
+        closed_by="cache",
     )
     if turan_record_to_text(rec, manifest) != text:
         raise CacheError("record is not in canonical serialization")

@@ -86,7 +86,7 @@ def cmd_turan(args, cache, mid):
     fam = HyperGraphFamily(members[0].r, members)
     rec = turan_record(cache, args.n, fam, budget=args.budget, manifest=mid)
     print(f"TURAN n={rec.n} fam={rec.family_key} value={rec.value} status={rec.status}")
-    return 0, [f"value={rec.value}", rec.status]
+    return 0, [f"value={rec.value}", rec.status, f"closed_by={rec.closed_by}"]
 
 
 def cmd_ar(args, cache, mid):
@@ -161,10 +161,9 @@ def cmd_report(args, cache, mid):
     if args.report_cmd == "gap":
         table = _computing_table(cache, mid)
         print(f"{'n':>4} {'gap':>6} {'threshold':>10} {'t_max':>6}")
-        for n in _parse_range(args.n_range):
-            g = tur.edge_sensitivity_gap(F, n, table)
-            rows.append(f"gap n={n} gap={g.gap} t_max={g.t_max}")
-            print(f"{n:>4} {g.gap:>6} {g.threshold:>10} {g.t_max:>6}")
+        for g in tur.edge_sensitivity_gaps(F, _parse_range(args.n_range), table):
+            rows.append(f"gap n={g.n} gap={g.gap} t_max={g.t_max}")
+            print(f"{g.n:>4} {g.gap:>6} {g.threshold:>10} {g.t_max:>6}")
     elif args.report_cmd == "smoothness":
         ns = _parse_range(args.n_range)
         table = _computing_table(cache, mid)

@@ -179,6 +179,10 @@ class TuranRecord:
     status: str  # "exact" or "lower_bound_only"
     nodes: int = 0
     solver: str = SOLVER_VERSION
+    #: what proved the value: "kns" (the averaging bound), "search" (the
+    #: value pass ran to the end), "trivial", "budget" (not proved: the node
+    #: budget ran out) or "cache" (loaded).  Like ``nodes``, never written.
+    closed_by: str = ""
 
     def is_exact(self):
         return self.status == "exact"
@@ -192,24 +196,27 @@ class _Search:
     """Incumbent and node count of one sequential depth-first search.
 
     Value mode: ``best`` starts at a known lower bound and the search runs to
-    the end.  First-optimum mode (``first=True``): ``best`` starts at value-1
-    and the search stops at the first leaf that beats it, so the incumbent is
-    the first optimum in decision order.  Searches call ``offer`` only with
-    k > best.
+    the end, or until the incumbent reaches ``cap``, a proven upper bound.
+    First-optimum mode (``first=True``): ``best`` starts at value-1 and the
+    search stops at the first leaf that beats it, so the incumbent is the
+    first optimum in decision order.  Searches call ``offer`` only with
+    k > best.  ``nodes`` starts at the nodes already spent, so that ``budget``
+    caps the total of a sequence of searches.
     """
 
-    def __init__(self, best, incumbent=None, budget=None, first=False):
+    def __init__(self, best, incumbent=None, budget=None, first=False, cap=None, nodes=0):
         self.best = best
         self.incumbent = incumbent
         self.budget = budget
         self.first = first
-        self.nodes = 0
+        self.cap = cap
+        self.nodes = nodes
         self.truncated = False
 
     def offer(self, k, incumbent):
         self.best = k
         self.incumbent = incumbent
-        if self.first:
+        if self.first or (self.cap is not None and k >= self.cap):
             raise _Stop
 
     def tick(self):
@@ -343,6 +350,49 @@ def _greedy(order, copies_at):
     return chosen
 
 
+def _trivial_value(m, r, masks, edgeless):
+    """ex(m) when no search is needed, else None: 0 when some member is
+    edgeless or a single edge on m vertices, C(m,r) when no member fits."""
+    if edgeless or 1 in [x.bit_count() for x in masks]:
+        return 0
+    if not masks:
+        return comb(m, r)
+    return None
+
+
+def _value_pass(ctx, cap, budget, nodes):
+    """The value pass from the greedy incumbent, stopped once the incumbent
+    reaches ``cap``; skipped when the greedy already does."""
+    greedy = _greedy(range(ctx.E), ctx.cmax)
+    search = _Search(greedy.bit_count(), greedy, budget, cap=cap, nodes=nodes)
+    if search.best < cap:
+        ctx.run(search)
+    return search
+
+
+def _ex_below(n, fam, budget):
+    """ex(n-1, fam) by capped value passes on m = r..n-1 vertices, with the
+    nodes spent; the value is None when the budget ran out on some rung.
+
+    The first rung, K_r^r, has one edge, so its value is trivial and every
+    later rung has a cap.
+    """
+    r = fam.r
+    below, nodes = None, 0
+    for m in range(r, n):
+        masks, edgeless = _copy_masks(fam, m)
+        value = _trivial_value(m, r, masks, edgeless)
+        if value is None:
+            ctx = _Ctx(all_edges_colex(m, r), masks)
+            search = _value_pass(ctx, m * below // (m - r), budget, nodes)
+            nodes = search.nodes
+            if search.truncated:
+                return None, nodes
+            value = search.best
+        below = value
+    return below, nodes
+
+
 def ex_exact(n, fam, budget=None):
     """Exact ex(n, fam) with an extremal witness.
 
@@ -358,11 +408,25 @@ def ex_exact(n, fam, budget=None):
     0 (orderly generation, McKay 1998).  That witness passes the rule: an
     optimum whose second edge lay above its orbit minimum would map to one
     with a smaller second edge, which would come first.  So the rule changes
-    neither the value nor the witness.  ``nodes`` counts both passes and is
-    the same on every run.
+    neither the value nor the witness.
 
-    With a node budget the value pass may stop early; the status is then
-    ``lower_bound_only`` and the witness is the incumbent.
+    The value pass stops at the averaging bound of Katona, Nemetz and
+    Simonovits (1964), ex(n) <= floor(n ex(n-1) / (n-r)).  Proof: every
+    fam-free G on n vertices has (n-r) e(G) = sum_v e(G-v) <= n ex(n-1),
+    since each edge misses n-r vertices and each G-v is fam-free on n-1
+    vertices (a copy in G-v, isolated vertices included, is a copy in G).
+    The cap needs the exact ex(n-1), so value passes climb a ladder m = r..n
+    in memory, each capped by the rung below; by induction every rung is
+    exact, as it either reaches its cap or runs to the end.  The rungs read
+    and write no cache, and the witness pass runs on the top rung only, so
+    the ladder changes no value and no witness.  ``nodes`` counts the rungs
+    and both passes and is the same on every run; ``closed_by`` says whether
+    the bound (``kns``) or the end of the search (``search``) proved the value.
+
+    ``budget`` caps the nodes of the rungs and both passes together.  When it
+    runs out, the status is ``lower_bound_only`` and the witness is the
+    incumbent of the top value pass, or its greedy start when a lower rung ran
+    out (no cap is derived above such a rung).
     """
     r = fam.r
     if n < r:
@@ -373,27 +437,32 @@ def ex_exact(n, fam, budget=None):
     key = family_key(fam)
     masks, edgeless = _copy_masks(fam, n)
     edges = all_edges_colex(n, r)
-    if edgeless or 1 in [m.bit_count() for m in masks]:
-        # some member is a single edge (or edgeless): every edge is forbidden
-        value = 0
-        witness = HyperGraph(r, n, [])
-        return TuranRecord(n, r, key, value, witness, "exact", nodes=1)
-    if not masks:
-        return TuranRecord(n, r, key, E, complete_host(n, r), "exact", nodes=1)
+    value = _trivial_value(n, r, masks, edgeless)
+    if value is not None:
+        witness = complete_host(n, r) if value else HyperGraph(r, n, [])
+        return TuranRecord(n, r, key, value, witness, "exact", nodes=1, closed_by="trivial")
 
     ctx = _Ctx(edges, masks)
-    greedy = _greedy(range(E), ctx.cmax)
-    value_pass = ctx.run(_Search(greedy.bit_count(), greedy, budget))
-    value = value_pass.best
-    nodes = value_pass.nodes
-    if value_pass.truncated:
-        status, witness_mask = "lower_bound_only", value_pass.incumbent
+    below, nodes = _ex_below(n, fam, budget)
+    status, closed_by = "lower_bound_only", "budget"
+    if below is None:
+        witness_mask = _greedy(range(E), ctx.cmax)
     else:
-        witness_pass = ctx.run(_Search(value - 1, first=True))
-        status, witness_mask = "exact", witness_pass.incumbent
-        nodes += witness_pass.nodes
+        cap = n * below // (n - r)
+        value_pass = _value_pass(ctx, cap, budget, nodes)
+        witness_mask, nodes = value_pass.incumbent, value_pass.nodes
+        if not value_pass.truncated:
+            witness_pass = ctx.run(
+                _Search(value_pass.best - 1, budget=budget, first=True, nodes=nodes)
+            )
+            nodes = witness_pass.nodes
+            if not witness_pass.truncated:
+                witness_mask, status = witness_pass.incumbent, "exact"
+                closed_by = "kns" if value_pass.best == cap else "search"
     witness = HyperGraph(r, n, [edges[i] for i in range(E) if witness_mask >> i & 1])
-    return TuranRecord(n, r, key, value, witness, status, nodes=nodes)
+    return TuranRecord(
+        n, r, key, witness_mask.bit_count(), witness, status, nodes=nodes, closed_by=closed_by
+    )
 
 
 def verify_witness(record, fam):
@@ -404,7 +473,9 @@ def verify_witness(record, fam):
     w = record.witness
     if w is None or w.n != record.n or w.r != record.r:
         return False
-    real = HyperGraphFamily(fam.r, [m for m in fam.members if m.edges])
+    real = fam
+    if not all(m.edges for m in fam.members):
+        real = HyperGraphFamily(fam.r, [m for m in fam.members if m.edges])
     if real.members and contains_member(w, real):
         return False
     return not record.is_exact() or len(w.edges) == record.value
@@ -525,7 +596,7 @@ def boundedness_falsifier(F, params, n, samples, table, seed=0):
     if deg_needed > comb(n - 1, r - 1):
         return []  # premise unsatisfiable: max degree is capped
     masks, edgeless = _copy_masks(fam, n)
-    if edgeless or 1 in [m.bit_count() for m in masks]:
+    if _trivial_value(n, r, masks, edgeless) == 0:
         return []  # no F-free graph has any edge
     E = comb(n, r)
     edges = all_edges_colex(n, r)
@@ -573,19 +644,26 @@ class GapResult:
     t_max: int
 
 
-def edge_sensitivity_gap(F, n, table):
-    """gap = ex(n,F) - ex(n,{F} u F+F), the edge-sensitivity threshold
-    2 v(F) |F| C(n-1,r-1), and t_max = floor(sqrt(gap/threshold))."""
+def edge_sensitivity_gaps(F, ns, table):
+    """For each n of ns: gap = ex(n,F) - ex(n,{F} u F+F), the edge-sensitivity
+    threshold 2 v(F) |F| C(n-1,r-1), and t_max = floor(sqrt(gap/threshold)).
+    The family {F} u F+F is built once, before the first n."""
     from .constructions import edge_sum_family
 
     fam_F = singleton(F)
     fam_union = fam_F.union(edge_sum_family(F, F))
-    gap = table.ex(fam_F, n) - table.ex(fam_union, n)
-    if gap < 0:
-        raise AssertionError("superfamily monotonicity violated in the table")
-    threshold = 2 * F.n * len(F.edges) * comb(n - 1, F.r - 1)
-    t_max = isqrt(gap // threshold) if threshold > 0 else 0
-    return GapResult(n=n, gap=gap, threshold=threshold, t_max=t_max)
+    for n in ns:
+        gap = table.ex(fam_F, n) - table.ex(fam_union, n)
+        if gap < 0:
+            raise AssertionError("superfamily monotonicity violated in the table")
+        threshold = 2 * F.n * len(F.edges) * comb(n - 1, F.r - 1)
+        t_max = isqrt(gap // threshold) if threshold > 0 else 0
+        yield GapResult(n=n, gap=gap, threshold=threshold, t_max=t_max)
+
+
+def edge_sensitivity_gap(F, n, table):
+    """The gap, threshold and t_max of ``edge_sensitivity_gaps`` at one n."""
+    return next(edge_sensitivity_gaps(F, [n], table))
 
 
 def fact51_check(n, t, r):

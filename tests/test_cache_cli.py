@@ -19,6 +19,7 @@ from rainbowlab.cache import (
     turan_record_from_text,
     turan_record_to_text,
 )
+from rainbowlab import constructions as cons
 from rainbowlab.cli import _hash_file, main
 from rainbowlab.constructions import complete_graph
 from rainbowlab.core import HyperGraph, disjoint_union, from_text
@@ -284,6 +285,32 @@ class TestCli:
         mid = Cache(tmp_path / "cache").manifest_id(argv, {str(k3): _hash_file(k3)})
         doc = json.loads((tmp_path / "cache" / "manifests" / f"{mid}.json").read_text())
         assert doc["wall_time"] > 0
+
+    def test_report_gap_builds_the_edge_sum_family_once(self, tmp_path, monkeypatch):
+        k3 = tmp_path / "k3.hg"
+        run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
+        calls = []
+        real = cons.edge_sum_family
+        monkeypatch.setattr(cons, "edge_sum_family", lambda F, F2: calls.append(F) or real(F, F2))
+        assert run(tmp_path, "report", "gap", "-F", str(k3), "--n-range", "5:9") == 0
+        assert len(calls) == 1
+
+    def test_turan_manifest_says_what_closed_the_search(self, tmp_path):
+        k3 = tmp_path / "k3.hg"
+        run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
+        argv = ["--cache-dir", str(tmp_path / "cache"), "turan", "-n", "5", "--forbid", str(k3)]
+        mid = Cache(tmp_path / "cache").manifest_id(argv, {str(k3): _hash_file(k3)})
+        manifest = tmp_path / "cache" / "manifests" / f"{mid}.json"
+        verdicts, records = [], []
+        for _ in range(2):  # computed, then a cache hit
+            assert main(argv) == 0
+            verdicts.append(json.loads(manifest.read_text())["verdicts"])
+            records.append([p.read_bytes() for p in (tmp_path / "cache" / "turan").iterdir()])
+        assert verdicts == [
+            ["value=6", "exact", "closed_by=kns"],
+            ["value=6", "exact", "closed_by=cache"],
+        ]
+        assert records[0] == records[1] and b"closed_by" not in records[0][0]
 
     def test_cli_import_leaves_numpy_unloaded(self):
         # numpy serves only the enumeration oracle; `lab` start-up must not pay for it

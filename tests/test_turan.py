@@ -9,9 +9,11 @@ from rainbowlab.constructions import (
     edge_sum_family,
     fano,
 )
+from rainbowlab import core
 from rainbowlab.core import (
     HyperGraph,
     HyperGraphFamily,
+    all_edges_colex,
     complete,
     contains_member,
     disjoint_union,
@@ -34,11 +36,13 @@ from rainbowlab.turan import (
     subgraph_copies,
     verify_witness,
 )
+from test_acceptance import _dual_oracle_matrix
 
 
 K3 = complete_graph(3)
 K2 = HyperGraph(2, 2, [(0, 1)])
 E3 = HyperGraph(3, 3, [(0, 1, 2)])
+GIRTH5 = HyperGraphFamily(2, [K3, cycle(4)])
 
 
 def ladder(fam, lo, hi, **kw):
@@ -153,6 +157,63 @@ class TestExExact:
         assert rec.value <= 12
         assert len(rec.witness.edges) == rec.value
         assert not contains_member(rec.witness, singleton(K3))
+
+
+class TestLadder:
+    def test_averaging_bound_against_enumeration(self):
+        # ex(n) <= floor(n ex(n-1) / (n-r)) on brute-force values, before the
+        # solver relies on it; members with isolated vertices included
+        K3_plus_vertex = HyperGraph(2, 4, [(0, 1), (0, 2), (1, 2)])
+        K43_minus_plus_vertex = HyperGraph(3, 5, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
+        cases = [(n, fam) for n, fam in _dual_oracle_matrix() if n > fam.r]
+        cases += [(n, singleton(K3_plus_vertex)) for n in (3, 4, 5, 6)]
+        cases += [(n, singleton(K43_minus_plus_vertex)) for n in (4, 5, 6)]
+        for n, fam in cases:
+            value, _ = ex_enumerate(n, fam)
+            assert value <= n * ex_enumerate(n - 1, fam)[0] // (n - fam.r), (n, fam)
+            assert ex_exact(n, fam).value == value, (n, fam)
+
+    @staticmethod
+    def uncapped(n, fam):
+        """Value and witness of the two passes run without the averaging cap."""
+        masks, _ = tu._copy_masks(fam, n)
+        edges = all_edges_colex(n, fam.r)
+        ctx = tu._Ctx(edges, masks)
+        greedy = tu._greedy(range(ctx.E), ctx.cmax)
+        value = ctx.run(tu._Search(greedy.bit_count(), greedy)).best
+        mask = ctx.run(tu._Search(value - 1, first=True)).incumbent
+        return value, HyperGraph(fam.r, n, [e for i, e in enumerate(edges) if mask >> i & 1])
+
+    @pytest.mark.parametrize(
+        "fam, most",
+        [(GIRTH5, 100_000), (singleton(K3), 5_000)],  # 2,065,657 and 302,407 without the ladder
+        ids=["girth5", "triangle"],
+    )
+    def test_nine_vertex_node_counts(self, fam, most):
+        rec = ex_exact(9, fam)
+        assert rec.nodes < most
+        assert rec.closed_by == "kns"
+        assert (rec.value, rec.witness) == self.uncapped(9, fam)
+
+    def test_budget_runs_out_in_a_lower_rung(self):
+        assert tu._ex_below(9, GIRTH5, 100)[0] is None
+        rec = ex_exact(9, GIRTH5, budget=100)
+        assert (rec.status, rec.closed_by, rec.nodes) == ("lower_bound_only", "budget", 101)
+        assert len(rec.witness.edges) == rec.value > 0
+        assert not contains_member(rec.witness, GIRTH5)
+
+    def test_closed_by(self):
+        assert ex_exact(5, singleton(E3)).closed_by == "trivial"
+        assert ex_exact(6, GIRTH5).closed_by == "search"  # cap 6*5//4 = 7 > 6
+        assert ex_exact(7, GIRTH5).closed_by == "kns"  # cap 7*6//5 = 8
+
+    def test_verify_witness_reuses_a_family_without_edgeless_members(self, monkeypatch):
+        rec = ex_exact(6, GIRTH5)
+        calls = []
+        real = core.canonical_form
+        monkeypatch.setattr(core, "canonical_form", lambda H: calls.append(H) or real(H))
+        assert verify_witness(rec, GIRTH5)
+        assert calls == []
 
 
 class TestDerived:
