@@ -28,6 +28,7 @@ from .core import (
 from .turan import (
     MissingRecordError,
     SOLVER_VERSION,
+    _ex_ladder,
     _Search,
     singleton,
     subgraph_copies,
@@ -311,23 +312,33 @@ class ArRecord:
     hi: int = 0
     nodes: int = 0
     solver: str = SOLVER_VERSION
+    #: what proved the value: "sandwich" or "averaging" (the value pass
+    #: reached that cap), "search" (the value pass ran to the end), "budget"
+    #: (not proved: the node budget ran out) or "cache" (loaded).  Like
+    #: ``nodes``, never written.
+    closed_by: str = ""
 
     def is_exact(self):
         return self.status == "exact"
 
 
-def _allowed_colors(by_max_i, assign):
-    """Colors safe at this edge: None means unconstrained; otherwise the
-    intersection of the earlier-color sets of all rainbow-threatening copies
-    (a fresh color would complete each of them)."""
-    allowed = None
-    for cp in by_max_i:
-        earlier = [assign[e] for e in cp[:-1]]
-        s = set(earlier)
-        if len(s) == len(earlier):
-            allowed = s if allowed is None else allowed & s
+def _allowed_colors(threats, assign):
+    """Bitmask of the colors safe at an edge, -1 when no copy constrains it.
+
+    ``threats`` holds the earlier edges of each copy the edge completes.  A
+    copy whose earlier edges carry pairwise distinct colors (as many bits as
+    edges) is a threat: the edge must repeat one of those colors, since any
+    other color would complete a rainbow copy.
+    """
+    allowed = -1
+    for earlier in threats:
+        mask = 0
+        for e in earlier:
+            mask |= 1 << assign[e]
+        if mask.bit_count() == len(earlier):
+            allowed &= mask
             if not allowed:
-                return set()
+                return 0
     return allowed
 
 
@@ -346,18 +357,60 @@ def _ar_dfs(search, by_max, E, assign, i, k):
         return
     if k + (E - i) <= search.best:
         return
-    allowed = _allowed_colors(by_max[i], assign)
-    if search.first:
-        top = min(k, search.best)
-        cand = range(top + 1) if allowed is None else sorted(c for c in allowed if c <= top)
-    elif allowed is None:
-        cand = range(k, -1, -1)  # fresh class first
-    else:
-        cand = sorted((c for c in allowed if c < k), reverse=True)
-    for c in cand:
+    top = min(k, search.best) if search.first else k
+    colors = _allowed_colors(by_max[i], assign) & ((2 << top) - 1)
+    while colors:
+        if search.first:
+            c = (colors & -colors).bit_length() - 1
+        else:
+            c = colors.bit_length() - 1
+        colors ^= 1 << c
         assign[i] = c
-        _ar_dfs(search, by_max, E, assign, i + 1, k + (1 if c == k else 0))
+        _ar_dfs(search, by_max, E, assign, i + 1, k + 1 if c == k else k)
     assign[i] = -1
+
+
+def _threats(target, n):
+    """by_max[i]: the earlier edges of each copy of ``target`` in K_n^r whose
+    colex-largest edge is i."""
+    by_max = [[] for _ in range(comb(n, target.r))]
+    for cp in subgraph_copies(target, n):
+        *earlier, last = sorted(cp)
+        by_max[last].append(tuple(earlier))
+    return by_max
+
+
+def _ar_run(search, by_max):
+    """Run ``search`` over every edge of the host that ``by_max`` indexes."""
+    E = len(by_max)
+    return search.run(_ar_dfs, by_max, E, [-1] * E, 0, 0)
+
+
+def _ar_caps(n, target, budget):
+    """The proven caps on A(n) = ar(n, target) - 1 by name, and the nodes
+    spent; the caps are None when the budget ran out on a rung.
+
+    The sandwich cap ex(m, target) comes from the ``ex`` ladder, the
+    averaging cap from A(m-1).  Each rung m = v(target)..n-1 is a value pass
+    capped the same way; below them the target does not fit and A(m) = C(m, r).
+    """
+    r = target.r
+    ex, nodes = _ex_ladder(singleton(target), n, budget)
+    if n not in ex:
+        return None, nodes
+    below = comb(target.n - 1, r)
+    for m in range(target.n, n + 1):
+        caps = {"sandwich": ex[m]}
+        if m > r:
+            caps["averaging"] = m * below // (m - r)
+        if m == n:
+            return caps, nodes
+        search = _Search(0, budget=budget, cap=min(caps.values()), nodes=nodes)
+        _ar_run(search, _threats(target, m))
+        nodes = search.nodes
+        if search.truncated:
+            return None, nodes
+        below = search.best
 
 
 def ar_exact(n, t, F, budget=None):
@@ -367,9 +420,36 @@ def ar_exact(n, t, F, budget=None):
     class count and on completed rainbow copies (copies indexed by their colex
     maximum edge).  One sequential search runs in two modes: the value pass
     finds the maximum A, the witness pass starts from A-1 and stops at its
-    first leaf, the lexicographically least maximizer.  ``nodes`` counts both
-    passes and is the same on every run.  With an exhausted node budget the
-    record degrades to bounds(lo, hi).
+    first leaf, the lexicographically least maximizer.
+
+    The value pass stops once its incumbent reaches a proven cap on A(n), the
+    most classes of a partition of K_n^r with no rainbow tF:
+
+    - sandwich, A(n) <= ex(n, tF) (<= C(n, r)): one edge from each class is a
+      rainbow subgraph, so it contains no tF;
+    - averaging, A(n) <= floor(n A(n-1) / (n-r)) for n > r.  Deleting a
+      vertex v from such a partition chi leaves a partition chi-v of
+      K_{n-1}^r with no rainbow tF, and chi-v loses exactly the classes whose
+      edges all contain v.  The edges of a class share at most r vertices,
+      so sum_v A(chi-v) >= (n-r) A(chi), and each term is at most A(n-1).
+
+    A(n-1) comes from value passes on the rungs m = v(tF)..n-1, each
+    capped the same way from the rung below (A(m) = C(m, r) while tF does not
+    fit), and ex(m, tF) from the value passes of the ``ex_exact`` ladder.  By
+    induction every rung is exact.  The rungs read and write no cache: a
+    cached record proves only a lower bound, so it cannot cap anything.
+    Stopping at a cap drops only subtrees with no leaf above ``best``, so the
+    value is the maximum, and the witness pass, which runs uncapped on the top
+    rung only, returns the same lexicographically least witness.  ``closed_by``
+    names the cap the value pass reached (the sandwich first on a tie), or
+    ``search`` when it ran to the end.
+
+    ``nodes`` counts the ``ex`` ladder, the rungs and both passes and is the
+    same on every run; ``budget`` caps all of them together.  When it runs
+    out the record degrades to bounds(lo, hi) with the value pass's incumbent
+    as witness.  hi is A + 1 when only the witness pass ran out, cap + 1 when
+    the value pass did, and E + 1 when the budget ran out below the top rung,
+    which then is not searched.
     """
     if t < 1:
         raise ValueError("t = 0 tilings are rejected (rainbow copy would be vacuous)")
@@ -382,27 +462,31 @@ def ar_exact(n, t, F, budget=None):
     if E > 32:
         raise CapacityError(f"partition search supports C(n,r) <= 32 edges, got {E}")
     target = disjoint_union(F, t)
-    copies = [tuple(sorted(cp)) for cp in subgraph_copies(target, n)]
-    by_max = [[] for _ in range(E)]
-    for cp in copies:
-        by_max[cp[-1]].append(cp)
-
-    value_pass = _Search(0, budget=budget).run(_ar_dfs, by_max, E, [-1] * E, 0, 0)
     key = family_key(singleton(F))
-    A = value_pass.best
-    if value_pass.truncated:
-        rgs = value_pass.incumbent
-        witness = _coloring_from_rgs(r, n, rgs) if rgs else None
+    caps, nodes = _ar_caps(n, target, budget)
+    if caps is None:
         return ArRecord(
-            n, t, r, key, A + 1, witness, "bounds", lo=A + 1, hi=E + 1, nodes=value_pass.nodes
+            n, t, r, key, 1, None, "bounds", lo=1, hi=E + 1, nodes=nodes, closed_by="budget"
         )
-    nodes = value_pass.nodes
-    witness = None
-    if A > 0:
-        witness_pass = _Search(A - 1, first=True).run(_ar_dfs, by_max, E, [-1] * E, 0, 0)
-        witness = _coloring_from_rgs(r, n, witness_pass.incumbent)
-        nodes += witness_pass.nodes
-    return ArRecord(n, t, r, key, A + 1, witness, "exact", nodes=nodes)
+    by_max = _threats(target, n)
+    cap = min(caps.values())
+    value_pass = _ar_run(_Search(0, budget=budget, cap=cap, nodes=nodes), by_max)
+    A, nodes = value_pass.best, value_pass.nodes
+    if not value_pass.truncated:
+        closed_by = next((name for name, c in caps.items() if c == A), "search")
+        if A == 0:
+            return ArRecord(n, t, r, key, 1, None, "exact", nodes=nodes, closed_by=closed_by)
+        witness_pass = _ar_run(_Search(A - 1, budget=budget, first=True, nodes=nodes), by_max)
+        nodes = witness_pass.nodes
+        if not witness_pass.truncated:
+            witness = _coloring_from_rgs(r, n, witness_pass.incumbent)
+            return ArRecord(n, t, r, key, A + 1, witness, "exact", nodes=nodes, closed_by=closed_by)
+        cap = A  # the value is proven; only the witness pass ran out
+    rgs = value_pass.incumbent
+    witness = _coloring_from_rgs(r, n, rgs) if rgs else None
+    return ArRecord(
+        n, t, r, key, A + 1, witness, "bounds", lo=A + 1, hi=cap + 1, nodes=nodes, closed_by="budget"
+    )
 
 
 def _coloring_from_rgs(r, n, rgs):

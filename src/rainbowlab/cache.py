@@ -141,6 +141,7 @@ def ar_record_from_text(text):
         lo=lo,
         hi=hi,
         solver=solver,
+        closed_by="cache",
     )
     if ar_record_to_text(rec, manifest) != text:
         raise CacheError("record is not in canonical serialization")

@@ -93,7 +93,7 @@ def cmd_ar(args, cache, mid):
     rec = ar_record(cache, args.n, args.t, read_file(args.F), budget=args.budget, manifest=mid)
     status = rec.status if rec.is_exact() else f"bounds:{rec.lo}:{rec.hi}"
     print(f"AR n={rec.n} t={rec.t} F={rec.F_key} value={rec.value} status={status}")
-    return 0, [f"value={rec.value}", rec.status]
+    return 0, [f"value={rec.value}", rec.status, f"closed_by={rec.closed_by}"]
 
 
 def cmd_construct(args, cache, mid):

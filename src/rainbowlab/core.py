@@ -16,7 +16,6 @@ Conventions
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from math import comb
 
@@ -457,15 +456,12 @@ class Embedding:
         return all(H.has_edge(e) for e in self.image_edges(F))
 
 
-def _pattern_order(F, rng=None):
+def _pattern_order(F):
     """Static vertex order for backtracking: connectivity-first, most-anchored,
-    descending degree; isolated vertices last.  rng shuffles tie-breaking."""
+    descending degree; isolated vertices last."""
     degs = F.degrees()
     verts = [v for v in range(F.n) if degs[v] > 0]
     isolated = [v for v in range(F.n) if degs[v] == 0]
-    if rng is not None:
-        rng.shuffle(verts)
-        rng.shuffle(isolated)
     order = []
     placed = set()
     vset = set(verts)
@@ -502,7 +498,7 @@ def _pattern_order(F, rng=None):
     return order
 
 
-def iter_embeddings(F, H, forbidden=(), rng=None):
+def iter_embeddings(F, H, forbidden=()):
     """Yield every embedding of F into H avoiding ``forbidden`` (exhaustive).
 
     Backtracking over a connectivity-aware static vertex order with degree and
@@ -516,7 +512,7 @@ def iter_embeddings(F, H, forbidden=(), rng=None):
         return
     degs_F = F.degrees()
     degs_H = H.degrees()
-    order = _pattern_order(F, rng)
+    order = _pattern_order(F)
     pos_in_order = {v: k for k, v in enumerate(order)}
     # edges checked at step k: all their pattern vertices are placed by step k
     checks = [[] for _ in range(F.n)]
@@ -576,13 +572,6 @@ def iter_embeddings(F, H, forbidden=(), rng=None):
 def find_embedding(F, H, forbidden=()):
     """First embedding of F into H avoiding ``forbidden``, or None (exhaustive)."""
     return next(iter_embeddings(F, H, forbidden), None)
-
-
-def find_embedding_randomized(F, H, forbidden=(), seed=0):
-    """Independent second embedding routine: same exhaustive semantics, but the
-    backtracking vertex order is randomized.  Used to cross-check 'none' answers."""
-    rng = random.Random(seed)
-    return next(iter_embeddings(F, H, forbidden, rng=rng), None)
 
 
 def contains_member(H, fam):

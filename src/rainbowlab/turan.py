@@ -370,16 +370,17 @@ def _value_pass(ctx, cap, budget, nodes):
     return search
 
 
-def _ex_below(n, fam, budget):
-    """ex(n-1, fam) by capped value passes on m = r..n-1 vertices, with the
-    nodes spent; the value is None when the budget ran out on some rung.
+def _ex_ladder(fam, top, budget):
+    """ex(m, fam) for m = r..top by capped value passes, as a dict m -> value,
+    with the nodes spent; the dict stops below the rung where the budget ran
+    out.
 
     The first rung, K_r^r, has one edge, so its value is trivial and every
     later rung has a cap.
     """
     r = fam.r
-    below, nodes = None, 0
-    for m in range(r, n):
+    values, below, nodes = {}, None, 0
+    for m in range(r, top + 1):
         masks, edgeless = _copy_masks(fam, m)
         value = _trivial_value(m, r, masks, edgeless)
         if value is None:
@@ -387,10 +388,10 @@ def _ex_below(n, fam, budget):
             search = _value_pass(ctx, m * below // (m - r), budget, nodes)
             nodes = search.nodes
             if search.truncated:
-                return None, nodes
+                break
             value = search.best
-        below = value
-    return below, nodes
+        values[m] = below = value
+    return values, nodes
 
 
 def ex_exact(n, fam, budget=None):
@@ -443,7 +444,8 @@ def ex_exact(n, fam, budget=None):
         return TuranRecord(n, r, key, value, witness, "exact", nodes=1, closed_by="trivial")
 
     ctx = _Ctx(edges, masks)
-    below, nodes = _ex_below(n, fam, budget)
+    rungs, nodes = _ex_ladder(fam, n - 1, budget)
+    below = rungs.get(n - 1)
     status, closed_by = "lower_bound_only", "budget"
     if below is None:
         witness_mask = _greedy(range(E), ctx.cmax)

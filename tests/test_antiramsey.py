@@ -8,6 +8,9 @@ from rainbowlab.antiramsey import (
     ArTable,
     CertificationError,
     EdgeColoring,
+    _ar_caps,
+    _ar_run,
+    _threats,
     ar_exact,
     build_coloring_fact21,
     build_coloring_fact31,
@@ -21,7 +24,7 @@ from rainbowlab.antiramsey import (
     verify_identity_thm15,
     verify_no_rainbow,
 )
-from rainbowlab.constructions import complete_graph, edge_sum_family
+from rainbowlab.constructions import complete_graph, cycle, edge_sum_family
 from rainbowlab.core import (
     FormatError,
     HyperGraph,
@@ -30,13 +33,33 @@ from rainbowlab.core import (
     contains_member,
     disjoint_union,
 )
-from rainbowlab.turan import TuranTable, ex_exact, singleton, subgraph_copies
+from rainbowlab.turan import TuranTable, _Search, ex_exact, singleton, subgraph_copies
 
 from helpers import ar_brute
 
 K2 = HyperGraph(2, 2, [(0, 1)])
 K3 = complete_graph(3)
 E3 = HyperGraph(3, 3, [(0, 1, 2)])
+C4 = cycle(4)
+K4 = complete_graph(4)
+
+CAP_SHAPES = {
+    "K2": K2,
+    "K3": K3,
+    "P3": HyperGraph(2, 3, [(0, 1), (1, 2)]),
+    "C4": C4,
+    "K4": K4,
+    "E3": E3,
+    "K4^3-": HyperGraph(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)]),
+}
+#: every (n, t, shape) with C(n, r) <= 10 where tF fits
+SMALL_CASES = [
+    (n, t, name)
+    for name, F in CAP_SHAPES.items()
+    for n in range(F.n, 11)
+    if comb(n, F.r) <= 10
+    for t in range(1, n // F.n + 1)
+]
 
 
 def rainbow_brute(chi, target):
@@ -286,6 +309,54 @@ class TestArExact:
         assert rec.lo <= 5 <= rec.hi
         if rec.witness is not None:
             assert verify_no_rainbow(rec.witness, K3, 1)
+        # one budget over the ladder and both passes: it runs out in each phase
+        for n, t, F in ((5, 1, K3), (6, 1, C4), (5, 2, K2)):
+            full = ar_exact(n, t, F)
+            caps, ladder_nodes = _ar_caps(n, disjoint_union(F, t), None)
+            for budget in (0, 1, 10, 100, 1_000, 10_000, full.nodes - 1):
+                if budget >= full.nodes:
+                    continue
+                rec = ar_exact(n, t, F, budget=budget)
+                assert (rec.status, rec.closed_by) == ("bounds", "budget")
+                assert rec.lo <= full.value <= rec.hi
+                assert rec.nodes <= budget + 1
+                cap = min(caps.values()) if budget >= ladder_nodes else comb(n, F.r)
+                assert rec.hi <= cap + 1
+                if rec.witness is not None:
+                    assert rec.witness.ncolors == rec.lo - 1
+                    assert verify_no_rainbow(rec.witness, F, t)
+            assert ar_exact(n, t, F, budget=full.nodes) == full
+
+    @pytest.mark.parametrize("n, t, name", SMALL_CASES)
+    def test_caps_against_brute(self, n, t, name):
+        F = CAP_SHAPES[name]
+        A = ar_brute(n, t, F) - 1
+        # the averaging lemma on its own, from the brute-force value below
+        if n > F.r:
+            below = ar_brute(n - 1, t, F) - 1 if t * F.n < n else comb(n - 1, F.r)
+            assert A <= n * below // (n - F.r)
+        caps, _ = _ar_caps(n, disjoint_union(F, t), None)
+        assert all(A <= cap for cap in caps.values()), caps
+        rec = ar_exact(n, t, F)
+        assert rec.value == A + 1
+        assert rec.closed_by == next((k for k, c in caps.items() if c == A), "search")
+
+    @pytest.mark.parametrize(
+        "n, t, F, most",
+        # 307,753, 1,038,961 and 1,526,000 nodes without the caps
+        [(6, 1, C4, 150_000), (6, 1, K4, 300_000), (6, 2, E3, 900_000)],
+        ids=["C4", "K4", "2E3"],
+    )
+    def test_node_counts(self, n, t, F, most):
+        rec = ar_exact(n, t, F)
+        assert rec.nodes < most
+        assert rec.closed_by in ("sandwich", "averaging")
+        # the same value and witness from passes run without a cap
+        by_max = _threats(disjoint_union(F, t), n)
+        A = _ar_run(_Search(0), by_max).best
+        rgs = _ar_run(_Search(A - 1, first=True), by_max).incumbent
+        assert rec.value == A + 1
+        assert rec.witness.colors == tuple(c + 1 for c in rgs)
 
 
 class TestVerdicts:

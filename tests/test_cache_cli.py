@@ -312,6 +312,23 @@ class TestCli:
         ]
         assert records[0] == records[1] and b"closed_by" not in records[0][0]
 
+    def test_ar_manifest_says_what_closed_the_search(self, tmp_path):
+        c4 = tmp_path / "c4.hg"
+        run(tmp_path, "zoo", "emit", "cycle", "-k", "4", "-o", str(c4))
+        argv = ["--cache-dir", str(tmp_path / "cache"), "ar", "-n", "6", "-t", "1", "-F", str(c4)]
+        mid = Cache(tmp_path / "cache").manifest_id(argv, {str(c4): _hash_file(c4)})
+        manifest = tmp_path / "cache" / "manifests" / f"{mid}.json"
+        verdicts, records = [], []
+        for _ in range(2):  # computed, then a cache hit
+            assert main(argv) == 0
+            verdicts.append(json.loads(manifest.read_text())["verdicts"])
+            records.append([p.read_bytes() for p in (tmp_path / "cache" / "ar").iterdir()])
+        assert verdicts == [
+            ["value=8", "exact", "closed_by=sandwich"],
+            ["value=8", "exact", "closed_by=cache"],
+        ]
+        assert records[0] == records[1] and b"closed_by" not in records[0][0]
+
     def test_cli_import_leaves_numpy_unloaded(self):
         # numpy serves only the enumeration oracle; `lab` start-up must not pay for it
         code = "import sys, rainbowlab.cli; print('numpy' in sys.modules)"

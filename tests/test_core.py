@@ -15,7 +15,6 @@ from rainbowlab.core import (
     contains_member,
     disjoint_union,
     find_embedding,
-    find_embedding_randomized,
     from_text,
     is_isomorphic,
     is_r_partite,
@@ -229,18 +228,6 @@ class TestEmbedding:
         F = HyperGraph(2, 3, [(0, 1)])
         assert find_embedding(F, complete(2, 2)) is None
         assert find_embedding(F, complete(3, 2)) is not None
-
-    def test_dual_routine_agreement(self):
-        rng = random.Random(5)
-        for trial in range(40):
-            F = random_hypergraph(rng, 2, 4, rng.randint(1, 4))
-            H = random_hypergraph(rng, 2, 6, rng.randint(0, 9))
-            forb = set(rng.sample(range(6), rng.randint(0, 2)))
-            a = find_embedding(F, H, forb)
-            b = find_embedding_randomized(F, H, forb, seed=trial)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.check(F, H, forb) and b.check(F, H, forb)
 
     def test_iter_embeddings_counts_triangles(self):
         # 4 triangles x 6 automorphisms in K_4

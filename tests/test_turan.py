@@ -196,7 +196,8 @@ class TestLadder:
         assert (rec.value, rec.witness) == self.uncapped(9, fam)
 
     def test_budget_runs_out_in_a_lower_rung(self):
-        assert tu._ex_below(9, GIRTH5, 100)[0] is None
+        rungs, nodes = tu._ex_ladder(GIRTH5, 8, 100)
+        assert 8 not in rungs and nodes == 101
         rec = ex_exact(9, GIRTH5, budget=100)
         assert (rec.status, rec.closed_by, rec.nodes) == ("lower_bound_only", "budget", 101)
         assert len(rec.witness.edges) == rec.value > 0
