@@ -10,6 +10,7 @@ a partition is nonempty.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -322,28 +323,15 @@ class ArRecord:
         return self.status == "exact"
 
 
-def _allowed_colors(threats, assign):
-    """Bitmask of the colors safe at an edge, -1 when no copy constrains it.
-
-    ``threats`` holds the earlier edges of each copy the edge completes.  A
-    copy whose earlier edges carry pairwise distinct colors (as many bits as
-    edges) is a threat: the edge must repeat one of those colors, since any
-    other color would complete a rainbow copy.
-    """
-    allowed = -1
-    for earlier in threats:
-        mask = 0
-        for e in earlier:
-            mask |= 1 << assign[e]
-        if mask.bit_count() == len(earlier):
-            allowed &= mask
-            if not allowed:
-                return 0
-    return allowed
-
-
-def _ar_dfs(search, by_max, E, assign, i, k):
+def _ar_dfs(search, after, allowed, assign, i, k, free):
     """Assign a color to each edge i.. of the colex order; k classes so far.
+
+    ``allowed[j]`` is the bitmask of colors edge j may take, -1 while no copy
+    constrains it, and ``free`` counts the undecided edges still at -1.
+    Forward checking settles each copy at its second-largest edge i: when the
+    copy's edges below i carry distinct colors (a threat), a color c of i
+    that is not among them narrows the copy's largest edge to those colors
+    and c.  The prune is k + free <= best; ``ar_exact`` proves both sound.
 
     Value mode tries the fresh class first, then earlier classes downward.
     First-optimum mode tries ascending colors and never opens more than
@@ -351,51 +339,89 @@ def _ar_dfs(search, by_max, E, assign, i, k):
     restricted growth string with best + 1 classes.
     """
     search.tick()
-    if i == E:
+    if i == len(assign):
         if k > search.best:
             search.offer(k, tuple(assign))
         return
-    if k + (E - i) <= search.best:
+    if k + free <= search.best:
         return
-    top = min(k, search.best) if search.first else k
-    colors = _allowed_colors(by_max[i], assign) & ((2 << top) - 1)
+    first = search.first
+    top = min(k, search.best) if first else k
+    here = allowed[i]
+    colors = here & ((2 << top) - 1)
+    if here == -1:
+        free -= 1
+    threats = []
+    for last, others in after[i]:
+        mask = 0
+        for e in others:
+            mask |= 1 << assign[e]
+        if mask.bit_count() == len(others):
+            threats.append((last, mask))
     while colors:
-        if search.first:
-            c = (colors & -colors).bit_length() - 1
-        else:
-            c = colors.bit_length() - 1
-        colors ^= 1 << c
+        c = (colors & -colors).bit_length() - 1 if first else colors.bit_length() - 1
+        bit = 1 << c
+        colors ^= bit
         assign[i] = c
-        _ar_dfs(search, by_max, E, assign, i + 1, k + 1 if c == k else k)
+        narrowed = []
+        rest = free
+        for last, mask in threats:
+            if not mask & bit:
+                old = allowed[last]
+                if old == -1:
+                    rest -= 1
+                allowed[last] = old & (mask | bit)
+                narrowed.append((last, old))
+        _ar_dfs(search, after, allowed, assign, i + 1, k + 1 if c == k else k, rest)
+        while narrowed:
+            last, old = narrowed.pop()
+            allowed[last] = old
     assign[i] = -1
 
 
-def _threats(target, n):
-    """by_max[i]: the earlier edges of each copy of ``target`` in K_n^r whose
-    colex-largest edge is i."""
-    by_max = [[] for _ in range(comb(n, target.r))]
-    for cp in subgraph_copies(target, n):
-        *earlier, last = sorted(cp)
-        by_max[last].append(tuple(earlier))
-    return by_max
+def _threats(target, n, copies=None):
+    """The forward-checking index of the copies of ``target`` in K_n^r, as
+    (after, allowed).
+
+    ``after[i]`` lists (last, others) for each copy whose second-largest colex
+    edge is i: its largest edge and its edges below i.  ``allowed`` is the
+    starting color mask of each edge: 0 when the edge alone is a copy, else
+    -1.  ``copies(target, n)`` enumerates the copies (``subgraph_copies`` by
+    default).
+    """
+    E = comb(n, target.r)
+    after = [[] for _ in range(E)]
+    allowed = [-1] * E
+    for cp in (copies or subgraph_copies)(target, n):
+        *others, last = sorted(cp)
+        if others:
+            second = others.pop()
+            after[second].append((last, tuple(others)))
+        else:
+            allowed[last] = 0
+    return after, allowed
 
 
-def _ar_run(search, by_max):
-    """Run ``search`` over every edge of the host that ``by_max`` indexes."""
-    E = len(by_max)
-    return search.run(_ar_dfs, by_max, E, [-1] * E, 0, 0)
+def _ar_run(search, index):
+    """Run ``search`` over every edge of the host that ``index`` (from
+    ``_threats``) covers."""
+    after, allowed = index
+    E = len(after)
+    free = allowed.count(-1)
+    return search.run(_ar_dfs, after, list(allowed), [-1] * E, 0, 0, free)
 
 
-def _ar_caps(n, target, budget):
+def _ar_caps(n, target, budget, copies=None):
     """The proven caps on A(n) = ar(n, target) - 1 by name, and the nodes
     spent; the caps are None when the budget ran out on a rung.
 
     The sandwich cap ex(m, target) comes from the ``ex`` ladder, the
     averaging cap from A(m-1).  Each rung m = v(target)..n-1 is a value pass
     capped the same way; below them the target does not fit and A(m) = C(m, r).
+    ``copies`` enumerates the copies of the target on a rung, for both.
     """
     r = target.r
-    ex, nodes = _ex_ladder(singleton(target), n, budget)
+    ex, nodes = _ex_ladder(singleton(target), n, budget, copies)
     if n not in ex:
         return None, nodes
     below = comb(target.n - 1, r)
@@ -406,7 +432,7 @@ def _ar_caps(n, target, budget):
         if m == n:
             return caps, nodes
         search = _Search(0, budget=budget, cap=min(caps.values()), nodes=nodes)
-        _ar_run(search, _threats(target, m))
+        _ar_run(search, _threats(target, m, copies))
         nodes = search.nodes
         if search.truncated:
             return None, nodes
@@ -416,11 +442,29 @@ def _ar_caps(n, target, budget):
 def ar_exact(n, t, F, budget=None):
     """Exact ar(n, tF): max color classes of a no-rainbow-tF partition, plus one.
 
-    Enumerates restricted growth strings over the colex edge order, pruning on
-    class count and on completed rainbow copies (copies indexed by their colex
-    maximum edge).  One sequential search runs in two modes: the value pass
-    finds the maximum A, the witness pass starts from A-1 and stops at its
-    first leaf, the lexicographically least maximizer.
+    Enumerates restricted growth strings over the colex edge order.  One
+    sequential search runs in two modes: the value pass finds the maximum A,
+    the witness pass starts from A-1 and stops at its first leaf, the
+    lexicographically least maximizer.
+
+    Edge j may take color c unless c completes a rainbow copy whose largest
+    edge is j.  The search settles each copy by forward checking at its
+    second-largest edge p: once p has color c, every edge of the copy below j
+    is colored.  If those colors are pairwise distinct, j must repeat one of
+    them, so the colors allowed at j are narrowed to that set; otherwise no
+    color of j makes the copy rainbow and it never constrains j.  A copy with
+    one edge allows that edge no color.  So the colors allowed at j are
+    exactly those that complete no rainbow copy ending at j, as a check at j
+    itself would find: the branching, its order and the leaves are those of
+    the plain search.
+
+    The search prunes a node with k classes when k + free <= best, where free
+    counts the undecided edges that no copy has narrowed.  A narrowed edge may
+    only repeat colors in use when it was narrowed, so it cannot open a class,
+    and each free edge opens at most one: every leaf below has at most
+    k + free classes.  The prune drops only subtrees with no leaf above
+    ``best``, so it changes neither the value nor the first leaf above
+    ``best``, the witness.
 
     The value pass stops once its incumbent reaches a proven cap on A(n), the
     most classes of a partition of K_n^r with no rainbow tF:
@@ -463,20 +507,22 @@ def ar_exact(n, t, F, budget=None):
         raise CapacityError(f"partition search supports C(n,r) <= 32 edges, got {E}")
     target = disjoint_union(F, t)
     key = family_key(singleton(F))
-    caps, nodes = _ar_caps(n, target, budget)
+    # each rung's copies are enumerated once, for the ex ladder and the ar search
+    copies = functools.cache(subgraph_copies)
+    caps, nodes = _ar_caps(n, target, budget, copies)
     if caps is None:
         return ArRecord(
             n, t, r, key, 1, None, "bounds", lo=1, hi=E + 1, nodes=nodes, closed_by="budget"
         )
-    by_max = _threats(target, n)
+    index = _threats(target, n, copies)
     cap = min(caps.values())
-    value_pass = _ar_run(_Search(0, budget=budget, cap=cap, nodes=nodes), by_max)
+    value_pass = _ar_run(_Search(0, budget=budget, cap=cap, nodes=nodes), index)
     A, nodes = value_pass.best, value_pass.nodes
     if not value_pass.truncated:
         closed_by = next((name for name, c in caps.items() if c == A), "search")
         if A == 0:
             return ArRecord(n, t, r, key, 1, None, "exact", nodes=nodes, closed_by=closed_by)
-        witness_pass = _ar_run(_Search(A - 1, budget=budget, first=True, nodes=nodes), by_max)
+        witness_pass = _ar_run(_Search(A - 1, budget=budget, first=True, nodes=nodes), index)
         nodes = witness_pass.nodes
         if not witness_pass.truncated:
             witness = _coloring_from_rgs(r, n, witness_pass.incumbent)

@@ -105,18 +105,20 @@ def subgraph_copies(F, n):
     return out
 
 
-def _copy_masks(fam, n):
+def _copy_masks(fam, n, copies=None):
     """Forbidden-copy bitmasks over the colex edge ranks of K_n^r.
 
     Returns (masks, edgeless) where edgeless flags a member with no edges
     fitting on n vertices (which forces ex = 0 by convention).
+    ``copies(member, n)`` enumerates the copies (``subgraph_copies`` by
+    default).
     """
     masks = set()
     edgeless = False
     for m in fam.members:
         if m.n <= n and not m.edges:
             edgeless = True
-        for cp in subgraph_copies(m, n):
+        for cp in (copies or subgraph_copies)(m, n):
             masks.add(sum(1 << i for i in cp))
     # drop masks that contain another mask (dominated constraints)
     order = sorted(masks, key=lambda x: x.bit_count())
@@ -370,18 +372,18 @@ def _value_pass(ctx, cap, budget, nodes):
     return search
 
 
-def _ex_ladder(fam, top, budget):
+def _ex_ladder(fam, top, budget, copies=None):
     """ex(m, fam) for m = r..top by capped value passes, as a dict m -> value,
     with the nodes spent; the dict stops below the rung where the budget ran
     out.
 
     The first rung, K_r^r, has one edge, so its value is trivial and every
-    later rung has a cap.
+    later rung has a cap.  ``copies`` is passed to ``_copy_masks``.
     """
     r = fam.r
     values, below, nodes = {}, None, 0
     for m in range(r, top + 1):
-        masks, edgeless = _copy_masks(fam, m)
+        masks, edgeless = _copy_masks(fam, m, copies)
         value = _trivial_value(m, r, masks, edgeless)
         if value is None:
             ctx = _Ctx(all_edges_colex(m, r), masks)

@@ -63,28 +63,45 @@ def max_disjoint_copies(F, H):
     return best
 
 
-def ar_brute(n, t, F):
-    """ar(n, tF) by enumerating every set partition of the edges (no pruning)."""
+def _ar_brute_search(n, t, F):
+    """The most classes A of a partition of the edges of K_n^r with no rainbow
+    tF, and the first restricted growth string with A classes (None when
+    A = 0), by enumerating every set partition in lexicographic order of its
+    restricted growth string (no pruning)."""
     E = comb(n, F.r)
     copies = [tuple(sorted(cp)) for cp in subgraph_copies(disjoint_union(F, t), n)]
-    best = 0
+    best, first = 0, None
     a = [0] * E
 
     def rec(i, k):
-        nonlocal best
+        nonlocal best, first
         if i == E:
             for cp in copies:
                 cols = [a[e] for e in cp]
                 if len(set(cols)) == len(cols):
                     return
-            best = max(best, k)
+            if k > best:
+                best, first = k, tuple(a)
             return
         for c in range(k + 1):
             a[i] = c
             rec(i + 1, k + (1 if c == k else 0))
 
     rec(0, 0)
-    return best + 1
+    return best, first
+
+
+def ar_brute(n, t, F):
+    """ar(n, tF) by enumerating every set partition of the edges (no pruning)."""
+    return _ar_brute_search(n, t, F)[0] + 1
+
+
+def ar_brute_witness(n, t, F):
+    """The colors (1..ar-1, by colex edge) of the lexicographically least
+    restricted growth string among the partitions ``ar_brute`` maximizes, or
+    None when ar = 1."""
+    rgs = _ar_brute_search(n, t, F)[1]
+    return None if rgs is None else tuple(c + 1 for c in rgs)
 
 
 def brute_r_partite(H):

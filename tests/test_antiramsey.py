@@ -35,7 +35,7 @@ from rainbowlab.core import (
 )
 from rainbowlab.turan import TuranTable, _Search, ex_exact, singleton, subgraph_copies
 
-from helpers import ar_brute
+from helpers import ar_brute, ar_brute_witness
 
 K2 = HyperGraph(2, 2, [(0, 1)])
 K3 = complete_graph(3)
@@ -60,6 +60,11 @@ SMALL_CASES = [
     if comb(n, F.r) <= 10
     for t in range(1, n // F.n + 1)
 ]
+
+
+def ar_matching(n, k):
+    """ar(n, kK2) for n >= 2k + 1 (Chen, Li and Tu 2009)."""
+    return comb(k - 2, 2) + (k - 2) * (n - k + 2) + 2
 
 
 def rainbow_brute(chi, target):
@@ -341,22 +346,50 @@ class TestArExact:
         assert rec.value == A + 1
         assert rec.closed_by == next((k for k, c in caps.items() if c == A), "search")
 
+    @pytest.mark.parametrize("n, t, name", SMALL_CASES)
+    def test_witness_against_brute(self, n, t, name):
+        # the first maximizer of an unpruned lexicographic enumeration
+        F = CAP_SHAPES[name]
+        rec = ar_exact(n, t, F)
+        colors = None if rec.witness is None else rec.witness.colors
+        assert colors == ar_brute_witness(n, t, F)
+
     @pytest.mark.parametrize(
-        "n, t, F, most",
-        # 307,753, 1,038,961 and 1,526,000 nodes without the caps
-        [(6, 1, C4, 150_000), (6, 1, K4, 300_000), (6, 2, E3, 900_000)],
-        ids=["C4", "K4", "2E3"],
+        "n, t, F, most, capped",
+        # without forward checking: 108,776, 204,091, 821,009, 289,266,
+        # 296,016 and 420,921 nodes
+        [
+            (6, 1, C4, 30_000, True),
+            (6, 1, K4, 100_000, True),
+            (6, 2, E3, 10_000, True),
+            (6, 3, K2, 80_000, False),
+            (6, 2, CAP_SHAPES["P3"], 20_000, False),
+            (6, 1, CAP_SHAPES["K4^3-"], 40_000, False),
+        ],
+        ids=["C4", "K4", "2E3", "3K2", "2P3", "K4^3-"],
     )
-    def test_node_counts(self, n, t, F, most):
+    def test_node_counts(self, n, t, F, most, capped):
         rec = ar_exact(n, t, F)
         assert rec.nodes < most
-        assert rec.closed_by in ("sandwich", "averaging")
+        if capped:
+            assert rec.closed_by in ("sandwich", "averaging")
         # the same value and witness from passes run without a cap
-        by_max = _threats(disjoint_union(F, t), n)
-        A = _ar_run(_Search(0), by_max).best
-        rgs = _ar_run(_Search(A - 1, first=True), by_max).incumbent
+        index = _threats(disjoint_union(F, t), n)
+        A = _ar_run(_Search(0), index).best
+        rgs = _ar_run(_Search(A - 1, first=True), index).incumbent
         assert rec.value == A + 1
         assert rec.witness.colors == tuple(c + 1 for c in rgs)
+
+    @pytest.mark.parametrize(
+        "t, F, value",
+        [(3, K2, ar_matching(7, 3)), (1, K3, 7)],  # ar(n, K3) = n (Erdos-Simonovits-Sos)
+        ids=["3K2", "K3"],
+    )
+    def test_seven_vertex_closed_forms(self, t, F, value):
+        rec = ar_exact(7, t, F)
+        assert rec.is_exact() and rec.value == value
+        assert rec.witness.ncolors == value - 1
+        assert verify_no_rainbow(rec.witness, F, t)
 
 
 class TestVerdicts:

@@ -48,6 +48,9 @@ AR_CASES = [
     (5, 1, P3),
     (5, 1, complete(4, 3)),
     (4, 1, K43_MINUS),
+    (6, 2, P3),
+    (6, 1, K43_MINUS),
+    (6, 2, E3),
 ]
 
 
