@@ -29,8 +29,8 @@ from .core import (
 from .turan import (
     MissingRecordError,
     SOLVER_VERSION,
+    _climb,
     _ex_ladder,
-    _Search,
     singleton,
     subgraph_copies,
 )
@@ -379,64 +379,63 @@ def _ar_dfs(search, after, allowed, assign, i, k, free):
     assign[i] = -1
 
 
-def _threats(target, n, copies=None):
-    """The forward-checking index of the copies of ``target`` in K_n^r, as
-    (after, allowed).
+class _ArRung:
+    """The ``ar`` search context of K_m^r for ``_climb``: the forward-checking
+    index of the copies of ``target``.
 
     ``after[i]`` lists (last, others) for each copy whose second-largest colex
     edge is i: its largest edge and its edges below i.  ``allowed`` is the
     starting color mask of each edge: 0 when the edge alone is a copy, else
-    -1.  ``copies(target, n)`` enumerates the copies (``subgraph_copies`` by
+    -1.  ``copies(target, m)`` enumerates the copies (``subgraph_copies`` by
     default).
     """
-    E = comb(n, target.r)
-    after = [[] for _ in range(E)]
-    allowed = [-1] * E
-    for cp in (copies or subgraph_copies)(target, n):
-        *others, last = sorted(cp)
-        if others:
-            second = others.pop()
-            after[second].append((last, tuple(others)))
-        else:
-            allowed[last] = 0
-    return after, allowed
+
+    def __init__(self, target, m, copies=None):
+        self.E = E = comb(m, target.r)
+        self.after = [[] for _ in range(E)]
+        self.allowed = [-1] * E
+        for cp in (copies or subgraph_copies)(target, m):
+            *others, last = sorted(cp)
+            if others:
+                second = others.pop()
+                self.after[second].append((last, tuple(others)))
+            else:
+                self.allowed[last] = 0
+
+    def start(self):
+        """No class yet: A >= 0 with no witness."""
+        return 0, None
+
+    def run(self, search):
+        """Run ``search`` over every edge of the host."""
+        free = self.allowed.count(-1)
+        return search.run(_ar_dfs, self.after, list(self.allowed), [-1] * self.E, 0, 0, free)
 
 
-def _ar_run(search, index):
-    """Run ``search`` over every edge of the host that ``index`` (from
-    ``_threats``) covers."""
-    after, allowed = index
-    E = len(after)
-    free = allowed.count(-1)
-    return search.run(_ar_dfs, after, list(allowed), [-1] * E, 0, 0, free)
+def _ar_ladder(target, ex, copies=None):
+    """The ``rung`` and ``caps`` of the ladder of A(m) = ar(m, target) - 1,
+    for ``_climb``, given ex(m, target) by m in ``ex``.  Below v(tF) the target
+    does not fit and rung m is trivial, A(m) = C(m, r).  ``copies`` is passed
+    to ``_ArRung``.
 
+    ``caps(m, below)`` names two proven caps on A(m), the most classes of a
+    partition of K_m^r with no rainbow tF, with below = A(m-1):
 
-def _ar_caps(n, target, budget, copies=None):
-    """The proven caps on A(n) = ar(n, target) - 1 by name, and the nodes
-    spent; the caps are None when the budget ran out on a rung.
-
-    The sandwich cap ex(m, target) comes from the ``ex`` ladder, the
-    averaging cap from A(m-1).  Each rung m = v(target)..n-1 is a value pass
-    capped the same way; below them the target does not fit and A(m) = C(m, r).
-    ``copies`` enumerates the copies of the target on a rung, for both.
+    - sandwich, A(m) <= ex(m, tF) (<= C(m, r)): one edge from each class is a
+      rainbow subgraph, so it contains no tF;
+    - averaging, A(m) <= floor(m A(m-1) / (m-r)) for m > r.  Deleting a
+      vertex v from such a partition chi leaves a partition chi-v of
+      K_{m-1}^r with no rainbow tF, and chi-v loses exactly the classes whose
+      edges all contain v.  The edges of a class share at most r vertices,
+      so sum_v A(chi-v) >= (m-r) A(chi), and each term is at most A(m-1).
     """
     r = target.r
-    ex, nodes = _ex_ladder(singleton(target), n, budget, copies)
-    if n not in ex:
-        return None, nodes
-    below = comb(target.n - 1, r)
-    for m in range(target.n, n + 1):
-        caps = {"sandwich": ex[m]}
-        if m > r:
-            caps["averaging"] = m * below // (m - r)
-        if m == n:
-            return caps, nodes
-        search = _Search(0, budget=budget, cap=min(caps.values()), nodes=nodes)
-        _ar_run(search, _threats(target, m, copies))
-        nodes = search.nodes
-        if search.truncated:
-            return None, nodes
-        below = search.best
+
+    def caps(m, below):
+        averaging = {"averaging": m * below // (m - r)} if m > r else {}
+        return {"sandwich": ex[m], **averaging}
+
+    return (lambda m: _ArRung(target, m, copies) if m >= target.n else comb(m, r)), caps
 
 
 def ar_exact(n, t, F, budget=None):
@@ -466,34 +465,18 @@ def ar_exact(n, t, F, budget=None):
     ``best``, so it changes neither the value nor the first leaf above
     ``best``, the witness.
 
-    The value pass stops once its incumbent reaches a proven cap on A(n), the
-    most classes of a partition of K_n^r with no rainbow tF:
+    The value pass stops at a proven cap on A(n) (``_ar_ladder``), the
+    sandwich ex(n, tF) or the averaging cap from A(n-1): a values-only
+    ``_climb`` of the ``ex_exact`` ladder gives ex(m, tF) for m <= n, then
+    ``_climb`` runs the rungs m = r..n and the witness pass on the top.
+    Each rung's copies of tF are enumerated once and serve both ladders.
+    ``closed_by`` names the cap reached (the sandwich first on a tie), or
+    ``search`` when the value pass ran to the end.
 
-    - sandwich, A(n) <= ex(n, tF) (<= C(n, r)): one edge from each class is a
-      rainbow subgraph, so it contains no tF;
-    - averaging, A(n) <= floor(n A(n-1) / (n-r)) for n > r.  Deleting a
-      vertex v from such a partition chi leaves a partition chi-v of
-      K_{n-1}^r with no rainbow tF, and chi-v loses exactly the classes whose
-      edges all contain v.  The edges of a class share at most r vertices,
-      so sum_v A(chi-v) >= (n-r) A(chi), and each term is at most A(n-1).
-
-    A(n-1) comes from value passes on the rungs m = v(tF)..n-1, each
-    capped the same way from the rung below (A(m) = C(m, r) while tF does not
-    fit), and ex(m, tF) from the value passes of the ``ex_exact`` ladder.  By
-    induction every rung is exact.  The rungs read and write no cache: a
-    cached record proves only a lower bound, so it cannot cap anything.
-    Stopping at a cap drops only subtrees with no leaf above ``best``, so the
-    value is the maximum, and the witness pass, which runs uncapped on the top
-    rung only, returns the same lexicographically least witness.  ``closed_by``
-    names the cap the value pass reached (the sandwich first on a tie), or
-    ``search`` when it ran to the end.
-
-    ``nodes`` counts the ``ex`` ladder, the rungs and both passes and is the
-    same on every run; ``budget`` caps all of them together.  When it runs
-    out the record degrades to bounds(lo, hi) with the value pass's incumbent
-    as witness.  hi is A + 1 when only the witness pass ran out, cap + 1 when
-    the value pass did, and E + 1 when the budget ran out below the top rung,
-    which then is not searched.
+    ``nodes`` counts both ladders and both passes and is the same on every
+    run; ``budget`` caps all of them together.  When it runs out the record
+    degrades to bounds(lo, hi), one above the bounds on A that ``_climb``
+    returns, with its incumbent as witness.
     """
     if t < 1:
         raise ValueError("t = 0 tilings are rejected (rainbow copy would be vacuous)")
@@ -507,36 +490,13 @@ def ar_exact(n, t, F, budget=None):
         raise CapacityError(f"partition search supports C(n,r) <= 32 edges, got {E}")
     target = disjoint_union(F, t)
     key = family_key(singleton(F))
-    # each rung's copies are enumerated once, for the ex ladder and the ar search
     copies = functools.cache(subgraph_copies)
-    caps, nodes = _ar_caps(n, target, budget, copies)
-    if caps is None:
-        return ArRecord(
-            n, t, r, key, 1, None, "bounds", lo=1, hi=E + 1, nodes=nodes, closed_by="budget"
-        )
-    index = _threats(target, n, copies)
-    cap = min(caps.values())
-    value_pass = _ar_run(_Search(0, budget=budget, cap=cap, nodes=nodes), index)
-    A, nodes = value_pass.best, value_pass.nodes
-    if not value_pass.truncated:
-        closed_by = next((name for name, c in caps.items() if c == A), "search")
-        if A == 0:
-            return ArRecord(n, t, r, key, 1, None, "exact", nodes=nodes, closed_by=closed_by)
-        witness_pass = _ar_run(_Search(A - 1, budget=budget, first=True, nodes=nodes), index)
-        nodes = witness_pass.nodes
-        if not witness_pass.truncated:
-            witness = _coloring_from_rgs(r, n, witness_pass.incumbent)
-            return ArRecord(n, t, r, key, A + 1, witness, "exact", nodes=nodes, closed_by=closed_by)
-        cap = A  # the value is proven; only the witness pass ran out
-    rgs = value_pass.incumbent
-    witness = _coloring_from_rgs(r, n, rgs) if rgs else None
-    return ArRecord(
-        n, t, r, key, A + 1, witness, "bounds", lo=A + 1, hi=cap + 1, nodes=nodes, closed_by="budget"
-    )
-
-
-def _coloring_from_rgs(r, n, rgs):
-    return EdgeColoring(r, n, max(rgs) + 1, [c + 1 for c in rgs])
+    ms, ex = range(r, n + 1), {}
+    nodes = _climb(ms, *_ex_ladder(singleton(target), copies), budget, values=ex)[3]
+    A, rgs, hi, nodes, closed_by = _climb(ms, *_ar_ladder(target, ex, copies), budget, nodes)
+    witness = EdgeColoring(r, n, max(rgs) + 1, [c + 1 for c in rgs]) if rgs else None
+    status, lo, hi = ("bounds", A + 1, hi + 1) if closed_by == "budget" else ("exact", 0, 0)
+    return ArRecord(n, t, r, key, A + 1, witness, status, lo, hi, nodes, closed_by=closed_by)
 
 
 def verify_no_rainbow(chi, F, t):

@@ -34,11 +34,18 @@ def _hash_file(path):
 
 
 def _parse_range(text):
-    a, _, b = text.partition(":")
-    lo, hi = int(a), int(b)
-    if hi < lo:
-        raise ValueError(f"empty range {text!r}")
-    return range(lo, hi + 1)
+    """argparse type for ranges lo:hi, ends included; an empty range is a usage error."""
+    lo, _, hi = text.partition(":")
+    if not (lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi)):
+        raise argparse.ArgumentTypeError(f"not a range lo:hi with lo <= hi: {text!r}")
+    return range(int(lo), int(hi) + 1)
+
+
+def _budget(text):
+    """argparse type for node budgets: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
 
 
 def _fraction(text):
@@ -161,11 +168,11 @@ def cmd_report(args, cache, mid):
     if args.report_cmd == "gap":
         table = _computing_table(cache, mid)
         print(f"{'n':>4} {'gap':>6} {'threshold':>10} {'t_max':>6}")
-        for g in tur.edge_sensitivity_gaps(F, _parse_range(args.n_range), table):
+        for g in tur.edge_sensitivity_gaps(F, args.n_range, table):
             rows.append(f"gap n={g.n} gap={g.gap} t_max={g.t_max}")
             print(f"{g.n:>4} {g.gap:>6} {g.threshold:>10} {g.t_max:>6}")
     elif args.report_cmd == "smoothness":
-        ns = _parse_range(args.n_range)
+        ns = args.n_range
         table = _computing_table(cache, mid)
         pi = args.pi
         if pi is None:
@@ -179,8 +186,8 @@ def cmd_report(args, cache, mid):
             rows.append(f"smoothness n={row.n} holds={row.holds}")
     else:  # facts
         print(f"{'r':>3} {'n':>4} {'t':>4} {'holds':>6}")
-        for r in _parse_range(args.r_range):
-            for n in _parse_range(args.n_range):
+        for r in args.r_range:
+            for n in args.n_range:
                 t = 0
                 while (t + 1) * (5 * r + 1) <= n - r:
                     t += 1
@@ -226,13 +233,13 @@ def build_parser():
     t = sub.add_parser("turan", help="exact ex(n, family) with witness")
     t.add_argument("-n", type=int, required=True)
     t.add_argument("--forbid", action="append", required=True, help="hypergraph file (repeatable)")
-    t.add_argument("--budget", type=int, default=None)
+    t.add_argument("--budget", type=_budget, default=None)
 
     a = sub.add_parser("ar", help="exact ar(n, tF) with witness coloring")
     a.add_argument("-n", type=int, required=True)
     a.add_argument("-t", type=int, required=True)
     a.add_argument("-F", required=True)
-    a.add_argument("--budget", type=int, default=None)
+    a.add_argument("--budget", type=_budget, default=None)
 
     c = sub.add_parser("construct", help="lower-bound colorings")
     csub = c.add_subparsers(dest="construct_cmd", required=True)
@@ -261,14 +268,14 @@ def build_parser():
     rsub = rep.add_subparsers(dest="report_cmd", required=True)
     rg = rsub.add_parser("gap")
     rg.add_argument("-F", required=True)
-    rg.add_argument("--n-range", required=True)
+    rg.add_argument("--n-range", type=_parse_range, required=True)
     rs = rsub.add_parser("smoothness")
     rs.add_argument("-F", required=True)
-    rs.add_argument("--n-range", required=True)
+    rs.add_argument("--n-range", type=_parse_range, required=True)
     rs.add_argument("--pi", type=_fraction, default=None, help="rational like 1/2 (default: pi_hat)")
     rf = rsub.add_parser("facts")
-    rf.add_argument("--r-range", default="2:4")
-    rf.add_argument("--n-range", default="20:60")
+    rf.add_argument("--r-range", type=_parse_range, default="2:4")
+    rf.add_argument("--n-range", type=_parse_range, default="20:60")
     rf.add_argument("-F", default=None)
     return p
 

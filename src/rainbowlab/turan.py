@@ -17,6 +17,7 @@ certified interval.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -274,6 +275,11 @@ class _Ctx:
         for i in classmin.values():
             self.ok_second[i] = True
 
+    def start(self):
+        """The greedy incumbent a value pass starts from, as (edges, mask)."""
+        greedy = _greedy(range(self.E), self.cmax)
+        return greedy.bit_count(), greedy
+
     def run(self, search):
         """Run the include-first search from the root, where edge 0 is fixed in."""
         inc = [0] * len(self.pack_size)
@@ -362,38 +368,92 @@ def _trivial_value(m, r, masks, edgeless):
     return None
 
 
-def _value_pass(ctx, cap, budget, nodes):
-    """The value pass from the greedy incumbent, stopped once the incumbent
-    reaches ``cap``; skipped when the greedy already does."""
-    greedy = _greedy(range(ctx.E), ctx.cmax)
-    search = _Search(greedy.bit_count(), greedy, budget, cap=cap, nodes=nodes)
-    if search.best < cap:
-        ctx.run(search)
-    return search
+def _ex_ladder(fam, copies=None):
+    """The ``rung`` and ``caps`` of the ex(m, fam) ladder, for ``_climb``.
 
+    ``rung(m)`` is ex(m) when ``_trivial_value`` knows it, else the search
+    context of K_m^r.  It is cached, so each rung is built once.  The first
+    rung, K_r^r, has one edge, so its value is trivial and every later rung
+    has a cap.  ``copies`` is passed to ``_copy_masks``.
 
-def _ex_ladder(fam, top, budget, copies=None):
-    """ex(m, fam) for m = r..top by capped value passes, as a dict m -> value,
-    with the nodes spent; the dict stops below the rung where the budget ran
-    out.
-
-    The first rung, K_r^r, has one edge, so its value is trivial and every
-    later rung has a cap.  ``copies`` is passed to ``_copy_masks``.
+    ``caps(m, below)`` is the averaging bound of Katona, Nemetz and Simonovits
+    (1964), ex(m) <= floor(m ex(m-1) / (m-r)), with below = ex(m-1).  Proof:
+    every fam-free G on m vertices has (m-r) e(G) = sum_v e(G-v) <= m ex(m-1),
+    since each edge misses m-r vertices and each G-v is fam-free on m-1
+    vertices (a copy in G-v, isolated vertices included, is a copy in G).
     """
     r = fam.r
-    values, below, nodes = {}, None, 0
-    for m in range(r, top + 1):
+
+    @functools.cache
+    def rung(m):
         masks, edgeless = _copy_masks(fam, m, copies)
         value = _trivial_value(m, r, masks, edgeless)
-        if value is None:
-            ctx = _Ctx(all_edges_colex(m, r), masks)
-            search = _value_pass(ctx, m * below // (m - r), budget, nodes)
+        return _Ctx(all_edges_colex(m, r), masks) if value is None else value
+
+    return rung, lambda m, below: {"kns": m * below // (m - r)}
+
+
+def _climb(ms, rung, caps, budget, nodes=0, values=None):
+    """Value passes up the rungs m of ``ms`` (ascending, top last), then the
+    witness pass on the top rung.  Returns (value, incumbent, hi, nodes, closed_by).
+
+    ``rung(m)`` is rung m's value when no search is needed, else a context
+    with ``E`` (its edge count), ``start()`` (a feasible (best, incumbent))
+    and ``run(search)``.  ``caps(m, below)`` names proven caps on rung m from
+    the value of the rung below; the first rung is trivial, or its caps need
+    none.  A value pass starts from ``start()`` and stops once its incumbent
+    reaches the least cap; it is skipped when the start does.  By induction
+    every rung is exact, as it reaches its cap or runs to the end, and
+    stopping at a cap drops only subtrees with no leaf above ``best``.  The
+    rungs read and write no cache (a cached record proves only a lower bound,
+    so it cannot cap anything), and the witness pass, from value-1 to its
+    first leaf, runs on the top rung only, so the ladder changes neither value
+    nor witness.  ``closed_by`` names the first cap the value meets, or
+    ``search``.
+
+    ``nodes`` counts every pass on top of the nodes given; ``budget`` caps the
+    total.  When it runs out, closed_by is ``budget``, (value, incumbent) a
+    lower bound and hi an upper bound:
+
+    - out below the top rung (or before the climb): the top rung's start, E;
+    - out in the top value pass: its incumbent, and its cap;
+    - out in the witness pass: the value pass's incumbent, and the value.
+
+    A dict ``values`` makes the climb values-only: it records m -> value for
+    every rung it proves and runs no witness pass.
+    """
+    top, below = ms[-1], None
+    for m in ms:
+        if budget is not None and nodes > budget:  # spent below rung m
+            ctx = rung(top)
+            return (*ctx.start(), ctx.E, nodes, "budget")
+        ctx = rung(m)
+        if isinstance(ctx, int):
+            below = ctx
+        else:
+            named = caps(m, below)
+            search = _Search(*ctx.start(), budget, cap=min(named.values()), nodes=nodes)
+            if search.best < search.cap:
+                ctx.run(search)
             nodes = search.nodes
             if search.truncated:
-                break
-            value = search.best
-        values[m] = below = value
-    return values, nodes
+                if m < top:
+                    continue  # the budget check above ends the climb
+                return search.best, search.incumbent, search.cap, nodes, "budget"
+            below = search.best
+        if values is not None:
+            values[m] = below
+    if values is not None:
+        return below, None, below, nodes, None
+    value, incumbent = below, search.incumbent
+    closed_by = next((name for name, cap in named.items() if cap == value), "search")
+    if value:  # a value of 0 leaves no optimum to look for
+        witness = ctx.run(_Search(value - 1, budget=budget, first=True, nodes=nodes))
+        nodes = witness.nodes
+        if witness.truncated:
+            return value, incumbent, value, nodes, "budget"
+        incumbent = witness.incumbent
+    return value, incumbent, value, nodes, closed_by
 
 
 def ex_exact(n, fam, budget=None):
@@ -413,23 +473,13 @@ def ex_exact(n, fam, budget=None):
     with a smaller second edge, which would come first.  So the rule changes
     neither the value nor the witness.
 
-    The value pass stops at the averaging bound of Katona, Nemetz and
-    Simonovits (1964), ex(n) <= floor(n ex(n-1) / (n-r)).  Proof: every
-    fam-free G on n vertices has (n-r) e(G) = sum_v e(G-v) <= n ex(n-1),
-    since each edge misses n-r vertices and each G-v is fam-free on n-1
-    vertices (a copy in G-v, isolated vertices included, is a copy in G).
-    The cap needs the exact ex(n-1), so value passes climb a ladder m = r..n
-    in memory, each capped by the rung below; by induction every rung is
-    exact, as it either reaches its cap or runs to the end.  The rungs read
-    and write no cache, and the witness pass runs on the top rung only, so
-    the ladder changes no value and no witness.  ``nodes`` counts the rungs
-    and both passes and is the same on every run; ``closed_by`` says whether
-    the bound (``kns``) or the end of the search (``search``) proved the value.
-
-    ``budget`` caps the nodes of the rungs and both passes together.  When it
-    runs out, the status is ``lower_bound_only`` and the witness is the
-    incumbent of the top value pass, or its greedy start when a lower rung ran
-    out (no cap is derived above such a rung).
+    The value pass stops at the averaging bound (``_ex_ladder``), which needs
+    the exact ex(n-1), so ``_climb`` runs capped value passes up the rungs
+    m = r..n in memory before the witness pass.  ``closed_by`` says whether
+    the bound (``kns``) or the end of the search (``search``) proved the
+    value.  ``nodes`` counts the rungs and both passes and is the same on
+    every run; ``budget`` caps their total, and when it runs out the status
+    is ``lower_bound_only`` with the incumbent ``_climb`` returns as witness.
     """
     r = fam.r
     if n < r:
@@ -438,35 +488,15 @@ def ex_exact(n, fam, budget=None):
     if E > 64:
         raise CapacityError(f"branch and bound supports C(n,r) <= 64, got {E}")
     key = family_key(fam)
-    masks, edgeless = _copy_masks(fam, n)
-    edges = all_edges_colex(n, r)
-    value = _trivial_value(n, r, masks, edgeless)
-    if value is not None:
+    rung, caps = _ex_ladder(fam)
+    value = rung(n)
+    if isinstance(value, int):
         witness = complete_host(n, r) if value else HyperGraph(r, n, [])
         return TuranRecord(n, r, key, value, witness, "exact", nodes=1, closed_by="trivial")
-
-    ctx = _Ctx(edges, masks)
-    rungs, nodes = _ex_ladder(fam, n - 1, budget)
-    below = rungs.get(n - 1)
-    status, closed_by = "lower_bound_only", "budget"
-    if below is None:
-        witness_mask = _greedy(range(E), ctx.cmax)
-    else:
-        cap = n * below // (n - r)
-        value_pass = _value_pass(ctx, cap, budget, nodes)
-        witness_mask, nodes = value_pass.incumbent, value_pass.nodes
-        if not value_pass.truncated:
-            witness_pass = ctx.run(
-                _Search(value_pass.best - 1, budget=budget, first=True, nodes=nodes)
-            )
-            nodes = witness_pass.nodes
-            if not witness_pass.truncated:
-                witness_mask, status = witness_pass.incumbent, "exact"
-                closed_by = "kns" if value_pass.best == cap else "search"
-    witness = HyperGraph(r, n, [edges[i] for i in range(E) if witness_mask >> i & 1])
-    return TuranRecord(
-        n, r, key, witness_mask.bit_count(), witness, status, nodes=nodes, closed_by=closed_by
-    )
+    value, mask, _, nodes, closed_by = _climb(range(r, n + 1), rung, caps, budget)
+    status = "lower_bound_only" if closed_by == "budget" else "exact"
+    witness = HyperGraph(r, n, [e for i, e in enumerate(all_edges_colex(n, r)) if mask >> i & 1])
+    return TuranRecord(n, r, key, value, witness, status, nodes=nodes, closed_by=closed_by)
 
 
 def verify_witness(record, fam):

@@ -8,9 +8,8 @@ from rainbowlab.antiramsey import (
     ArTable,
     CertificationError,
     EdgeColoring,
-    _ar_caps,
-    _ar_run,
-    _threats,
+    _ArRung,
+    _ar_ladder,
     ar_exact,
     build_coloring_fact21,
     build_coloring_fact31,
@@ -33,7 +32,15 @@ from rainbowlab.core import (
     contains_member,
     disjoint_union,
 )
-from rainbowlab.turan import TuranTable, _Search, ex_exact, singleton, subgraph_copies
+from rainbowlab.turan import (
+    TuranTable,
+    _climb,
+    _ex_ladder,
+    _Search,
+    ex_exact,
+    singleton,
+    subgraph_copies,
+)
 
 from helpers import ar_brute, ar_brute_witness
 
@@ -65,6 +72,20 @@ SMALL_CASES = [
 def ar_matching(n, k):
     """ar(n, kK2) for n >= 2k + 1 (Chen, Li and Tu 2009)."""
     return comb(k - 2, 2) + (k - 2) * (n - k + 2) + 2
+
+
+def ladder_caps(n, target):
+    """The proven caps on A(n) = ar(n, target) - 1 by name, and the nodes of
+    the values-only climbs that give them: the ``ex`` ladder up to n and the
+    ``ar`` rungs below n."""
+    r = target.r
+    ex = {}
+    nodes = _climb(range(r, n + 1), *_ex_ladder(singleton(target)), None, values=ex)[3]
+    rung, caps = _ar_ladder(target, ex)
+    A = {}
+    if n > r:
+        nodes = _climb(range(r, n), rung, caps, None, nodes, values=A)[3]
+    return caps(n, A.get(n - 1)), nodes
 
 
 def rainbow_brute(chi, target):
@@ -256,6 +277,15 @@ class TestArExact:
         rec = ar_exact(4, 1, K2)
         assert rec.value == 1 and rec.witness is None and rec.is_exact()
 
+    @pytest.mark.parametrize("budget", [0, None])
+    @pytest.mark.parametrize("F", [K2, E3], ids=["K2", "E3"])
+    def test_single_edge_exact_under_any_budget(self, F, budget):
+        # the sandwich cap ex(n, F) = 0 is met by the empty start: no pass runs
+        for n in range(F.n, 7):
+            rec = ar_exact(n, 1, F, budget=budget)
+            assert (rec.value, rec.status, rec.witness) == (1, "exact", None)
+            assert (rec.nodes, rec.closed_by) == (0, "sandwich")
+
     def test_brute_agreement(self):
         for n, t, F in ((4, 2, K2), (5, 2, K2), (4, 1, K3), (5, 1, K3)):
             assert ar_exact(n, t, F).value == ar_brute(n, t, F), (n, t)
@@ -317,7 +347,7 @@ class TestArExact:
         # one budget over the ladder and both passes: it runs out in each phase
         for n, t, F in ((5, 1, K3), (6, 1, C4), (5, 2, K2)):
             full = ar_exact(n, t, F)
-            caps, ladder_nodes = _ar_caps(n, disjoint_union(F, t), None)
+            caps, ladder_nodes = ladder_caps(n, disjoint_union(F, t))
             for budget in (0, 1, 10, 100, 1_000, 10_000, full.nodes - 1):
                 if budget >= full.nodes:
                     continue
@@ -340,7 +370,7 @@ class TestArExact:
         if n > F.r:
             below = ar_brute(n - 1, t, F) - 1 if t * F.n < n else comb(n - 1, F.r)
             assert A <= n * below // (n - F.r)
-        caps, _ = _ar_caps(n, disjoint_union(F, t), None)
+        caps, _ = ladder_caps(n, disjoint_union(F, t))
         assert all(A <= cap for cap in caps.values()), caps
         rec = ar_exact(n, t, F)
         assert rec.value == A + 1
@@ -374,9 +404,9 @@ class TestArExact:
         if capped:
             assert rec.closed_by in ("sandwich", "averaging")
         # the same value and witness from passes run without a cap
-        index = _threats(disjoint_union(F, t), n)
-        A = _ar_run(_Search(0), index).best
-        rgs = _ar_run(_Search(A - 1, first=True), index).incumbent
+        rung = _ArRung(disjoint_union(F, t), n)
+        A = rung.run(_Search(*rung.start())).best
+        rgs = rung.run(_Search(A - 1, first=True)).incumbent
         assert rec.value == A + 1
         assert rec.witness.colors == tuple(c + 1 for c in rgs)
 

@@ -350,6 +350,37 @@ class TestCli:
                 run(tmp_path, "report", "smoothness", "-F", str(k3), "--n-range", "5:6", "--pi", pi)
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize("budget", ["-5", "-1", "ten", "1.5"])
+    @pytest.mark.parametrize("cmd", ["turan -n 6 --forbid", "ar -n 5 -t 1 -F"], ids=["turan", "ar"])
+    def test_bad_budget_exit_two(self, tmp_path, cmd, budget):
+        k3 = tmp_path / "k3.hg"
+        run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *cmd.split(), str(k3), "--budget", budget)
+        assert exc.value.code == 2
+        assert not list((tmp_path / "cache").rglob("*"))
+        assert run(tmp_path, *cmd.split(), str(k3), "--budget", "0") == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "gap --n-range 5",
+            "gap --n-range 9:5",
+            "smoothness --n-range a:b --pi 1/2",
+            "facts --r-range 4:2",
+            "facts --n-range 20",
+        ],
+    )
+    def test_bad_range_exit_two(self, tmp_path, capsys, argv):
+        k3 = tmp_path / "k3.hg"
+        run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "report", *argv.split(), "-F", str(k3))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not list((tmp_path / "cache").rglob("*"))
+
     def test_missing_input_file_exit_two(self, tmp_path):
         k3 = tmp_path / "k3.hg"
         run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))

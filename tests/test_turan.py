@@ -176,11 +176,9 @@ class TestLadder:
     @staticmethod
     def uncapped(n, fam):
         """Value and witness of the two passes run without the averaging cap."""
-        masks, _ = tu._copy_masks(fam, n)
         edges = all_edges_colex(n, fam.r)
-        ctx = tu._Ctx(edges, masks)
-        greedy = tu._greedy(range(ctx.E), ctx.cmax)
-        value = ctx.run(tu._Search(greedy.bit_count(), greedy)).best
+        ctx = tu._ex_ladder(fam)[0](n)
+        value = ctx.run(tu._Search(*ctx.start())).best
         mask = ctx.run(tu._Search(value - 1, first=True)).incumbent
         return value, HyperGraph(fam.r, n, [e for i, e in enumerate(edges) if mask >> i & 1])
 
@@ -196,12 +194,42 @@ class TestLadder:
         assert (rec.value, rec.witness) == self.uncapped(9, fam)
 
     def test_budget_runs_out_in_a_lower_rung(self):
-        rungs, nodes = tu._ex_ladder(GIRTH5, 8, 100)
+        rungs = {}
+        nodes = tu._climb(range(2, 9), *tu._ex_ladder(GIRTH5), 100, values=rungs)[3]
         assert 8 not in rungs and nodes == 101
         rec = ex_exact(9, GIRTH5, budget=100)
         assert (rec.status, rec.closed_by, rec.nodes) == ("lower_bound_only", "budget", 101)
         assert len(rec.witness.edges) == rec.value > 0
         assert not contains_member(rec.witness, GIRTH5)
+
+    @pytest.mark.parametrize(
+        "n, fam",
+        [
+            (7, singleton(K3)),
+            (8, GIRTH5),
+            (6, singleton(HyperGraph(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)]))),
+        ],
+        ids=["K3", "girth5", "K4^3-"],
+    )
+    def test_budget_sweep(self, n, fam):
+        # one budget over the rungs and both passes: it runs out in each phase
+        full = ex_exact(n, fam)
+        rung, caps = tu._ex_ladder(fam)
+        # the nodes spent by the end of the lower rungs and of the top value pass
+        lower = tu._climb(range(fam.r, n), rung, caps, None, values={})[3]
+        top = tu._climb(range(fam.r, n + 1), rung, caps, None, values={})[3]
+        assert 0 < lower < top < full.nodes
+        for budget in (0, 1, lower - 1, (lower + top) // 2, top, full.nodes - 1):
+            rec = ex_exact(n, fam, budget=budget)
+            assert (rec.status, rec.closed_by) == ("lower_bound_only", "budget")
+            assert rec.nodes == budget + 1
+            assert verify_witness(rec, fam)
+            assert len(rec.witness.edges) == rec.value <= full.value
+            if budget < lower:  # the greedy start of the top rung
+                assert rec.value == rung(n).start()[0]
+            if budget >= top:  # only the witness pass ran out: the value is proven
+                assert rec.value == full.value
+        assert ex_exact(n, fam, budget=full.nodes) == full
 
     def test_closed_by(self):
         assert ex_exact(5, singleton(E3)).closed_by == "trivial"
