@@ -17,14 +17,13 @@ from math import comb
 
 from .core import (
     CapacityError,
-    Embedding,
     FormatError,
     HyperGraph,
     all_edges_colex,
-    canonical_form,
     colex_rank,
     disjoint_union,
     family_key,
+    find_embedding,
 )
 from .turan import (
     MissingRecordError,
@@ -107,111 +106,23 @@ def coloring_from_text(text):
 
 def find_rainbow_copy(chi, target):
     """An embedding of ``target`` into K_n^r whose edge images carry pairwise
-    distinct colors under chi, or None.  Exhaustive; if the target has more
+    distinct colors under chi, or None.  Exhaustive: the first rainbow copy
+    that ``subgraph_copies`` lists, as an embedding.  An edgeless target has
+    no color to repeat, so it has one when it fits; if the target has more
     vertices than the host no copy exists and None is returned.
-
-    Isomorphic components are forced into ascending position (by minimum image
-    vertex), which prunes the t! relabelings of a tiling.
     """
-    n = chi.n
-    if target.r != chi.r:
-        raise ValueError(f"uniformity mismatch: {target.r} vs {chi.r}")
-    if target.n > n or len(target.edges) > chi.ncolors:
+    r, n = chi.r, chi.n
+    if target.r != r:
+        raise ValueError(f"uniformity mismatch: {target.r} vs {r}")
+    if not target.edges:
+        return find_embedding(target, HyperGraph(r, n, []))
+    if len(target.edges) > chi.ncolors:
         return None
-    degs = target.degrees()
-    isolated = [v for v in range(target.n) if degs[v] == 0]
-    comps = sorted((canonical_form(target.induced(vs)), vs) for vs in target.components())
-    comp_keys = [key for key, _ in comps]
-
-    # order: component by component; inside a component, most-anchored first
-    order = []
-    comp_of = {}
-    for ci, (_, vs) in enumerate(comps):
-        verts = sorted(vs, key=lambda v: -degs[v])
-        placed = []
-        while verts:
-            if not placed:
-                nxt = verts[0]
-            else:
-                nxt = max(
-                    verts,
-                    key=lambda v: (
-                        sum(
-                            1
-                            for e in target.edges
-                            if v in e and all(u == v or u in placed for u in e)
-                        ),
-                        degs[v],
-                    ),
-                )
-            verts.remove(nxt)
-            placed.append(nxt)
-            comp_of[nxt] = ci
-        order.extend(placed)
-    order.extend(isolated)
-
-    pos = {v: k for k, v in enumerate(order)}
-    checks = [[] for _ in range(target.n)]
-    for e in target.edges:
-        checks[max(pos[v] for v in e)].append(e)
-    comp_start = {}
-    for k, v in enumerate(order):
-        ci = comp_of.get(v)
-        if ci is not None and ci not in comp_start:
-            comp_start[ci] = k
-
-    mapping = [-1] * target.n
-    used = 0
-    used_colors = set()
-    comp_min = [n] * len(comps)
-    full = (1 << n) - 1
-
-    def rec(k):
-        nonlocal used
-        if k == target.n:
-            return Embedding(tuple(mapping))
-        u = order[k]
-        ci = comp_of.get(u)
-        mask = full & ~used
-        if ci is not None and ci > 0 and comp_keys[ci] == comp_keys[ci - 1]:
-            # identical components: every image vertex must exceed the
-            # previous component's minimum
-            mask &= full << (comp_min[ci - 1] + 1)
-        m = mask
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            m ^= low
-            new_cols = []
-            ok = True
-            mapping[u] = w
-            for e in checks[k]:
-                col = chi.colors[colex_rank(tuple(sorted(mapping[x] for x in e)))]
-                if col in used_colors or col in new_cols:
-                    ok = False
-                    break
-                new_cols.append(col)
-            if not ok:
-                mapping[u] = -1
-                continue
-            used |= low
-            used_colors.update(new_cols)
-            saved = None
-            if ci is not None:
-                saved = comp_min[ci]
-                if w < comp_min[ci]:
-                    comp_min[ci] = w
-            got = rec(k + 1)
-            if got is not None:
-                return got
-            if ci is not None:
-                comp_min[ci] = saved
-            used_colors.difference_update(new_cols)
-            used &= ~low
-            mapping[u] = -1
-        return None
-
-    return rec(0)
+    for cp in subgraph_copies(target, n):
+        if len({chi.colors[i] for i in cp}) == len(cp):
+            edges = all_edges_colex(n, r)
+            return find_embedding(target, HyperGraph(r, n, [edges[i] for i in cp]))
+    return None
 
 
 def max_rainbow_subgraph(chi):

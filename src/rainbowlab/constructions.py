@@ -306,23 +306,11 @@ def expansion_clique(F):
 
 
 def _is_tree(G):
-    if G.r != 2:
+    """A 2-graph with n - 1 edges is a tree iff it is connected: one component
+    of the edge support, or the one isolated vertex when n = 1."""
+    if G.r != 2 or len(G.edges) != G.n - 1:
         return False
-    if len(G.edges) != G.n - 1:
-        return False
-    seen = {0} if G.n else set()
-    frontier = [0] if G.n else []
-    adj = [[] for _ in range(G.n)]
-    for u, v in G.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    while frontier:
-        u = frontier.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == G.n
+    return len(G.components()) + len(G.isolated_vertices()) == 1
 
 
 def ext_tree(T, r):

@@ -60,13 +60,12 @@ def subgraph_copies(F, n):
     """
     if F.n > n or not F.edges:
         return []
-    comps = [F.induced(vs) for vs in F.components()]
-    comps.sort(key=lambda c: (canonical_form(c), c.n))
+    comps = [(canonical_form(c), c) for c in map(F.induced, F.components())]
+    comps.sort(key=lambda kc: kc[0])
     host = complete_host(n, F.r)
     placements = []  # per component: list of (vertex_mask, frozenset of ranks)
     cache = {}
-    for c in comps:
-        key = canonical_form(c)
+    for key, c in comps:
         if key not in cache:
             seen = {}
             for emb in iter_embeddings(c, host):

@@ -1,8 +1,9 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's own search strategies: isomorphism by
-trying all vertex bijections, containment counting by brute force over copies,
-and anti-Ramsey values by unpruned enumeration of all set partitions.
+trying all vertex bijections, rainbow copies by trying all injective vertex
+maps, containment counting by brute force over copies, and anti-Ramsey values
+by unpruned enumeration of all set partitions.
 """
 
 from __future__ import annotations
@@ -21,6 +22,16 @@ def brute_isomorphic(a, b):
     eb = set(b.edges)
     for p in itertools.permutations(range(a.n)):
         if all(tuple(sorted(p[v] for v in e)) in eb for e in a.edges):
+            return True
+    return False
+
+
+def rainbow_brute(chi, target):
+    """True iff some injective map of the target's vertices into the host's
+    gives its edges pairwise distinct colors under chi (every map tried)."""
+    for p in itertools.permutations(range(chi.n), target.n):
+        cols = {chi.color_of([p[v] for v in e]) for e in target.edges}
+        if len(cols) == len(target.edges):
             return True
     return False
 

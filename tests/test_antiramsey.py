@@ -39,10 +39,9 @@ from rainbowlab.turan import (
     _Search,
     ex_exact,
     singleton,
-    subgraph_copies,
 )
 
-from helpers import ar_brute, ar_brute_witness
+from helpers import ar_brute, ar_brute_witness, rainbow_brute
 
 K2 = HyperGraph(2, 2, [(0, 1)])
 K3 = complete_graph(3)
@@ -88,15 +87,13 @@ def ladder_caps(n, target):
     return caps(n, A.get(n - 1)), nodes
 
 
-def rainbow_brute(chi, target):
-    """Copy-list oracle for rainbow detection (independent of the backtracker)."""
-    if target.n > chi.n:
-        return False
-    for cp in subgraph_copies(target, chi.n):
-        cols = [chi.colors[i] for i in cp]
-        if len(set(cols)) == len(cols):
-            return True
-    return False
+def assert_rainbow_copy(chi, target, emb):
+    """emb is an injective map of the target into K_n^r whose edge images
+    carry pairwise distinct colors under chi."""
+    m = emb.mapping
+    assert len(m) == target.n == len(set(m)) and all(0 <= w < chi.n for w in m)
+    cols = {chi.color_of([m[v] for v in e]) for e in target.edges}
+    assert len(cols) == len(target.edges)
 
 
 def random_coloring(rng, r, n):
@@ -160,29 +157,52 @@ class TestFindRainbowCopy:
     def test_all_distinct_coloring_finds_embedding(self):
         E = comb(6, 2)
         chi = EdgeColoring(2, 6, E, range(1, E + 1))
-        emb = find_rainbow_copy(chi, disjoint_union(K3, 2))
-        assert emb is not None
         target = disjoint_union(K3, 2)
-        assert emb.check(target, complete(6, 2))
-        cols = [chi.color_of(e) for e in emb.image_edges(target)]
-        assert len(set(cols)) == len(cols)
+        emb = find_rainbow_copy(chi, target)
+        assert emb is not None
+        assert_rainbow_copy(chi, target, emb)
 
-    def test_against_copy_oracle(self):
-        rng = random.Random(31)
-        targets = [K3, disjoint_union(K2, 2), disjoint_union(K3, 2)]
-        for _ in range(40):
-            chi = random_coloring(rng, 2, 6)
+    def test_edgeless_target(self):
+        chi = EdgeColoring(2, 4, 1, [1] * 6)
+        assert find_rainbow_copy(chi, HyperGraph(2, 2, [])) is not None
+        assert find_rainbow_copy(chi, HyperGraph(2, 5, [])) is None
+        # 2 E0 fits in K4 and has no edge to repeat a color: no certificate
+        E0 = HyperGraph(2, 2, [])
+        with pytest.raises(CertificationError):
+            build_coloring_fact21(4, 1, E0, ex_exact(4, singleton(E0)))
+
+    def check_against_oracle(self, rng, r, n, targets, rounds):
+        verdicts = set()
+        for _ in range(rounds):
+            chi = random_coloring(rng, r, n)
             for target in targets:
                 found = find_rainbow_copy(chi, target)
                 assert (found is not None) == rainbow_brute(chi, target)
+                if found is not None:
+                    assert_rainbow_copy(chi, target, found)
+                verdicts.add(found is not None)
+        assert verdicts == {True, False}
+
+    def test_against_copy_oracle(self):
+        P3 = HyperGraph(2, 3, [(0, 1), (1, 2)])
+        targets = [
+            K3,
+            disjoint_union(K2, 2),
+            disjoint_union(K3, 2),
+            disjoint_union(K2, 3),
+            disjoint_union(P3, 2),
+            HyperGraph(2, 5, [(0, 2), (2, 3)]),  # P3 and two isolated vertices
+        ]
+        self.check_against_oracle(random.Random(31), 2, 6, targets, 40)
 
     def test_against_copy_oracle_3uniform(self):
-        rng = random.Random(37)
-        for _ in range(20):
-            chi = random_coloring(rng, 3, 6)
-            for target in (E3, disjoint_union(E3, 2)):
-                found = find_rainbow_copy(chi, target)
-                assert (found is not None) == rainbow_brute(chi, target)
+        targets = [
+            E3,
+            disjoint_union(E3, 2),
+            CAP_SHAPES["K4^3-"],
+            HyperGraph(3, 5, [(0, 1, 3), (1, 3, 4)]),  # two triples and an isolated vertex
+        ]
+        self.check_against_oracle(random.Random(37), 3, 6, targets, 20)
 
 
 class TestMaxRainbowSubgraph:

@@ -282,6 +282,10 @@ class TestExtTree:
         ext = ext_tree(single, 4)
         assert (ext.n, len(ext.edges)) == (4, 1)
 
+    def test_one_vertex_tree(self):
+        ext = ext_tree(HyperGraph(2, 1, []), 4)
+        assert (ext.r, ext.n, len(ext.edges)) == (4, 3, 0)
+
     def test_path(self):
         p3 = HyperGraph(2, 3, [(0, 1), (1, 2)])
         ext = ext_tree(p3, 3)
