@@ -234,7 +234,7 @@ class ArRecord:
         return self.status == "exact"
 
 
-def _ar_dfs(search, after, allowed, assign, i, k, free):
+def _ar_dfs(search, after, allowed, assign, i, k, free, live):
     """Assign a color to each edge i.. of the colex order; k classes so far.
 
     ``allowed[j]`` is the bitmask of colors edge j may take, -1 while no copy
@@ -242,7 +242,9 @@ def _ar_dfs(search, after, allowed, assign, i, k, free):
     Forward checking settles each copy at its second-largest edge i: when the
     copy's edges below i carry distinct colors (a threat), a color c of i
     that is not among them narrows the copy's largest edge to those colors
-    and c.  The prune is k + free <= best; ``ar_exact`` proves both sound.
+    and c.  The prune is k + free <= best.  ``live`` holds the lex-leader
+    comparisons still undecided (``_leader``), and a prefix greater than one
+    of its images is pruned; ``ar_exact`` proves all three sound.
 
     Value mode tries the fresh class first, then earlier classes downward.
     First-optimum mode tries ascending colors and never opens more than
@@ -250,11 +252,13 @@ def _ar_dfs(search, after, allowed, assign, i, k, free):
     restricted growth string with best + 1 classes.
     """
     search.tick()
-    if i == len(assign):
-        if k > search.best:
-            search.offer(k, tuple(assign))
-        return
     if k + free <= search.best:
+        return
+    live = _leader(assign, live, i)
+    if live is None:
+        return
+    if i == len(assign):
+        search.offer(k, tuple(assign))
         return
     first = search.first
     top = min(k, search.best) if first else k
@@ -283,44 +287,110 @@ def _ar_dfs(search, after, allowed, assign, i, k, free):
                     rest -= 1
                 allowed[last] = old & (mask | bit)
                 narrowed.append((last, old))
-        _ar_dfs(search, after, allowed, assign, i + 1, k + 1 if c == k else k, rest)
+        _ar_dfs(search, after, allowed, assign, i + 1, k + 1 if c == k else k, rest, live)
         while narrowed:
             last, old = narrowed.pop()
             allowed[last] = old
     assign[i] = -1
 
 
+def _leader(assign, live, i):
+    """Extend each comparison of ``live`` to the image prefix that edges
+    0..i-1 determine; the comparisons still tied, or None when the prefix
+    of ``assign`` is greater than one of its images.
+
+    A comparison (p, ends, ln, rel) has found ``assign[:ln]`` equal to the
+    restricted growth string of the image b[j] = assign[p[j]] on its first
+    ln positions; ``rel`` renames the colors of b in order of first
+    appearance.  One that finds ``assign`` smaller is dropped for good.
+    """
+    kept = []
+    for cmp in live:
+        p, ends, ln, rel = cmp
+        end = ends[i]
+        if ln == end:
+            kept.append(cmp)
+            continue
+        while ln < end:
+            x = assign[p[ln]]
+            y = rel.get(x)
+            if y is None:
+                y = len(rel)
+                rel = {**rel, x: y}
+            a = assign[ln]
+            if a != y:
+                if a > y:
+                    return None
+                break
+            ln += 1
+        else:
+            kept.append((p, ends, ln, rel))
+    return kept
+
+
+@functools.cache
+def _transpositions(m, r):
+    """The adjacent transpositions (v v+1) of the vertices of K_m^r as
+    (p, ends): p[j] is the colex rank of the image of edge j, and ends[i]
+    the length of the longest image prefix that edges 0..i-1 determine
+    (every j < ends[i] has p[j] < i)."""
+    edges = all_edges_colex(m, r)
+    E = len(edges)
+    out = []
+    for v in range(m - 1):
+        swap = {v: v + 1, v + 1: v}
+        p = [colex_rank(tuple(sorted(swap.get(x, x) for x in e))) for e in edges]
+        ends, ln = [], 0
+        for i in range(E + 1):
+            while ln < E and p[ln] < i:
+                ln += 1
+            ends.append(ln)
+        out.append((p, ends))
+    return tuple(out)
+
+
 class _ArRung:
     """The ``ar`` search context of K_m^r for ``_climb``: the forward-checking
-    index of the copies of ``target``.
+    index of the copies of ``target`` and the lex-leader transpositions.
 
-    ``after[i]`` lists (last, others) for each copy whose second-largest colex
-    edge is i: its largest edge and its edges below i.  ``allowed`` is the
-    starting color mask of each edge: 0 when the edge alone is a copy, else
-    -1.  ``copies(target, m)`` enumerates the copies (``subgraph_copies`` by
-    default).
+    ``index`` is built on the first ``run``, so a rung that only gives its
+    start enumerates no copies.  In it, ``after[i]`` lists (last, others) for
+    each copy whose second-largest colex edge is i: its largest edge and its
+    edges below i, and ``allowed`` is the starting color mask of each edge: 0
+    when the edge alone is a copy, else -1.  ``copies(target, m)`` enumerates
+    the copies (``subgraph_copies`` by default).
     """
 
     def __init__(self, target, m, copies=None):
-        self.E = E = comb(m, target.r)
-        self.after = [[] for _ in range(E)]
-        self.allowed = [-1] * E
-        for cp in (copies or subgraph_copies)(target, m):
+        self.target, self.m, self.copies = target, m, copies or subgraph_copies
+        self.E = comb(m, target.r)
+
+    @functools.cached_property
+    def index(self):
+        after = [[] for _ in range(self.E)]
+        allowed = [-1] * self.E
+        for cp in self.copies(self.target, self.m):
             *others, last = sorted(cp)
             if others:
                 second = others.pop()
-                self.after[second].append((last, tuple(others)))
+                after[second].append((last, tuple(others)))
             else:
-                self.allowed[last] = 0
+                allowed[last] = 0
+        return after, allowed
 
     def start(self):
         """No class yet: A >= 0 with no witness."""
         return 0, None
 
+    def live(self):
+        """The lex-leader comparisons at the root: none decided yet."""
+        return [(p, ends, 0, {}) for p, ends in _transpositions(self.m, self.target.r)]
+
     def run(self, search):
         """Run ``search`` over every edge of the host."""
-        free = self.allowed.count(-1)
-        return search.run(_ar_dfs, self.after, list(self.allowed), [-1] * self.E, 0, 0, free)
+        after, allowed = self.index
+        free = allowed.count(-1)
+        return search.run(_ar_dfs, after, list(allowed), [-1] * self.E, 0, 0, free, self.live())
 
 
 def _ar_ladder(target, ex, copies=None):
@@ -375,6 +445,26 @@ def ar_exact(n, t, F, budget=None):
     k + free classes.  The prune drops only subtrees with no leaf above
     ``best``, so it changes neither the value nor the first leaf above
     ``best``, the witness.
+
+    Both passes skip partitions that are not lex-leaders (Crawford, Ginsberg,
+    Luks and Roy 1996).  A vertex permutation s of K_n^r maps a partition a
+    to a.s, edge j taking the class of edge s(j); write R(a.s) for its
+    restricted growth string.  For each adjacent transposition s = (v v+1)
+    the search compares a with R(a.s) on the longest prefix that the edges
+    colored so far determine, and prunes the node when a is greater there.
+    The restricted growth string of a prefix is the prefix of the string, so
+    a prefix greater than its image makes every string below it greater than
+    its image, and a leaf survives iff a <= R(a.s) for every such s; a
+    string that passes at its leaf passes at every prefix.  s permutes the
+    copies of tF, so a.s has the classes of a and no rainbow tF when a has
+    none.  Value pass: every partition's orbit under S_n holds a
+    lexicographically least string w, and w <= R(w.s) for every s, so w
+    survives; the forward-checking and bound prunes keep it as they keep
+    every leaf above ``best``, so every orbit that beats ``best`` keeps a
+    leaf and the value is unchanged.  Witness pass: the least string w with
+    A classes and no rainbow tF satisfies w <= R(w.s) for every s, as R(w.s)
+    is such a string too.  So w survives, and the first leaf above A-1 is
+    still w: the witness is unchanged.
 
     The value pass stops at a proven cap on A(n) (``_ar_ladder``), the
     sandwich ex(n, tF) or the averaging cap from A(n-1): a values-only

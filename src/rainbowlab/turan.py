@@ -419,11 +419,14 @@ def _climb(ms, rung, caps, budget, nodes=0, values=None):
     - out in the witness pass: the value pass's incumbent, and the value.
 
     A dict ``values`` makes the climb values-only: it records m -> value for
-    every rung it proves and runs no witness pass.
+    every rung it proves and runs no witness pass.  Out below the top rung it
+    returns only ``nodes`` and ``budget``, and never builds the top rung.
     """
     top, below = ms[-1], None
     for m in ms:
         if budget is not None and nodes > budget:  # spent below rung m
+            if values is not None:
+                return None, None, None, nodes, "budget"
             ctx = rung(top)
             return (*ctx.start(), ctx.E, nodes, "budget")
         ctx = rung(m)

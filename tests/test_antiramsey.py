@@ -1,15 +1,20 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rainbowlab import antiramsey
 from rainbowlab.antiramsey import (
     ArTable,
     CertificationError,
     EdgeColoring,
     _ArRung,
     _ar_ladder,
+    _leader,
     ar_exact,
     build_coloring_fact21,
     build_coloring_fact31,
@@ -28,6 +33,7 @@ from rainbowlab.core import (
     FormatError,
     HyperGraph,
     all_edges_colex,
+    colex_rank,
     complete,
     contains_member,
     disjoint_union,
@@ -39,6 +45,7 @@ from rainbowlab.turan import (
     _Search,
     ex_exact,
     singleton,
+    subgraph_copies,
 )
 
 from helpers import ar_brute, ar_brute_witness, rainbow_brute
@@ -113,6 +120,33 @@ def _renumber(colors):
             seen[c] = len(seen) + 1
         out.append(seen[c])
     return out
+
+
+def _rgs(colors):
+    """The restricted growth string of a partition: classes 0, 1, ... in
+    order of first appearance."""
+    return tuple(c - 1 for c in _renumber(colors))
+
+
+def _relabeled(rgs, sigma):
+    """The restricted growth string of the partition rgs of the edges of K_n
+    composed with the vertex map sigma: edge e gets the class of sigma(e)."""
+    edges = all_edges_colex(len(sigma), 2)
+    return _rgs([rgs[colex_rank(tuple(sorted(sigma[v] for v in e)))] for e in edges])
+
+
+def _survives(rgs, n):
+    """Whether the lex-leader check of a rung of K_n keeps every prefix of rgs."""
+    live = _ArRung(K2, n).live()
+    for i in range(len(rgs) + 1):
+        live = _leader(list(rgs[:i]) + [-1] * (len(rgs) - i), live, i)
+        if live is None:
+            return False
+    return True
+
+
+#: partitions of the 10 edges of K_5, as restricted growth strings
+PARTITIONS_K5 = st.lists(st.integers(0, 9), min_size=10, max_size=10).map(_rgs)
 
 
 class TestEdgeColoring:
@@ -382,6 +416,33 @@ class TestArExact:
                     assert verify_no_rainbow(rec.witness, F, t)
             assert ar_exact(n, t, F, budget=full.nodes) == full
 
+    def test_budget_out_below_the_top_enumerates_no_copies_there(self, monkeypatch):
+        hosts = []
+
+        def counted(target, m):
+            hosts.append(m)
+            return subgraph_copies(target, m)
+
+        monkeypatch.setattr(antiramsey, "subgraph_copies", counted)
+        rec = ar_exact(6, 1, C4, budget=0)
+        assert (rec.status, rec.lo, rec.hi, rec.witness) == ("bounds", 1, comb(6, 2) + 1, None)
+        assert hosts and 6 not in hosts
+
+    @settings(max_examples=300, deadline=None)
+    @given(PARTITIONS_K5)
+    def test_lex_leader_of_every_orbit_survives(self, rgs):
+        # soundness: the lex-least string of the orbit under all 120 vertex
+        # permutations of K_5 is kept at every prefix
+        leader = min(_relabeled(rgs, s) for s in itertools.permutations(range(5)))
+        assert _survives(leader, 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(PARTITIONS_K5)
+    def test_lex_leader_check_is_the_adjacent_transposition_rule(self, rgs):
+        # a full string survives iff it is <= each image under (v v+1)
+        swaps = [[*range(v), v + 1, v, *range(v + 2, 5)] for v in range(4)]
+        assert _survives(rgs, 5) == all(rgs <= _relabeled(rgs, s) for s in swaps)
+
     @pytest.mark.parametrize("n, t, name", SMALL_CASES)
     def test_caps_against_brute(self, n, t, name):
         F = CAP_SHAPES[name]
@@ -406,15 +467,17 @@ class TestArExact:
 
     @pytest.mark.parametrize(
         "n, t, F, most, capped",
-        # without forward checking: 108,776, 204,091, 821,009, 289,266,
-        # 296,016 and 420,921 nodes
+        # measured 7,040, 17,274, 707, 6,571, 3,544 and 3,559 nodes; without
+        # the lex-leader rule 22,017, 74,704, 6,360, 59,558, 13,482 and
+        # 29,072; without forward checking as well 108,776, 204,091, 821,009,
+        # 289,266, 296,016 and 420,921
         [
-            (6, 1, C4, 30_000, True),
-            (6, 1, K4, 100_000, True),
-            (6, 2, E3, 10_000, True),
-            (6, 3, K2, 80_000, False),
-            (6, 2, CAP_SHAPES["P3"], 20_000, False),
-            (6, 1, CAP_SHAPES["K4^3-"], 40_000, False),
+            (6, 1, C4, 8_000, True),
+            (6, 1, K4, 20_000, True),
+            (6, 2, E3, 1_000, True),
+            (6, 3, K2, 7_500, False),
+            (6, 2, CAP_SHAPES["P3"], 4_000, False),
+            (6, 1, CAP_SHAPES["K4^3-"], 4_000, False),
         ],
         ids=["C4", "K4", "2E3", "3K2", "2P3", "K4^3-"],
     )
@@ -432,14 +495,25 @@ class TestArExact:
 
     @pytest.mark.parametrize(
         "t, F, value",
-        [(3, K2, ar_matching(7, 3)), (1, K3, 7)],  # ar(n, K3) = n (Erdos-Simonovits-Sos)
-        ids=["3K2", "K3"],
+        # ar(n, K3) = n (Erdos-Simonovits-Sos); ar(7, 2P3) = 8 as the search
+        # found it without the lex-leader rule, in 162,742 nodes
+        [(3, K2, ar_matching(7, 3)), (1, K3, 7), (2, CAP_SHAPES["P3"], 8)],
+        ids=["3K2", "K3", "2P3"],
     )
     def test_seven_vertex_closed_forms(self, t, F, value):
         rec = ar_exact(7, t, F)
         assert rec.is_exact() and rec.value == value
         assert rec.witness.ncolors == value - 1
         assert verify_no_rainbow(rec.witness, F, t)
+
+    def test_tetrahedron(self):
+        # ar(6, K4^3), the paper's headline case: 52,518,436 nodes without the
+        # lex-leader rule; the witness is the one found then
+        rec = ar_exact(6, 1, complete(4, 3))
+        assert (rec.value, rec.status, rec.closed_by) == (12, "exact", "search")
+        assert rec.nodes < 3_000_000
+        assert verify_no_rainbow(rec.witness, complete(4, 3), 1)
+        assert rec.witness.colors == (1, 1, 2, 2, 1, 3, 4, 5, 6, 2, 1, 7, 8, 9, 10, 2, 11, 11, 11, 11)
 
 
 class TestVerdicts:
