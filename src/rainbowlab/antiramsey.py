@@ -246,9 +246,9 @@ def _ar_dfs(search, after, allowed, assign, i, k, free, live):
     comparisons still undecided (``_leader``), and a prefix greater than one
     of its images is pruned; ``ar_exact`` proves all three sound.
 
-    Value mode tries the fresh class first, then earlier classes downward.
-    First-optimum mode tries ascending colors and never opens more than
-    best + 1 classes, so its first leaf is the lexicographically least
+    Both modes try ascending colors, so leaves come in lexicographic order
+    of their restricted growth strings.  First-optimum mode never opens more
+    than best + 1 classes, so its first leaf is the lexicographically least
     restricted growth string with best + 1 classes.
     """
     search.tick()
@@ -260,8 +260,7 @@ def _ar_dfs(search, after, allowed, assign, i, k, free, live):
     if i == len(assign):
         search.offer(k, tuple(assign))
         return
-    first = search.first
-    top = min(k, search.best) if first else k
+    top = min(k, search.best) if search.first else k
     here = allowed[i]
     colors = here & ((2 << top) - 1)
     if here == -1:
@@ -274,8 +273,8 @@ def _ar_dfs(search, after, allowed, assign, i, k, free, live):
         if mask.bit_count() == len(others):
             threats.append((last, mask))
     while colors:
-        c = (colors & -colors).bit_length() - 1 if first else colors.bit_length() - 1
-        bit = 1 << c
+        bit = colors & -colors
+        c = bit.bit_length() - 1
         colors ^= bit
         assign[i] = c
         narrowed = []
@@ -386,9 +385,43 @@ class _ArRung:
         """The lex-leader comparisons at the root: none decided yet."""
         return [(p, ends, 0, {}) for p, ends in _transpositions(self.m, self.target.r)]
 
-    def run(self, search):
-        """Run ``search`` over every edge of the host."""
+    def seed(self):
+        """A greedy partition with no rainbow copy, as a restricted growth
+        string, or None.  In colex order each edge takes the highest color its
+        forward-checked mask allows, a fresh class when no copy constrains it,
+        and narrows masks as ``_ar_dfs`` does; at an edge with no allowed
+        color the greedy gives up."""
         after, allowed = self.index
+        allowed = list(allowed)
+        assign, k = [], 0
+        for i in range(self.E):
+            colors = allowed[i] & ((2 << k) - 1)
+            if not colors:
+                return None
+            c = colors.bit_length() - 1
+            assign.append(c)
+            k += c == k
+            bit = 1 << c
+            for last, others in after[i]:
+                mask = 0
+                for e in others:
+                    mask |= 1 << assign[e]
+                if mask.bit_count() == len(others) and not mask & bit:
+                    allowed[last] &= mask | bit
+        return tuple(assign)
+
+    def run(self, search):
+        """Run ``search`` over every edge of the host.  A value pass first
+        raises ``best`` to the classes of the ``seed``, with the seed as its
+        incumbent (not a leaf of the search), and ends at once when that meets
+        its cap."""
+        after, allowed = self.index
+        if not search.first:
+            rgs = self.seed()
+            if rgs is not None and max(rgs) + 1 > search.best:
+                search.best, search.incumbent = max(rgs) + 1, rgs
+                if search.cap is not None and search.best >= search.cap:
+                    return search
         free = allowed.count(-1)
         return search.run(_ar_dfs, after, list(allowed), [-1] * self.E, 0, 0, free, self.live())
 
@@ -422,10 +455,13 @@ def _ar_ladder(target, ex, copies=None):
 def ar_exact(n, t, F, budget=None):
     """Exact ar(n, tF): max color classes of a no-rainbow-tF partition, plus one.
 
-    Enumerates restricted growth strings over the colex edge order.  One
-    sequential search runs in two modes: the value pass finds the maximum A,
-    the witness pass starts from A-1 and stops at its first leaf, the
-    lexicographically least maximizer.
+    Enumerates restricted growth strings over the colex edge order, least
+    first.  One sequential search runs in two modes.  The value pass starts
+    from a greedy seed (``_ArRung.seed``), whose forward checking is the
+    search's own, so its classes are a lower bound on A, and finds the
+    maximum A.  The witness is the lexicographically least maximizer: the
+    value pass's last incumbent when it beats the seed, else the first leaf
+    of the witness pass, which starts from A-1 (``_climb`` proves this).
 
     Edge j may take color c unless c completes a rainbow copy whose largest
     edge is j.  The search settles each copy by forward checking at its
@@ -469,7 +505,7 @@ def ar_exact(n, t, F, budget=None):
     The value pass stops at a proven cap on A(n) (``_ar_ladder``), the
     sandwich ex(n, tF) or the averaging cap from A(n-1): a values-only
     ``_climb`` of the ``ex_exact`` ladder gives ex(m, tF) for m <= n, then
-    ``_climb`` runs the rungs m = r..n and the witness pass on the top.
+    ``_climb`` runs the rungs m = r..n and takes the witness on the top.
     Each rung's copies of tF are enumerated once and serve both ladders.
     ``closed_by`` names the cap reached (the sandwich first on a tie), or
     ``search`` when the value pass ran to the end.

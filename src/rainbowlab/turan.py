@@ -18,6 +18,7 @@ certified interval.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,12 +29,10 @@ from .core import (
     HyperGraph,
     HyperGraphFamily,
     all_edges_colex,
-    canonical_form,
     colex_rank,
     contains_member,
     family_key,
     is_r_partite,
-    iter_embeddings,
 )
 from .core import complete as complete_host
 
@@ -51,37 +50,48 @@ class MissingRecordError(LookupError):
 # -- copies of a pattern inside the complete host -------------------------------
 
 
+@functools.cache
+def _shapes(c):
+    """The distinct edge sets of the connected r-graph c on its own vertices
+    0..v-1 under all v! relabelings, each as the ascending tuple of the colex
+    ranks of its edges among the r-subsets of v vertices; sorted."""
+    local = {e: i for i, e in enumerate(all_edges_colex(c.n, c.r))}
+    shapes = {
+        tuple(sorted(local[tuple(sorted(p[x] for x in e))] for e in c.edges))
+        for p in itertools.permutations(range(c.n))
+    }
+    return tuple(sorted(shapes))
+
+
 def subgraph_copies(F, n):
     """Every copy of F in K_n^r as a frozenset of colex edge ranks.
 
-    Assembled component by component; identical components are ordered by
-    their minimum image vertex, so each copy appears exactly once.  Isolated
-    vertices of F only require v(F) <= n.
+    Built, not searched.  A copy of a connected component c with v vertices
+    covers exactly v host vertices S, and its edge set is one of the shapes
+    of c (``_shapes``) carried over by the increasing map i -> S[i]: a local
+    r-subset (a_0 < ... < a_{r-1}) goes to colex rank sum_i C(S[a_i], i+1).
+    The map keeps colex order, so each component's copies come ordered by
+    vertex set (colex) and then by sorted edge ranks.  Two components are
+    isomorphic iff they have the same shapes, so the shapes also group
+    identical components, which are placed in order of their minimum vertex:
+    each copy of F appears exactly once.  Isolated vertices of F only require
+    v(F) <= n.
     """
     if F.n > n or not F.edges:
         return []
-    comps = [(canonical_form(c), c) for c in map(F.induced, F.components())]
-    comps.sort(key=lambda kc: kc[0])
-    host = complete_host(n, F.r)
-    placements = []  # per component: list of (vertex_mask, frozenset of ranks)
+    comps = sorted((_shapes(c), c.n) for c in map(F.induced, F.components()))
+    placements = []  # per component: (shapes, list of (vertex_mask, frozenset of ranks))
     cache = {}
-    for key, c in comps:
-        if key not in cache:
-            seen = {}
-            for emb in iter_embeddings(c, host):
-                ranks = frozenset(
-                    colex_rank(e) for e in emb.image_edges(c)
-                )
-                if ranks not in seen:
-                    vm = 0
-                    for w in emb.mapping:
-                        vm |= 1 << w
-                    seen[ranks] = vm
-            cache[key] = sorted(
-                ((vm, rk) for rk, vm in seen.items()),
-                key=lambda p: (p[0], sorted(p[1])),
-            )
-        placements.append((key, cache[key]))
+    for shapes, v in comps:
+        if shapes not in cache:
+            local = all_edges_colex(v, F.r)
+            options = []
+            for S in all_edges_colex(n, v):
+                ranks = [colex_rank([S[a] for a in e]) for e in local]
+                vm = sum(1 << w for w in S)
+                options.extend((vm, frozenset(ranks[j] for j in s)) for s in shapes)
+            cache[shapes] = options
+        placements.append((shapes, cache[shapes]))
 
     out = []
     k = len(comps)
@@ -202,8 +212,9 @@ class _Search:
     First-optimum mode (``first=True``): ``best`` starts at value-1 and the
     search stops at the first leaf that beats it, so the incumbent is the
     first optimum in decision order.  Searches call ``offer`` only with
-    k > best.  ``nodes`` starts at the nodes already spent, so that ``budget``
-    caps the total of a sequence of searches.
+    k > best, at a leaf; ``found`` says whether one did.  ``nodes`` starts at
+    the nodes already spent, so that ``budget`` caps the total of a sequence
+    of searches.
     """
 
     def __init__(self, best, incumbent=None, budget=None, first=False, cap=None, nodes=0):
@@ -214,10 +225,12 @@ class _Search:
         self.cap = cap
         self.nodes = nodes
         self.truncated = False
+        self.found = False
 
     def offer(self, k, incumbent):
         self.best = k
         self.incumbent = incumbent
+        self.found = True
         if self.first or (self.cap is not None and k >= self.cap):
             raise _Stop
 
@@ -405,10 +418,25 @@ def _climb(ms, rung, caps, budget, nodes=0, values=None):
     every rung is exact, as it reaches its cap or runs to the end, and
     stopping at a cap drops only subtrees with no leaf above ``best``.  The
     rungs read and write no cache (a cached record proves only a lower bound,
-    so it cannot cap anything), and the witness pass, from value-1 to its
-    first leaf, runs on the top rung only, so the ladder changes neither value
-    nor witness.  ``closed_by`` names the first cap the value meets, or
-    ``search``.
+    so it cannot cap anything), and the witness is taken on the top rung only,
+    so the ladder changes neither value nor witness.  ``closed_by`` names the
+    first cap the value meets, or ``search``.
+
+    The witness is the first leaf with the value in the search's decision
+    order, which the witness pass finds from value-1.  It is run only when the
+    top value pass found no leaf (``_Search.found``), because otherwise its
+    last incumbent is that leaf already.  Proof: in both solvers a value pass
+    and the witness pass walk one tree in one order.  The rules that do not
+    read ``best`` (symmetry breaking, forward checking) are shared; those
+    that do drop only subtrees with no leaf above ``best``, or, in the
+    witness pass, with no leaf at all.  A value pass offers only leaves above
+    ``best``, so one that found a leaf started below the value V.  Let w be
+    the first leaf with V.  Every leaf before w has fewer than V, so
+    ``best`` < V on the whole path to w, no prune drops w (its subtree holds a
+    leaf with V) and no cap stops the pass before it (a cap is at least V,
+    and only a leaf that reaches it stops the pass).  So w is offered, and no
+    later leaf beats V.  A pass whose start, or seed, already met V found no
+    leaf, and the witness pass runs.
 
     ``nodes`` counts every pass on top of the nodes given; ``budget`` caps the
     total.  When it runs out, closed_by is ``budget``, (value, incumbent) a
@@ -449,7 +477,7 @@ def _climb(ms, rung, caps, budget, nodes=0, values=None):
         return below, None, below, nodes, None
     value, incumbent = below, search.incumbent
     closed_by = next((name for name, cap in named.items() if cap == value), "search")
-    if value:  # a value of 0 leaves no optimum to look for
+    if value and not search.found:  # a value of 0 leaves no optimum to look for
         witness = ctx.run(_Search(value - 1, budget=budget, first=True, nodes=nodes))
         nodes = witness.nodes
         if witness.truncated:
@@ -462,11 +490,13 @@ def ex_exact(n, fam, budget=None):
     """Exact ex(n, fam) with an extremal witness.
 
     One sequential branch and bound, run in two modes.  The value pass starts
-    from a greedy incumbent and proves the optimum.  The witness pass starts
-    from value-1 and stops at its first leaf, so the witness is the first
+    from a greedy incumbent and proves the optimum.  The witness is the first
     optimum in include-first colex order: among the optima that contain edge
     0, the one whose indicator vector, read by ascending colex rank, is
-    lexicographically greatest.
+    lexicographically greatest.  The value pass meets it as its last
+    incumbent whenever it beats the greedy start; only when the greedy start
+    is optimal does the witness pass run, from value-1 to its first leaf
+    (``_climb`` proves this).
 
     Both passes fix edge 0 in (K_n^r is edge-transitive) and admit as second
     included edge only the least edge of each orbit of the stabilizer of edge

@@ -1,9 +1,9 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's own search strategies: isomorphism by
-trying all vertex bijections, rainbow copies by trying all injective vertex
-maps, containment counting by brute force over copies, and anti-Ramsey values
-by unpruned enumeration of all set partitions.
+trying all vertex bijections, copies and rainbow copies by trying all
+injective vertex maps, containment counting by brute force over copies, and
+anti-Ramsey values by unpruned enumeration of all set partitions.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from rainbowlab.core import HyperGraph, disjoint_union
+from rainbowlab.core import HyperGraph, colex_rank, disjoint_union
 from rainbowlab.turan import subgraph_copies
 
 
@@ -34,6 +34,15 @@ def rainbow_brute(chi, target):
         if len(cols) == len(target.edges):
             return True
     return False
+
+
+def copies_brute(F, n):
+    """The copies of F in K_n^r as a set of frozensets of colex edge ranks,
+    one per injective map of its vertices into the host's (every map tried)."""
+    return {
+        frozenset(colex_rank(tuple(sorted(p[v] for v in e))) for e in F.edges)
+        for p in itertools.permutations(range(n), F.n)
+    }
 
 
 def random_relabel(H, rng):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowlab import antiramsey
+from rainbowlab import antiramsey, turan
 from rainbowlab.antiramsey import (
     ArTable,
     CertificationError,
@@ -147,6 +147,19 @@ def _survives(rgs, n):
 
 #: partitions of the 10 edges of K_5, as restricted growth strings
 PARTITIONS_K5 = st.lists(st.integers(0, 9), min_size=10, max_size=10).map(_rgs)
+
+
+@st.composite
+def small_tilings(draw):
+    """(F, t, n): an r-graph F on at most 4 vertices with an edge, and a host
+    K_n^r that tF fits in, n <= 7 for graphs and n <= 6 for 3-graphs."""
+    r = draw(st.sampled_from([2, 3]))
+    v = draw(st.integers(r, 4))
+    pool = list(itertools.combinations(range(v), r))
+    F = HyperGraph(r, v, draw(st.lists(st.sampled_from(pool), min_size=1, unique=True)))
+    most = 7 if r == 2 else 6
+    t = draw(st.integers(1, most // v))
+    return F, t, draw(st.integers(t * v, most))
 
 
 class TestEdgeColoring:
@@ -428,6 +441,31 @@ class TestArExact:
         assert (rec.status, rec.lo, rec.hi, rec.witness) == ("bounds", 1, comb(6, 2) + 1, None)
         assert hosts and 6 not in hosts
 
+    @settings(max_examples=200, deadline=None)
+    @given(small_tilings())
+    def test_greedy_seed_has_no_rainbow_copy(self, case):
+        F, t, n = case
+        rgs = _ArRung(disjoint_union(F, t), n).seed()
+        if rgs is not None:
+            assert _rgs([c + 1 for c in rgs]) == rgs
+            chi = EdgeColoring(F.r, n, max(rgs) + 1, [c + 1 for c in rgs])
+            assert verify_no_rainbow(chi, F, t)
+
+    def test_witness_pass_runs_only_when_the_value_pass_found_no_leaf(self, monkeypatch):
+        firsts = []
+
+        class Recorded(_Search):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                firsts.append(self.first)
+
+        monkeypatch.setattr(turan, "_Search", Recorded)
+        ar_exact(6, 1, K4)  # the value pass finds the witness
+        assert firsts and not any(firsts)
+        firsts.clear()
+        ar_exact(6, 2, K3)  # the greedy seed has the value already
+        assert firsts.count(True) == 1
+
     @settings(max_examples=300, deadline=None)
     @given(PARTITIONS_K5)
     def test_lex_leader_of_every_orbit_survives(self, rgs):
@@ -467,17 +505,19 @@ class TestArExact:
 
     @pytest.mark.parametrize(
         "n, t, F, most, capped",
-        # measured 7,040, 17,274, 707, 6,571, 3,544 and 3,559 nodes; without
-        # the lex-leader rule 22,017, 74,704, 6,360, 59,558, 13,482 and
-        # 29,072; without forward checking as well 108,776, 204,091, 821,009,
-        # 289,266, 296,016 and 420,921
+        # measured 4,232, 5,165, 686, 3,547, 1,886 and 2,499 nodes; with the
+        # value pass trying the fresh class first, no greedy seed and a
+        # witness pass on every call 7,040, 17,274, 707, 6,571, 3,544 and
+        # 3,559; without the lex-leader rule as well 22,017, 74,704, 6,360,
+        # 59,558, 13,482 and 29,072; without forward checking as well
+        # 108,776, 204,091, 821,009, 289,266, 296,016 and 420,921
         [
-            (6, 1, C4, 8_000, True),
-            (6, 1, K4, 20_000, True),
-            (6, 2, E3, 1_000, True),
-            (6, 3, K2, 7_500, False),
-            (6, 2, CAP_SHAPES["P3"], 4_000, False),
-            (6, 1, CAP_SHAPES["K4^3-"], 4_000, False),
+            (6, 1, C4, 4_500, True),
+            (6, 1, K4, 5_500, True),
+            (6, 2, E3, 750, True),
+            (6, 3, K2, 4_000, False),
+            (6, 2, CAP_SHAPES["P3"], 2_000, False),
+            (6, 1, CAP_SHAPES["K4^3-"], 2_750, False),
         ],
         ids=["C4", "K4", "2E3", "3K2", "2P3", "K4^3-"],
     )
@@ -495,10 +535,11 @@ class TestArExact:
 
     @pytest.mark.parametrize(
         "t, F, value",
-        # ar(n, K3) = n (Erdos-Simonovits-Sos); ar(7, 2P3) = 8 as the search
-        # found it without the lex-leader rule, in 162,742 nodes
-        [(3, K2, ar_matching(7, 3)), (1, K3, 7), (2, CAP_SHAPES["P3"], 8)],
-        ids=["3K2", "K3", "2P3"],
+        # ar(n, K3) = n (Erdos-Simonovits-Sos), ar(n, C4) = floor(4n/3)
+        # (Alon 1983); ar(7, 2P3) = 8 as the search found it without the
+        # lex-leader rule, in 162,742 nodes
+        [(3, K2, ar_matching(7, 3)), (1, K3, 7), (1, C4, 4 * 7 // 3), (2, CAP_SHAPES["P3"], 8)],
+        ids=["3K2", "K3", "C4", "2P3"],
     )
     def test_seven_vertex_closed_forms(self, t, F, value):
         rec = ar_exact(7, t, F)
@@ -507,11 +548,13 @@ class TestArExact:
         assert verify_no_rainbow(rec.witness, F, t)
 
     def test_tetrahedron(self):
-        # ar(6, K4^3), the paper's headline case: 52,518,436 nodes without the
-        # lex-leader rule; the witness is the one found then
+        # ar(6, K4^3), the paper's headline case: 2,243,451 nodes with the
+        # value pass trying the fresh class first and no greedy seed,
+        # 52,518,436 without the lex-leader rule as well; the witness is the
+        # one found then
         rec = ar_exact(6, 1, complete(4, 3))
         assert (rec.value, rec.status, rec.closed_by) == (12, "exact", "search")
-        assert rec.nodes < 3_000_000
+        assert rec.nodes < 1_800_000
         assert verify_no_rainbow(rec.witness, complete(4, 3), 1)
         assert rec.witness.colors == (1, 1, 2, 2, 1, 3, 4, 5, 6, 2, 1, 7, 8, 9, 10, 2, 11, 11, 11, 11)
 

@@ -36,7 +36,9 @@ from rainbowlab.turan import (
     subgraph_copies,
     verify_witness,
 )
+from helpers import copies_brute
 from test_acceptance import _dual_oracle_matrix
+from test_antiramsey import CAP_SHAPES
 
 
 K3 = complete_graph(3)
@@ -68,6 +70,31 @@ class TestCopies:
     def test_fano_in_k7(self):
         # 30 distinct Fano planes on 7 points
         assert len(subgraph_copies(fano(), 7)) == 30
+
+    @pytest.mark.parametrize(
+        "F",
+        [
+            *(disjoint_union(F, t) for F in CAP_SHAPES.values() for t in (1, 2, 3)),
+            fano(),
+            HyperGraph(2, 6, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)]),
+            HyperGraph(2, 5, [(0, 2), (2, 3)]),
+            HyperGraph(3, 5, [(0, 1, 3), (1, 3, 4)]),
+            HyperGraph(3, 6, [(0, 1, 2), (2, 3, 4), (0, 1, 5)]),
+        ],
+        ids=[
+            *(f"{t}{name}" for name in CAP_SHAPES for t in (1, 2, 3)),
+            "Fano",
+            "K3+P3",  # components that are not isomorphic
+            "P3+2K1",  # isolated vertices
+            "tight-pair+K1",
+            "three-triples",
+        ],
+    )
+    def test_against_injective_maps(self, F):
+        for n in range(F.r, 8):
+            copies = subgraph_copies(F, n)
+            assert len(set(copies)) == len(copies)
+            assert set(copies) == copies_brute(F, n), n
 
 
 class TestDualOracle:
@@ -203,23 +230,30 @@ class TestLadder:
         assert not contains_member(rec.witness, GIRTH5)
 
     @pytest.mark.parametrize(
-        "n, fam",
+        "n, fam, witness_pass",
         [
-            (7, singleton(K3)),
-            (8, GIRTH5),
-            (6, singleton(HyperGraph(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)]))),
+            (7, singleton(K3), False),
+            (8, GIRTH5, False),
+            (6, singleton(HyperGraph(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])), False),
+            (6, singleton(cycle(4)), True),
         ],
-        ids=["K3", "girth5", "K4^3-"],
+        ids=["K3", "girth5", "K4^3-", "C4"],
     )
-    def test_budget_sweep(self, n, fam):
+    def test_budget_sweep(self, n, fam, witness_pass):
         # one budget over the rungs and both passes: it runs out in each phase
         full = ex_exact(n, fam)
         rung, caps = tu._ex_ladder(fam)
         # the nodes spent by the end of the lower rungs and of the top value pass
         lower = tu._climb(range(fam.r, n), rung, caps, None, values={})[3]
         top = tu._climb(range(fam.r, n + 1), rung, caps, None, values={})[3]
-        assert 0 < lower < top < full.nodes
+        # the witness pass runs only when the top value pass found no leaf,
+        # its greedy start being optimal already
+        assert 0 < lower < top <= full.nodes
+        assert (top < full.nodes) == witness_pass
+        assert (rung(n).start()[0] == full.value) == witness_pass
         for budget in (0, 1, lower - 1, (lower + top) // 2, top, full.nodes - 1):
+            if budget >= full.nodes:
+                continue
             rec = ex_exact(n, fam, budget=budget)
             assert (rec.status, rec.closed_by) == ("lower_bound_only", "budget")
             assert rec.nodes == budget + 1
