@@ -30,6 +30,8 @@ from .turan import (
     SOLVER_VERSION,
     _climb,
     _ex_ladder,
+    _iter_copies,
+    _vertex_fields,
     singleton,
     subgraph_copies,
 )
@@ -107,7 +109,8 @@ def coloring_from_text(text):
 def find_rainbow_copy(chi, target):
     """An embedding of ``target`` into K_n^r whose edge images carry pairwise
     distinct colors under chi, or None.  Exhaustive: the first rainbow copy
-    that ``subgraph_copies`` lists, as an embedding.  An edgeless target has
+    that ``subgraph_copies`` lists, as an embedding, built lazily so that
+    the copies after it are never built.  An edgeless target has
     no color to repeat, so it has one when it fits; if the target has more
     vertices than the host no copy exists and None is returned.
     """
@@ -118,7 +121,7 @@ def find_rainbow_copy(chi, target):
         return find_embedding(target, HyperGraph(r, n, []))
     if len(target.edges) > chi.ncolors:
         return None
-    for cp in subgraph_copies(target, n):
+    for cp in _iter_copies(target, n):
         if len({chi.colors[i] for i in cp}) == len(cp):
             edges = all_edges_colex(n, r)
             return find_embedding(target, HyperGraph(r, n, [edges[i] for i in cp]))
@@ -234,7 +237,7 @@ class ArRecord:
         return self.status == "exact"
 
 
-def _ar_dfs(search, after, allowed, assign, i, k, free, live):
+def _ar_dfs(search, after, allowed, assign, i, k, free, live, floor, star, common):
     """Assign a color to each edge i.. of the colex order; k classes so far.
 
     ``allowed[j]`` is the bitmask of colors edge j may take, -1 while no copy
@@ -244,7 +247,12 @@ def _ar_dfs(search, after, allowed, assign, i, k, free, live):
     that is not among them narrows the copy's largest edge to those colors
     and c.  The prune is k + free <= best.  ``live`` holds the lex-leader
     comparisons still undecided (``_leader``), and a prefix greater than one
-    of its images is pruned; ``ar_exact`` proves all three sound.
+    of its images is pruned.  With ``floor`` = (below, vec, ones, high),
+    below = A(m-1) and the tables of ``turan._vertex_fields``, the star floor
+    prunes a node where some vertex v has fewer than best + 1 - below classes
+    wholly inside star(v) and free undecided edges at v; ``star`` packs those
+    counts per vertex, and ``common[c]`` packs a 1 for each vertex that every
+    edge of class c contains.  ``ar_exact`` proves all four sound.
 
     Both modes try ascending colors, so leaves come in lexicographic order
     of their restricted growth strings.  First-optimum mode never opens more
@@ -254,6 +262,11 @@ def _ar_dfs(search, after, allowed, assign, i, k, free, live):
     search.tick()
     if k + free <= search.best:
         return
+    if floor is not None:
+        below, vec, ones, high = floor
+        need = search.best + 1 - below
+        if need > 0 and (star + (128 - need) * ones) & high != high:
+            return
     live = _leader(assign, live, i)
     if live is None:
         return
@@ -265,6 +278,8 @@ def _ar_dfs(search, after, allowed, assign, i, k, free, live):
     colors = here & ((2 << top) - 1)
     if here == -1:
         free -= 1
+        if floor is not None:
+            star -= vec[i]
     threats = []
     for last, others in after[i]:
         mask = 0
@@ -286,7 +301,24 @@ def _ar_dfs(search, after, allowed, assign, i, k, free, live):
                     rest -= 1
                 allowed[last] = old & (mask | bit)
                 narrowed.append((last, old))
-        _ar_dfs(search, after, allowed, assign, i + 1, k + 1 if c == k else k, rest, live)
+        s = star
+        if floor is not None:
+            for last, old in narrowed:
+                if old == -1:
+                    s -= vec[last]
+            if c == k:  # a new class, wholly inside the star of each vertex of edge i
+                common.append(vec[i])
+                s += vec[i]
+            else:  # class c stays inside the stars of the vertices edge i shares with it
+                was = common[c]
+                common[c] = was & vec[i]
+                s -= was & ~vec[i]
+        _ar_dfs(search, after, allowed, assign, i + 1, k + (c == k), rest, live, floor, s, common)
+        if floor is not None:
+            if c == k:
+                common.pop()
+            else:
+                common[c] = was
         while narrowed:
             last, old = narrowed.pop()
             allowed[last] = old
@@ -410,11 +442,11 @@ class _ArRung:
                     allowed[last] &= mask | bit
         return tuple(assign)
 
-    def run(self, search):
+    def run(self, search, below=None):
         """Run ``search`` over every edge of the host.  A value pass first
         raises ``best`` to the classes of the ``seed``, with the seed as its
         incumbent (not a leaf of the search), and ends at once when that meets
-        its cap."""
+        its cap.  ``below`` = A(m-1) turns on the star floor (``ar_exact``)."""
         after, allowed = self.index
         if not search.first:
             rgs = self.seed()
@@ -422,8 +454,15 @@ class _ArRung:
                 search.best, search.incumbent = max(rgs) + 1, rgs
                 if search.cap is not None and search.best >= search.cap:
                     return search
-        free = allowed.count(-1)
-        return search.run(_ar_dfs, after, list(allowed), [-1] * self.E, 0, 0, free, self.live())
+        free = [j for j, a in enumerate(allowed) if a == -1]
+        floor, star = None, 0
+        if below is not None:
+            vec, ones, high = _vertex_fields(self.m, self.target.r)
+            floor, star = (below, vec, ones, high), sum(vec[j] for j in free)
+        assign, live = [-1] * self.E, self.live()
+        return search.run(
+            _ar_dfs, after, list(allowed), assign, 0, 0, len(free), live, floor, star, []
+        )
 
 
 def _ar_ladder(target, ex, copies=None):
@@ -502,6 +541,23 @@ def ar_exact(n, t, F, budget=None):
     is such a string too.  So w survives, and the first leaf above A-1 is
     still w: the witness is unchanged.
 
+    Both passes on rung m also prune by a star floor from below = A(m-1).
+    Lemma: a partition chi of K_m^r with A* classes and no rainbow tF has,
+    for every vertex v, at least A* - A(m-1) classes whose edges all contain
+    v (wholly inside star(v)).  Deleting v leaves a partition chi-v of
+    K_{m-1}^r with no rainbow tF, so with at most A(m-1) classes, and chi-v
+    loses exactly the classes wholly inside star(v).  At a node, such a
+    class of a leaf below is either a class already open and so far wholly
+    inside star(v), or one that an undecided free edge at v opens later: a
+    narrowed edge cannot open a class.  Their sum bounds the count at every
+    leaf below, and a leaf above ``best`` has A* >= best + 1, so a node where
+    that sum falls below best + 1 - below at some vertex holds no leaf above
+    ``best``.  Like the bound prune, the star floor keeps every leaf above
+    ``best``, so it changes neither the value nor the witness, and the
+    lex-leader argument above holds with it.  ``_climb`` gives below to
+    every pass on rung m, the witness pass on rung n included, unless rung
+    m-1 is trivial.
+
     The value pass stops at a proven cap on A(n) (``_ar_ladder``), the
     sandwich ex(n, tF) or the averaging cap from A(n-1): a values-only
     ``_climb`` of the ``ex_exact`` ladder gives ex(m, tF) for m <= n, then
@@ -529,7 +585,7 @@ def ar_exact(n, t, F, budget=None):
     key = family_key(singleton(F))
     copies = functools.cache(subgraph_copies)
     ms, ex = range(r, n + 1), {}
-    nodes = _climb(ms, *_ex_ladder(singleton(target), copies), budget, values=ex)[3]
+    nodes = _climb(ms, *_ex_ladder(r, [target], copies), budget, values=ex)[3]
     A, rgs, hi, nodes, closed_by = _climb(ms, *_ar_ladder(target, ex, copies), budget, nodes)
     witness = EdgeColoring(r, n, max(rgs) + 1, [c + 1 for c in rgs]) if rgs else None
     status, lo, hi = ("bounds", A + 1, hi + 1) if closed_by == "budget" else ("exact", 0, 0)

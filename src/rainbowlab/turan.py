@@ -64,7 +64,13 @@ def _shapes(c):
 
 
 def subgraph_copies(F, n):
-    """Every copy of F in K_n^r as a frozenset of colex edge ranks.
+    """Every copy of F in K_n^r as a frozenset of colex edge ranks, in the
+    order of ``_iter_copies``."""
+    return list(_iter_copies(F, n))
+
+
+def _iter_copies(F, n):
+    """Yield every copy of F in K_n^r as a frozenset of colex edge ranks.
 
     Built, not searched.  A copy of a connected component c with v vertices
     covers exactly v host vertices S, and its edge set is one of the shapes
@@ -75,10 +81,11 @@ def subgraph_copies(F, n):
     isomorphic iff they have the same shapes, so the shapes also group
     identical components, which are placed in order of their minimum vertex:
     each copy of F appears exactly once.  Isolated vertices of F only require
-    v(F) <= n.
+    v(F) <= n.  Lazy, so a caller that stops early builds only the copies it
+    reads (the placements of each component are listed first).
     """
     if F.n > n or not F.edges:
-        return []
+        return
     comps = sorted((_shapes(c), c.n) for c in map(F.induced, F.components()))
     placements = []  # per component: (shapes, list of (vertex_mask, frozenset of ranks))
     cache = {}
@@ -92,13 +99,11 @@ def subgraph_copies(F, n):
                 options.extend((vm, frozenset(ranks[j] for j in s)) for s in shapes)
             cache[shapes] = options
         placements.append((shapes, cache[shapes]))
-
-    out = []
     k = len(comps)
 
     def rec(i, used_mask, prev_key, prev_min, acc):
         if i == k:
-            out.append(frozenset().union(*acc))
+            yield frozenset().union(*acc)
             return
         key, options = placements[i]
         for vm, ranks in options:
@@ -108,15 +113,15 @@ def subgraph_copies(F, n):
             if key == prev_key and lo <= prev_min:
                 continue
             acc.append(ranks)
-            rec(i + 1, used_mask | vm, key, lo, acc)
+            yield from rec(i + 1, used_mask | vm, key, lo, acc)
             acc.pop()
 
-    rec(0, 0, None, -1, [])
-    return out
+    yield from rec(0, 0, None, -1, [])
 
 
-def _copy_masks(fam, n, copies=None):
-    """Forbidden-copy bitmasks over the colex edge ranks of K_n^r.
+def _copy_masks(members, n, copies=None):
+    """Forbidden-copy bitmasks over the colex edge ranks of K_n^r, for the
+    members of a family.
 
     Returns (masks, edgeless) where edgeless flags a member with no edges
     fitting on n vertices (which forces ex = 0 by convention).
@@ -125,7 +130,7 @@ def _copy_masks(fam, n, copies=None):
     """
     masks = set()
     edgeless = False
-    for m in fam.members:
+    for m in members:
         if m.n <= n and not m.edges:
             edgeless = True
         for cp in (copies or subgraph_copies)(m, n):
@@ -155,7 +160,7 @@ def ex_enumerate(n, fam):
     E = comb(n, r)
     if E > 20:
         raise CapacityError(f"enumeration oracle supports C(n,r) <= 20, got {E}")
-    masks, edgeless = _copy_masks(fam, n)
+    masks, edgeless = _copy_masks(fam.members, n)
     if edgeless:
         return 0, HyperGraph(r, n, [])
     universe = np.arange(1 << E, dtype=np.uint32)
@@ -251,10 +256,29 @@ class _Search:
         return self
 
 
-class _Ctx:
-    """Immutable search data of one ex(n, fam) problem."""
+@functools.cache
+def _vertex_fields(m, r):
+    """Tables of the vertex floors on K_m^r, which pack one counter per
+    vertex into an int, 8 bits each (vertex v at bits 8v..8v+7).
 
-    def __init__(self, edges, masks):
+    Returns (vec, ones, high): ``vec[j]`` has a 1 in the field of each
+    vertex of the edge with colex rank j, ``ones`` a 1 in every field and
+    ``high`` = ones << 7.  The floors keep every counter in 0..127 and test
+    all of them against one need in 1..128 at once: some counter of x is
+    below need iff (x + (128 - need) * ones) & high != high, and no sum
+    carries into the next field.
+    """
+    vec = [sum(1 << 8 * x for x in e) for e in all_edges_colex(m, r)]
+    ones = sum(1 << 8 * x for x in range(m))
+    return vec, ones, ones << 7
+
+
+class _Ctx:
+    """Immutable search data of one ex(n, fam) problem, from the masks of the
+    copies in K_n^r."""
+
+    def __init__(self, n, r, masks):
+        edges = all_edges_colex(n, r)
         E = len(edges)
         self.E = E
         self.cmax = [[] for _ in range(E)]
@@ -286,14 +310,18 @@ class _Ctx:
         self.ok_second = [False] * E
         for i in classmin.values():
             self.ok_second[i] = True
+        # the degree floor: per-edge vertex vectors, and every vertex's degree
+        self.vec, self.ones, self.high = _vertex_fields(n, r)
+        self.full = comb(n - 1, r - 1) * self.ones
 
     def start(self):
         """The greedy incumbent a value pass starts from, as (edges, mask)."""
         greedy = _greedy(range(self.E), self.cmax)
         return greedy.bit_count(), greedy
 
-    def run(self, search):
-        """Run the include-first search from the root, where edge 0 is fixed in."""
+    def run(self, search, below=None):
+        """Run the include-first search from the root, where edge 0 is fixed
+        in.  ``below`` = ex(n-1) turns on the degree floor (``ex_exact``)."""
         inc = [0] * len(self.pack_size)
         und = list(self.pack_size)
         p = self.pack_of[0]
@@ -301,15 +329,17 @@ class _Ctx:
             inc[p] += 1
             und[p] -= 1
         unpacked = self.pack_of[1:].count(-1)
-        return search.run(_dfs, self, 1, 1, 1, inc, und, unpacked, True)
+        return search.run(_dfs, self, 1, 1, 1, inc, und, unpacked, True, self.full, below)
 
 
-def _dfs(search, ctx, i, chosen, k, inc, und, unpacked, second_pending):
+def _dfs(search, ctx, i, chosen, k, inc, und, unpacked, second_pending, deg, below):
     """Include-first DFS over the edges i.. of the colex order.
 
     ``inc[p]`` / ``und[p]`` count the included / undecided edges of pack p,
     ``unpacked`` the undecided edges outside every pack; ``second_pending``
-    holds until a second edge is included.
+    holds until a second edge is included.  ``deg`` packs, per vertex, its
+    included and undecided edges (``_vertex_fields``); with ``below`` =
+    ex(n-1) the node is pruned when one of them is under best + 1 - below.
     """
     search.tick()
     E = ctx.E
@@ -326,6 +356,10 @@ def _dfs(search, ctx, i, chosen, k, inc, und, unpacked, second_pending):
         bound += u if u < cap else cap
     if bound <= search.best:
         return
+    if below is not None:  # the degree floor (``_vertex_fields``)
+        need = search.best + 1 - below
+        if need > 0 and (deg + (128 - need) * ctx.ones) & ctx.high != ctx.high:
+            return
     p = ctx.pack_of[i]
     # include branch
     ok = True
@@ -341,19 +375,20 @@ def _dfs(search, ctx, i, chosen, k, inc, und, unpacked, second_pending):
             und[p] -= 1
         else:
             unpacked -= 1
-        _dfs(search, ctx, i + 1, chosen | (1 << i), k + 1, inc, und, unpacked, False)
+        _dfs(search, ctx, i + 1, chosen | (1 << i), k + 1, inc, und, unpacked, False, deg, below)
         if p >= 0:
             inc[p] -= 1
             und[p] += 1
         else:
             unpacked += 1
     # exclude branch
+    deg -= ctx.vec[i]
     if p >= 0:
         und[p] -= 1
-        _dfs(search, ctx, i + 1, chosen, k, inc, und, unpacked, second_pending)
+        _dfs(search, ctx, i + 1, chosen, k, inc, und, unpacked, second_pending, deg, below)
         und[p] += 1
     else:
-        _dfs(search, ctx, i + 1, chosen, k, inc, und, unpacked - 1, second_pending)
+        _dfs(search, ctx, i + 1, chosen, k, inc, und, unpacked - 1, second_pending, deg, below)
 
 
 def _greedy(order, copies_at):
@@ -380,8 +415,9 @@ def _trivial_value(m, r, masks, edgeless):
     return None
 
 
-def _ex_ladder(fam, copies=None):
-    """The ``rung`` and ``caps`` of the ex(m, fam) ladder, for ``_climb``.
+def _ex_ladder(r, members, copies=None):
+    """The ``rung`` and ``caps`` of the ex(m, fam) ladder, for ``_climb``,
+    where fam is the family of the r-graphs ``members``.
 
     ``rung(m)`` is ex(m) when ``_trivial_value`` knows it, else the search
     context of K_m^r.  It is cached, so each rung is built once.  The first
@@ -394,13 +430,12 @@ def _ex_ladder(fam, copies=None):
     since each edge misses m-r vertices and each G-v is fam-free on m-1
     vertices (a copy in G-v, isolated vertices included, is a copy in G).
     """
-    r = fam.r
 
     @functools.cache
     def rung(m):
-        masks, edgeless = _copy_masks(fam, m, copies)
+        masks, edgeless = _copy_masks(members, m, copies)
         value = _trivial_value(m, r, masks, edgeless)
-        return _Ctx(all_edges_colex(m, r), masks) if value is None else value
+        return _Ctx(m, r, masks) if value is None else value
 
     return rung, lambda m, below: {"kns": m * below // (m - r)}
 
@@ -411,16 +446,23 @@ def _climb(ms, rung, caps, budget, nodes=0, values=None):
 
     ``rung(m)`` is rung m's value when no search is needed, else a context
     with ``E`` (its edge count), ``start()`` (a feasible (best, incumbent))
-    and ``run(search)``.  ``caps(m, below)`` names proven caps on rung m from
-    the value of the rung below; the first rung is trivial, or its caps need
-    none.  A value pass starts from ``start()`` and stops once its incumbent
-    reaches the least cap; it is skipped when the start does.  By induction
-    every rung is exact, as it reaches its cap or runs to the end, and
-    stopping at a cap drops only subtrees with no leaf above ``best``.  The
-    rungs read and write no cache (a cached record proves only a lower bound,
-    so it cannot cap anything), and the witness is taken on the top rung only,
-    so the ladder changes neither value nor witness.  ``closed_by`` names the
-    first cap the value meets, or ``search``.
+    and ``run(search, below)``.  ``caps(m, below)`` names proven caps on rung
+    m from the value of the rung below; the first rung is trivial, or its
+    caps need none.  A value pass starts from ``start()`` and stops once its
+    incumbent reaches the least cap; it is skipped when the start does.  By
+    induction every rung is exact, as it reaches its cap or runs to the end,
+    and stopping at a cap drops only subtrees with no leaf above ``best``.
+    The rungs read and write no cache (a cached record proves only a lower
+    bound, so it cannot cap anything), and the witness is taken on the top
+    rung only, so the ladder changes neither value nor witness.
+    ``closed_by`` names the first cap the value meets, or ``search``.
+
+    Each pass on rung m, the top witness pass included, also gets the value
+    of rung m-1 as ``below``, for the vertex floors of the solvers, which
+    prune only subtrees with no leaf above ``best``.  It gets None when rung
+    m-1 is trivial: a trivial value of C(m-1, r) gives a floor that only
+    restates that at most C(m-1, r) edges, or classes, avoid a vertex, which
+    costs more time than it prunes (and a value of 0 caps rung m at 0).
 
     The witness is the first leaf with the value in the search's decision
     order, which the witness pass finds from value-1.  It is run only when the
@@ -450,7 +492,7 @@ def _climb(ms, rung, caps, budget, nodes=0, values=None):
     every rung it proves and runs no witness pass.  Out below the top rung it
     returns only ``nodes`` and ``budget``, and never builds the top rung.
     """
-    top, below = ms[-1], None
+    top, below, searched = ms[-1], None, False
     for m in ms:
         if budget is not None and nodes > budget:  # spent below rung m
             if values is not None:
@@ -459,18 +501,18 @@ def _climb(ms, rung, caps, budget, nodes=0, values=None):
             return (*ctx.start(), ctx.E, nodes, "budget")
         ctx = rung(m)
         if isinstance(ctx, int):
-            below = ctx
+            below, searched = ctx, False
         else:
-            named = caps(m, below)
+            named, floor = caps(m, below), below if searched else None
             search = _Search(*ctx.start(), budget, cap=min(named.values()), nodes=nodes)
             if search.best < search.cap:
-                ctx.run(search)
+                ctx.run(search, floor)
             nodes = search.nodes
             if search.truncated:
                 if m < top:
                     continue  # the budget check above ends the climb
                 return search.best, search.incumbent, search.cap, nodes, "budget"
-            below = search.best
+            below, searched = search.best, True
         if values is not None:
             values[m] = below
     if values is not None:
@@ -478,7 +520,7 @@ def _climb(ms, rung, caps, budget, nodes=0, values=None):
     value, incumbent = below, search.incumbent
     closed_by = next((name for name, cap in named.items() if cap == value), "search")
     if value and not search.found:  # a value of 0 leaves no optimum to look for
-        witness = ctx.run(_Search(value - 1, budget=budget, first=True, nodes=nodes))
+        witness = ctx.run(_Search(value - 1, budget=budget, first=True, nodes=nodes), floor)
         nodes = witness.nodes
         if witness.truncated:
             return value, incumbent, value, nodes, "budget"
@@ -512,6 +554,19 @@ def ex_exact(n, fam, budget=None):
     value.  ``nodes`` counts the rungs and both passes and is the same on
     every run; ``budget`` caps their total, and when it runs out the status
     is ``lower_bound_only`` with the incumbent ``_climb`` returns as witness.
+
+    Both passes on rung m also prune by a degree floor from below = ex(m-1)
+    (Garnick, Kwong and Lazebnik 1993 use it to compute ex(n, {C3, C4})).
+    Lemma: every fam-free G on m vertices has deg(v) >= e(G) - ex(m-1) at
+    every vertex v, because G-v has e(G) - deg(v) edges and is fam-free on
+    m-1 vertices, as in the averaging bound.  At a node, every leaf below
+    has deg(v) at most the included plus undecided edges at v, and a leaf
+    above ``best`` has e(G) >= best + 1.  So a node where some vertex has
+    fewer than best + 1 - below included and undecided edges holds no leaf
+    above ``best``, and pruning it changes neither the value nor the first
+    leaf above ``best``, the witness (``_climb``).  ``_climb`` gives below to
+    every pass on rung m, the witness pass on rung n included, unless rung
+    m-1 is trivial.
     """
     r = fam.r
     if n < r:
@@ -520,7 +575,7 @@ def ex_exact(n, fam, budget=None):
     if E > 64:
         raise CapacityError(f"branch and bound supports C(n,r) <= 64, got {E}")
     key = family_key(fam)
-    rung, caps = _ex_ladder(fam)
+    rung, caps = _ex_ladder(r, fam.members)
     value = rung(n)
     if isinstance(value, int):
         witness = complete_host(n, r) if value else HyperGraph(r, n, [])
@@ -661,7 +716,7 @@ def boundedness_falsifier(F, params, n, samples, table, seed=0):
     size_needed = (1 - params.c2) * ex_n
     if deg_needed > comb(n - 1, r - 1):
         return []  # premise unsatisfiable: max degree is capped
-    masks, edgeless = _copy_masks(fam, n)
+    masks, edgeless = _copy_masks(fam.members, n)
     if _trivial_value(n, r, masks, edgeless) == 0:
         return []  # no F-free graph has any edge
     E = comb(n, r)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rainbowlab import antiramsey, turan
@@ -48,7 +48,7 @@ from rainbowlab.turan import (
     subgraph_copies,
 )
 
-from helpers import ar_brute, ar_brute_witness, rainbow_brute
+from helpers import ar_brute, ar_brute_witness, copies_brute, rainbow_brute
 
 K2 = HyperGraph(2, 2, [(0, 1)])
 K3 = complete_graph(3)
@@ -86,7 +86,7 @@ def ladder_caps(n, target):
     ``ar`` rungs below n."""
     r = target.r
     ex = {}
-    nodes = _climb(range(r, n + 1), *_ex_ladder(singleton(target)), None, values=ex)[3]
+    nodes = _climb(range(r, n + 1), *_ex_ladder(r, [target]), None, values=ex)[3]
     rung, caps = _ar_ladder(target, ex)
     A = {}
     if n > r:
@@ -162,6 +162,44 @@ def small_tilings(draw):
     return F, t, draw(st.integers(t * v, most))
 
 
+#: the ``ar-ladder`` calls of the benchmark, as (n, t, shape)
+LADDER = [
+    (6, 3, "K2"),
+    (6, 2, "K3"),
+    (6, 1, "K3"),
+    (6, 1, "C4"),
+    (6, 2, "P3"),
+    (6, 1, "K4"),
+    (6, 1, "K4^3-"),
+    (6, 2, "E3"),
+]
+
+
+@st.composite
+def rainbow_free_partitions(draw):
+    """(F, t, m, rgs): an r-graph F on at most 3 vertices, a host K_m^r with
+    m <= 5 that tF fits in, tF with at least two edges, and a partition of
+    K_m^r with no rainbow tF as a restricted growth string: a random one,
+    with two classes of a rainbow copy merged while one is left (copies from
+    every injective vertex map)."""
+    r = draw(st.sampled_from([2, 3]))
+    v = draw(st.integers(r, 3))
+    pool = list(itertools.combinations(range(v), r))
+    F = HyperGraph(r, v, draw(st.lists(st.sampled_from(pool), min_size=1, unique=True)))
+    t = draw(st.integers(1, 5 // v))
+    m = draw(st.integers(max(t * v, r + 1), 5))
+    assume(t * len(F.edges) >= 2)
+    E = comb(m, r)
+    colors = draw(st.lists(st.integers(0, E - 1), min_size=E, max_size=E))
+    copies = [sorted(cp) for cp in copies_brute(disjoint_union(F, t), m)]
+    while True:
+        hit = next((cp for cp in copies if len({colors[e] for e in cp}) == len(cp)), None)
+        if hit is None:
+            return F, t, m, _rgs(colors)
+        a, b = colors[hit[0]], colors[hit[1]]
+        colors = [a if c == b else c for c in colors]
+
+
 class TestEdgeColoring:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -225,8 +263,13 @@ class TestFindRainbowCopy:
             for target in targets:
                 found = find_rainbow_copy(chi, target)
                 assert (found is not None) == rainbow_brute(chi, target)
+                # the lazy search stops at the first rainbow copy of the full list
+                copies = subgraph_copies(target, n)
+                rainbow = [cp for cp in copies if len({chi.colors[i] for i in cp}) == len(cp)]
+                assert (found is not None) == bool(rainbow)
                 if found is not None:
                     assert_rainbow_copy(chi, target, found)
+                    assert {colex_rank(e) for e in found.image_edges(target)} == rainbow[0]
                 verdicts.add(found is not None)
         assert verdicts == {True, False}
 
@@ -536,10 +579,18 @@ class TestArExact:
     @pytest.mark.parametrize(
         "t, F, value",
         # ar(n, K3) = n (Erdos-Simonovits-Sos), ar(n, C4) = floor(4n/3)
-        # (Alon 1983); ar(7, 2P3) = 8 as the search found it without the
+        # (Alon 1983), ar(n, K4) = floor(n^2/4) + 2 (Montellano-Ballesteros
+        # and Neumann-Lara 2002; 5,615 nodes, 7,519,261 without the star
+        # floor); ar(7, 2P3) = 8 as the search found it without the
         # lex-leader rule, in 162,742 nodes
-        [(3, K2, ar_matching(7, 3)), (1, K3, 7), (1, C4, 4 * 7 // 3), (2, CAP_SHAPES["P3"], 8)],
-        ids=["3K2", "K3", "C4", "2P3"],
+        [
+            (3, K2, ar_matching(7, 3)),
+            (1, K3, 7),
+            (1, C4, 4 * 7 // 3),
+            (1, K4, 7 * 7 // 4 + 2),
+            (2, CAP_SHAPES["P3"], 8),
+        ],
+        ids=["3K2", "K3", "C4", "K4", "2P3"],
     )
     def test_seven_vertex_closed_forms(self, t, F, value):
         rec = ar_exact(7, t, F)
@@ -547,14 +598,71 @@ class TestArExact:
         assert rec.witness.ncolors == value - 1
         assert verify_no_rainbow(rec.witness, F, t)
 
+    @pytest.mark.parametrize(
+        "F, value",
+        # ar(n, K3) = n, ar(n, K4) = floor(n^2/4) + 2; measured 88,929 and
+        # 27,140 nodes
+        [(K3, 8), (K4, 8 * 8 // 4 + 2)],
+        ids=["K3", "K4"],
+    )
+    def test_eight_vertex_closed_forms(self, F, value):
+        rec = ar_exact(8, 1, F)
+        assert rec.is_exact() and rec.value == value
+        assert rec.nodes < 150_000
+        assert rec.witness.ncolors == value - 1
+        assert verify_no_rainbow(rec.witness, F, 1)
+
+    def test_seven_vertex_double_triangle(self):
+        # ar(7, 2K3): 49,633 nodes; 8,009,288 without the star floor, same
+        # witness
+        rec = ar_exact(7, 2, K3)
+        assert (rec.value, rec.status, rec.closed_by) == (14, "exact", "search")
+        assert rec.nodes < 60_000
+        assert verify_no_rainbow(rec.witness, K3, 2)
+        colors = (1, 1, 1, 1, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 10, 11, 12, 13, 1, 1)
+        assert rec.witness.colors == colors
+
+    @pytest.mark.parametrize("n, t, name", LADDER, ids=[f"{t}{name}" for _, t, name in LADDER])
+    def test_star_floor_changes_neither_value_nor_witness(self, n, t, name, monkeypatch):
+        # both ladders run again with every floor off
+        F = CAP_SHAPES[name]
+        rec = ar_exact(n, t, F)
+        for ctx in (_ArRung, turan._Ctx):
+            run = ctx.run
+            monkeypatch.setattr(ctx, "run", lambda self, s, below=None, run=run: run(self, s))
+        plain = ar_exact(n, t, F)
+        assert (plain.value, plain.witness) == (rec.value, rec.witness)
+        assert plain.closed_by == rec.closed_by
+        assert rec.nodes <= plain.nodes
+
+    @settings(max_examples=150, deadline=None)
+    @given(rainbow_free_partitions())
+    def test_star_floor_lemma(self, case):
+        # a partition of K_m^r with no rainbow tF and A* classes has at least
+        # A* - A(m-1) classes wholly inside the star of each vertex
+        F, t, m, rgs = case
+        r = F.r
+        below = ar_brute(m - 1, t, F) - 1 if t * F.n < m else comb(m - 1, r)
+        edges = all_edges_colex(m, r)
+        classes = max(rgs) + 1
+        for v in range(m):
+            outside = {c for c, e in zip(rgs, edges) if v not in e}
+            assert classes - len(outside) >= classes - below
+
+    def test_star_floor_on_thirty_vertices(self):
+        # a 1-uniform tF spreads over 30 vertices; the floor's tables grow
+        # with the edges, not with the vertex subsets
+        rec = ar_exact(30, 2, HyperGraph(1, 1, [(0,)]))
+        assert (rec.status, rec.value) == ("exact", 2)
+
     def test_tetrahedron(self):
-        # ar(6, K4^3), the paper's headline case: 2,243,451 nodes with the
-        # value pass trying the fresh class first and no greedy seed,
-        # 52,518,436 without the lex-leader rule as well; the witness is the
-        # one found then
+        # ar(6, K4^3), the paper's headline case: 14,578 nodes; 1,655,259
+        # without the star floor, 2,243,451 with the value pass trying the
+        # fresh class first and no greedy seed as well, 52,518,436 without
+        # the lex-leader rule as well; the witness is the one found then
         rec = ar_exact(6, 1, complete(4, 3))
         assert (rec.value, rec.status, rec.closed_by) == (12, "exact", "search")
-        assert rec.nodes < 1_800_000
+        assert rec.nodes < 20_000
         assert verify_no_rainbow(rec.witness, complete(4, 3), 1)
         assert rec.witness.colors == (1, 1, 2, 2, 1, 3, 4, 5, 6, 2, 1, 7, 8, 9, 10, 2, 11, 11, 11, 11)
 

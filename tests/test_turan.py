@@ -1,7 +1,11 @@
+import functools
+import itertools
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowlab.constructions import (
     complete_graph,
@@ -45,6 +49,43 @@ K3 = complete_graph(3)
 K2 = HyperGraph(2, 2, [(0, 1)])
 E3 = HyperGraph(3, 3, [(0, 1, 2)])
 GIRTH5 = HyperGraphFamily(2, [K3, cycle(4)])
+
+
+@functools.cache
+def _ex_brute(F, n):
+    masks = [sum(1 << i for i in cp) for cp in copies_brute(F, n)]
+    return max(
+        x.bit_count() for x in range(1 << comb(n, F.r)) if all(x & c != c for c in masks)
+    )
+
+
+def ex_brute(F, n):
+    """ex(n, F) by checking every edge subset of K_n^r against every copy
+    from every injective vertex map (``copies_brute``)."""
+    return comb(n, F.r) if F.n > n else _ex_brute(F, n)
+
+
+@st.composite
+def free_graphs(draw):
+    """(F, m, G): an r-graph F on at most 4 vertices with an edge, a host size
+    m with C(m-1, r) <= 10, and an F-free r-graph G on m vertices (a random
+    greedy F-free subgraph of K_m^r, thinned at random)."""
+    r = draw(st.sampled_from([2, 3]))
+    v = draw(st.integers(r, 4))
+    pool = list(itertools.combinations(range(v), r))
+    F = HyperGraph(r, v, draw(st.lists(st.sampled_from(pool), min_size=1, unique=True)))
+    m = draw(st.integers(r + 1, 6))
+    E = comb(m, r)
+    masks = [sum(1 << i for i in cp) for cp in copies_brute(F, m)] if F.n <= m else []
+    order = draw(st.permutations(range(E)))
+    keep = draw(st.lists(st.booleans(), min_size=E, max_size=E))
+    chosen = 0
+    for j in order:
+        x = chosen | 1 << j
+        if keep[j] and all(x & c != c for c in masks):
+            chosen = x
+    edges = all_edges_colex(m, r)
+    return F, m, HyperGraph(r, m, [edges[j] for j in range(E) if chosen >> j & 1])
 
 
 def ladder(fam, lo, hi, **kw):
@@ -204,7 +245,7 @@ class TestLadder:
     def uncapped(n, fam):
         """Value and witness of the two passes run without the averaging cap."""
         edges = all_edges_colex(n, fam.r)
-        ctx = tu._ex_ladder(fam)[0](n)
+        ctx = tu._ex_ladder(fam.r, fam.members)[0](n)
         value = ctx.run(tu._Search(*ctx.start())).best
         mask = ctx.run(tu._Search(value - 1, first=True)).incumbent
         return value, HyperGraph(fam.r, n, [e for i, e in enumerate(edges) if mask >> i & 1])
@@ -220,9 +261,45 @@ class TestLadder:
         assert rec.closed_by == "kns"
         assert (rec.value, rec.witness) == self.uncapped(9, fam)
 
+    def test_degree_floor_on_the_nine_vertex_four_cycle(self):
+        # 17,291,234 nodes without the degree floor, same value and witness;
+        # the averaging bound (14) is loose by one
+        rec = ex_exact(9, singleton(cycle(4)))
+        assert (rec.value, rec.closed_by) == (13, "search")
+        assert rec.nodes < 2_000_000
+        star = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]
+        rest = [(1, 2), (1, 6), (3, 4), (3, 7), (5, 8), (6, 7), (6, 8), (7, 8)]
+        assert rec.witness == HyperGraph(2, 9, star + rest)
+
+    def test_degree_floor_changes_neither_value_nor_witness(self, monkeypatch):
+        fam = singleton(cycle(4))
+        rec = ex_exact(8, fam)
+        run = tu._Ctx.run
+        monkeypatch.setattr(tu._Ctx, "run", lambda self, search, below=None: run(self, search))
+        plain = ex_exact(8, fam)
+        assert (plain.value, plain.witness) == (rec.value, rec.witness)
+        assert plain.closed_by == rec.closed_by
+        assert rec.nodes < plain.nodes  # 47,219 against 490,505
+
+    @settings(max_examples=150, deadline=None)
+    @given(free_graphs())
+    def test_degree_floor_lemma(self, case):
+        # every F-free G on m vertices has deg(v) >= e(G) - ex(m-1, F)
+        F, m, G = case
+        floor = len(G.edges) - ex_brute(F, m - 1)
+        assert min(G.degrees()) >= floor
+
+    def test_vertex_floor_tables_on_thirty_vertices(self):
+        # 1-uniform families reach many vertices: the packed tables of the
+        # floors grow with the edges, not with the vertex subsets
+        rec = ex_exact(30, singleton(HyperGraph(1, 2, [(0,), (1,)])))
+        assert (rec.status, rec.value) == ("exact", 1)
+        vec, ones, high = tu._vertex_fields(64, 1)
+        assert vec == [1 << 8 * x for x in range(64)] and high == ones << 7
+
     def test_budget_runs_out_in_a_lower_rung(self):
         rungs = {}
-        nodes = tu._climb(range(2, 9), *tu._ex_ladder(GIRTH5), 100, values=rungs)[3]
+        nodes = tu._climb(range(2, 9), *tu._ex_ladder(2, GIRTH5.members), 100, values=rungs)[3]
         assert 8 not in rungs and nodes == 101
         rec = ex_exact(9, GIRTH5, budget=100)
         assert (rec.status, rec.closed_by, rec.nodes) == ("lower_bound_only", "budget", 101)
@@ -242,7 +319,7 @@ class TestLadder:
     def test_budget_sweep(self, n, fam, witness_pass):
         # one budget over the rungs and both passes: it runs out in each phase
         full = ex_exact(n, fam)
-        rung, caps = tu._ex_ladder(fam)
+        rung, caps = tu._ex_ladder(fam.r, fam.members)
         # the nodes spent by the end of the lower rungs and of the top value pass
         lower = tu._climb(range(fam.r, n), rung, caps, None, values={})[3]
         top = tu._climb(range(fam.r, n + 1), rung, caps, None, values={})[3]
