@@ -142,7 +142,7 @@ def max_rainbow_subgraph(chi):
 # -- lower-bound constructions -----------------------------------------------------
 
 
-def build_coloring_fact21(n, t, F, record, certify=True):
+def build_coloring_fact21(n, t, F, record):
     """Rainbow extremal tF-free graph plus one dump color.
 
     Uses ex(n, tF) + 1 colors total and contains no rainbow (t+1)F: at most
@@ -164,16 +164,13 @@ def build_coloring_fact21(n, t, F, record, certify=True):
     for i, e in enumerate(H.edges):
         colors[colex_rank(e)] = i + 1
     chi = EdgeColoring(F.r, n, len(H.edges) + 1, colors)
-    if certify:
-        hit = find_rainbow_copy(chi, disjoint_union(F, t + 1))
-        if hit is not None:
-            raise CertificationError(
-                f"fact21 coloring admits a rainbow {t + 1}x copy: {hit.mapping}"
-            )
+    hit = find_rainbow_copy(chi, disjoint_union(F, t + 1))
+    if hit is not None:
+        raise CertificationError(f"fact21 coloring admits a rainbow {t + 1}x copy: {hit.mapping}")
     return chi
 
 
-def build_coloring_fact31(n, t, F, inner, certify=True):
+def build_coloring_fact31(n, t, F, inner):
     """Keep an inner coloring on the first n-t vertices, make every edge
     meeting the last t vertices a fresh color.
 
@@ -200,12 +197,9 @@ def build_coloring_fact31(n, t, F, inner, certify=True):
             colors.append(nxt)
     chi = EdgeColoring(F.r, n, nxt, colors)
     assert nxt == M + comb(n, F.r) - comb(n - t, F.r)
-    if certify:
-        hit = find_rainbow_copy(chi, disjoint_union(F, t + 2))
-        if hit is not None:
-            raise CertificationError(
-                f"fact31 coloring admits a rainbow {t + 2}x copy: {hit.mapping}"
-            )
+    hit = find_rainbow_copy(chi, disjoint_union(F, t + 2))
+    if hit is not None:
+        raise CertificationError(f"fact31 coloring admits a rainbow {t + 2}x copy: {hit.mapping}")
     return chi
 
 
@@ -254,10 +248,8 @@ def _ar_dfs(search, after, allowed, assign, i, k, free, live, floor, star, commo
     counts per vertex, and ``common[c]`` packs a 1 for each vertex that every
     edge of class c contains.  ``ar_exact`` proves all four sound.
 
-    Both modes try ascending colors, so leaves come in lexicographic order
-    of their restricted growth strings.  First-optimum mode never opens more
-    than best + 1 classes, so its first leaf is the lexicographically least
-    restricted growth string with best + 1 classes.
+    Colors are tried in ascending order, so leaves come in lexicographic
+    order of their restricted growth strings.
     """
     search.tick()
     if k + free <= search.best:
@@ -273,9 +265,8 @@ def _ar_dfs(search, after, allowed, assign, i, k, free, live, floor, star, commo
     if i == len(assign):
         search.offer(k, tuple(assign))
         return
-    top = min(k, search.best) if search.first else k
     here = allowed[i]
-    colors = here & ((2 << top) - 1)
+    colors = here & ((2 << k) - 1)
     if here == -1:
         free -= 1
         if floor is not None:
@@ -384,12 +375,12 @@ class _ArRung:
     """The ``ar`` search context of K_m^r for ``_climb``: the forward-checking
     index of the copies of ``target`` and the lex-leader transpositions.
 
-    ``index`` is built on the first ``run``, so a rung that only gives its
-    start enumerates no copies.  In it, ``after[i]`` lists (last, others) for
-    each copy whose second-largest colex edge is i: its largest edge and its
-    edges below i, and ``allowed`` is the starting color mask of each edge: 0
-    when the edge alone is a copy, else -1.  ``copies(target, m)`` enumerates
-    the copies (``subgraph_copies`` by default).
+    ``index`` is built once, on the first ``start`` or ``run``.  In it,
+    ``after[i]`` lists (last, others) for each copy whose second-largest
+    colex edge is i: its largest edge and its edges below i, and ``allowed``
+    is the starting color mask of each edge: 0 when the edge alone is a copy,
+    else -1.  ``copies(target, m)`` enumerates the copies (``subgraph_copies``
+    by default).
     """
 
     def __init__(self, target, m, copies=None):
@@ -409,27 +400,23 @@ class _ArRung:
                 allowed[last] = 0
         return after, allowed
 
-    def start(self):
-        """No class yet: A >= 0 with no witness."""
-        return 0, None
-
     def live(self):
         """The lex-leader comparisons at the root: none decided yet."""
         return [(p, ends, 0, {}) for p, ends in _transpositions(self.m, self.target.r)]
 
-    def seed(self):
-        """A greedy partition with no rainbow copy, as a restricted growth
-        string, or None.  In colex order each edge takes the highest color its
-        forward-checked mask allows, a fresh class when no copy constrains it,
-        and narrows masks as ``_ar_dfs`` does; at an edge with no allowed
-        color the greedy gives up."""
+    def start(self):
+        """A greedy partition with no rainbow copy, as (classes, restricted
+        growth string), or (0, None).  In colex order each edge takes the
+        highest color its forward-checked mask allows, a fresh class when no
+        copy constrains it, and narrows masks as ``_ar_dfs`` does; at an edge
+        with no allowed color the greedy gives up."""
         after, allowed = self.index
         allowed = list(allowed)
         assign, k = [], 0
         for i in range(self.E):
             colors = allowed[i] & ((2 << k) - 1)
             if not colors:
-                return None
+                return 0, None
             c = colors.bit_length() - 1
             assign.append(c)
             k += c == k
@@ -440,20 +427,12 @@ class _ArRung:
                     mask |= 1 << assign[e]
                 if mask.bit_count() == len(others) and not mask & bit:
                     allowed[last] &= mask | bit
-        return tuple(assign)
+        return k, tuple(assign)
 
     def run(self, search, below=None):
-        """Run ``search`` over every edge of the host.  A value pass first
-        raises ``best`` to the classes of the ``seed``, with the seed as its
-        incumbent (not a leaf of the search), and ends at once when that meets
-        its cap.  ``below`` = A(m-1) turns on the star floor (``ar_exact``)."""
+        """Run ``search`` over every edge of the host.  ``below`` = A(m-1)
+        turns on the star floor (``ar_exact``)."""
         after, allowed = self.index
-        if not search.first:
-            rgs = self.seed()
-            if rgs is not None and max(rgs) + 1 > search.best:
-                search.best, search.incumbent = max(rgs) + 1, rgs
-                if search.cap is not None and search.best >= search.cap:
-                    return search
         free = [j for j, a in enumerate(allowed) if a == -1]
         floor, star = None, 0
         if below is not None:
@@ -495,12 +474,11 @@ def ar_exact(n, t, F, budget=None):
     """Exact ar(n, tF): max color classes of a no-rainbow-tF partition, plus one.
 
     Enumerates restricted growth strings over the colex edge order, least
-    first.  One sequential search runs in two modes.  The value pass starts
-    from a greedy seed (``_ArRung.seed``), whose forward checking is the
-    search's own, so its classes are a lower bound on A, and finds the
-    maximum A.  The witness is the lexicographically least maximizer: the
-    value pass's last incumbent when it beats the seed, else the first leaf
-    of the witness pass, which starts from A-1 (``_climb`` proves this).
+    first, in one sequential value pass per rung.  A pass starts from a
+    greedy seed (``_ArRung.start``), whose forward checking is the search's
+    own, so its classes are a lower bound on A, and finds the maximum A.  The
+    witness is the lexicographically least maximizer, the last incumbent of
+    the top pass, which starts one below its seed (``_climb`` proves this).
 
     Edge j may take color c unless c completes a rainbow copy whose largest
     edge is j.  The search settles each copy by forward checking at its
@@ -521,7 +499,7 @@ def ar_exact(n, t, F, budget=None):
     ``best``, so it changes neither the value nor the first leaf above
     ``best``, the witness.
 
-    Both passes skip partitions that are not lex-leaders (Crawford, Ginsberg,
+    Every pass skips partitions that are not lex-leaders (Crawford, Ginsberg,
     Luks and Roy 1996).  A vertex permutation s of K_n^r maps a partition a
     to a.s, edge j taking the class of edge s(j); write R(a.s) for its
     restricted growth string.  For each adjacent transposition s = (v v+1)
@@ -532,16 +510,16 @@ def ar_exact(n, t, F, budget=None):
     its image, and a leaf survives iff a <= R(a.s) for every such s; a
     string that passes at its leaf passes at every prefix.  s permutes the
     copies of tF, so a.s has the classes of a and no rainbow tF when a has
-    none.  Value pass: every partition's orbit under S_n holds a
+    none.  Value: every partition's orbit under S_n holds a
     lexicographically least string w, and w <= R(w.s) for every s, so w
     survives; the forward-checking and bound prunes keep it as they keep
     every leaf above ``best``, so every orbit that beats ``best`` keeps a
-    leaf and the value is unchanged.  Witness pass: the least string w with
-    A classes and no rainbow tF satisfies w <= R(w.s) for every s, as R(w.s)
-    is such a string too.  So w survives, and the first leaf above A-1 is
-    still w: the witness is unchanged.
+    leaf and the value is unchanged.  Witness: the least string w with A
+    classes and no rainbow tF satisfies w <= R(w.s) for every s, as R(w.s)
+    is such a string too.  So w survives, and the first leaf with A is still
+    w: the witness is unchanged.
 
-    Both passes on rung m also prune by a star floor from below = A(m-1).
+    The pass on rung m also prunes by a star floor from below = A(m-1).
     Lemma: a partition chi of K_m^r with A* classes and no rainbow tF has,
     for every vertex v, at least A* - A(m-1) classes whose edges all contain
     v (wholly inside star(v)).  Deleting v leaves a partition chi-v of
@@ -554,9 +532,8 @@ def ar_exact(n, t, F, budget=None):
     that sum falls below best + 1 - below at some vertex holds no leaf above
     ``best``.  Like the bound prune, the star floor keeps every leaf above
     ``best``, so it changes neither the value nor the witness, and the
-    lex-leader argument above holds with it.  ``_climb`` gives below to
-    every pass on rung m, the witness pass on rung n included, unless rung
-    m-1 is trivial.
+    lex-leader argument above holds with it.  ``_climb`` gives below to the
+    pass on rung m unless rung m-1 is trivial.
 
     The value pass stops at a proven cap on A(n) (``_ar_ladder``), the
     sandwich ex(n, tF) or the averaging cap from A(n-1): a values-only
@@ -566,10 +543,10 @@ def ar_exact(n, t, F, budget=None):
     ``closed_by`` names the cap reached (the sandwich first on a tie), or
     ``search`` when the value pass ran to the end.
 
-    ``nodes`` counts both ladders and both passes and is the same on every
-    run; ``budget`` caps all of them together.  When it runs out the record
-    degrades to bounds(lo, hi), one above the bounds on A that ``_climb``
-    returns, with its incumbent as witness.
+    ``nodes`` counts both ladders and is the same on every run; ``budget``
+    caps them together.  When it runs out the record degrades to bounds(lo,
+    hi), one above the bounds on A that ``_climb`` returns, with its
+    incumbent as witness: the top rung's seed when it runs out below the top.
     """
     if t < 1:
         raise ValueError("t = 0 tilings are rejected (rainbow copy would be vacuous)")

@@ -135,11 +135,14 @@ def _copy_masks(members, n, copies=None):
             edgeless = True
         for cp in (copies or subgraph_copies)(m, n):
             masks.add(sum(1 << i for i in cp))
-    # drop masks that contain another mask (dominated constraints)
-    order = sorted(masks, key=lambda x: x.bit_count())
-    kept = []
-    for x in order:
-        if not any(y & x == y for y in kept):
+    # drop masks that contain another mask (dominated constraints); two
+    # distinct masks of one size contain neither, so each mask is compared
+    # only with the kept masks of fewer edges
+    kept, size, fewer = [], 0, 0
+    for x in sorted(masks, key=int.bit_count):
+        if x.bit_count() > size:
+            size, fewer = x.bit_count(), len(kept)
+        if not any(y & x == y for y in kept[:fewer]):
             kept.append(x)
     return kept, edgeless
 
@@ -206,37 +209,31 @@ class TuranRecord:
 
 
 class _Stop(Exception):
-    """Ends a search: the node budget is spent, or the first optimum is found."""
+    """Ends a search: the node budget is spent, or the incumbent reaches the cap."""
 
 
 class _Search:
     """Incumbent and node count of one sequential depth-first search.
 
-    Value mode: ``best`` starts at a known lower bound and the search runs to
-    the end, or until the incumbent reaches ``cap``, a proven upper bound.
-    First-optimum mode (``first=True``): ``best`` starts at value-1 and the
-    search stops at the first leaf that beats it, so the incumbent is the
-    first optimum in decision order.  Searches call ``offer`` only with
-    k > best, at a leaf; ``found`` says whether one did.  ``nodes`` starts at
-    the nodes already spent, so that ``budget`` caps the total of a sequence
-    of searches.
+    ``best`` starts at a known lower bound and the search runs to the end, or
+    until the incumbent reaches ``cap``, a proven upper bound.  Searches call
+    ``offer`` only with k > best, at a leaf.  ``nodes`` starts at the nodes
+    already spent, so that ``budget`` caps the total of a sequence of
+    searches.
     """
 
-    def __init__(self, best, incumbent=None, budget=None, first=False, cap=None, nodes=0):
+    def __init__(self, best, incumbent=None, budget=None, cap=None, nodes=0):
         self.best = best
         self.incumbent = incumbent
         self.budget = budget
-        self.first = first
         self.cap = cap
         self.nodes = nodes
         self.truncated = False
-        self.found = False
 
     def offer(self, k, incumbent):
         self.best = k
         self.incumbent = incumbent
-        self.found = True
-        if self.first or (self.cap is not None and k >= self.cap):
+        if self.cap is not None and k >= self.cap:
             raise _Stop
 
     def tick(self):
@@ -250,9 +247,7 @@ class _Search:
         try:
             dfs(self, *args)
         except _Stop:
-            return self
-        if self.first:
-            raise RuntimeError("witness pass found no optimum (value inconsistent)")
+            pass
         return self
 
 
@@ -441,56 +436,57 @@ def _ex_ladder(r, members, copies=None):
 
 
 def _climb(ms, rung, caps, budget, nodes=0, values=None):
-    """Value passes up the rungs m of ``ms`` (ascending, top last), then the
-    witness pass on the top rung.  Returns (value, incumbent, hi, nodes, closed_by).
+    """One value pass per rung m of ``ms`` (ascending, top last); the top
+    pass also yields the witness.  Returns (value, incumbent, hi, nodes,
+    closed_by).
 
     ``rung(m)`` is rung m's value when no search is needed, else a context
-    with ``E`` (its edge count), ``start()`` (a feasible (best, incumbent))
-    and ``run(search, below)``.  ``caps(m, below)`` names proven caps on rung
-    m from the value of the rung below; the first rung is trivial, or its
-    caps need none.  A value pass starts from ``start()`` and stops once its
-    incumbent reaches the least cap; it is skipped when the start does.  By
-    induction every rung is exact, as it reaches its cap or runs to the end,
-    and stopping at a cap drops only subtrees with no leaf above ``best``.
-    The rungs read and write no cache (a cached record proves only a lower
-    bound, so it cannot cap anything), and the witness is taken on the top
-    rung only, so the ladder changes neither value nor witness.
-    ``closed_by`` names the first cap the value meets, or ``search``.
+    with ``E`` (its edge count), ``start()`` (the solver's greedy, a feasible
+    (best, incumbent)) and ``run(search, below)``.  ``caps(m, below)`` names
+    proven caps on rung m from the value of the rung below; the first rung is
+    trivial, or its caps need none.  A pass below the top starts from
+    ``start()`` and stops once its incumbent reaches the least cap; it is
+    skipped when the start does.  By induction every rung is exact, as it
+    reaches its cap or runs to the end, and stopping at a cap drops only
+    subtrees with no leaf above ``best``.  The rungs read and write no cache
+    (a cached record proves only a lower bound, so it cannot cap anything),
+    and the witness is taken on the top rung only, so the ladder changes
+    neither value nor witness.  ``closed_by`` names the first cap the value
+    meets, or ``search``.
 
-    Each pass on rung m, the top witness pass included, also gets the value
-    of rung m-1 as ``below``, for the vertex floors of the solvers, which
-    prune only subtrees with no leaf above ``best``.  It gets None when rung
-    m-1 is trivial: a trivial value of C(m-1, r) gives a floor that only
-    restates that at most C(m-1, r) edges, or classes, avoid a vertex, which
-    costs more time than it prunes (and a value of 0 caps rung m at 0).
+    Each pass on rung m also gets the value of rung m-1 as ``below``, for the
+    vertex floors of the solvers, which prune only subtrees with no leaf
+    above ``best``.  It gets None when rung m-1 is trivial: a trivial value
+    of C(m-1, r) gives a floor that only restates that at most C(m-1, r)
+    edges, or classes, avoid a vertex, which costs more time than it prunes
+    (and a value of 0 caps rung m at 0).
 
-    The witness is the first leaf with the value in the search's decision
-    order, which the witness pass finds from value-1.  It is run only when the
-    top value pass found no leaf (``_Search.found``), because otherwise its
-    last incumbent is that leaf already.  Proof: in both solvers a value pass
-    and the witness pass walk one tree in one order.  The rules that do not
-    read ``best`` (symmetry breaking, forward checking) are shared; those
-    that do drop only subtrees with no leaf above ``best``, or, in the
-    witness pass, with no leaf at all.  A value pass offers only leaves above
-    ``best``, so one that found a leaf started below the value V.  Let w be
-    the first leaf with V.  Every leaf before w has fewer than V, so
-    ``best`` < V on the whole path to w, no prune drops w (its subtree holds a
-    leaf with V) and no cap stops the pass before it (a cap is at least V,
-    and only a leaf that reaches it stops the pass).  So w is offered, and no
-    later leaf beats V.  A pass whose start, or seed, already met V found no
-    leaf, and the witness pass runs.
+    The witness is the first leaf with the value V in the search's decision
+    order.  The top pass starts at s-1 for a start s > 0, with the start as
+    its incumbent, so it also offers a leaf equal to s, and its last
+    incumbent is that first leaf.  Proof: the rules that do not read
+    ``best`` (symmetry breaking, forward checking) fix the tree and the order
+    of its leaves; those that do drop only subtrees with no leaf above
+    ``best``.
+    Let w be the first leaf with V.  Every leaf before w has fewer than V,
+    and the pass starts below V (s <= V), so ``best`` < V on the whole path
+    to w, no prune drops w (its subtree holds a leaf with V) and no cap stops
+    the pass before it (a cap is at least V, and only a leaf that reaches it
+    stops the pass).  So w is offered, and no later leaf beats V.  When V = 0
+    there is no leaf to offer and the incumbent stays the start's.
 
     ``nodes`` counts every pass on top of the nodes given; ``budget`` caps the
     total.  When it runs out, closed_by is ``budget``, (value, incumbent) a
     lower bound and hi an upper bound:
 
     - out below the top rung (or before the climb): the top rung's start, E;
-    - out in the top value pass: its incumbent, and its cap;
-    - out in the witness pass: the value pass's incumbent, and the value.
+    - out in the top pass: the larger of its ``best`` and the start, its
+      incumbent (the start's until it offers a leaf), and its cap.
 
     A dict ``values`` makes the climb values-only: it records m -> value for
-    every rung it proves and runs no witness pass.  Out below the top rung it
-    returns only ``nodes`` and ``budget``, and never builds the top rung.
+    every rung it proves and starts the top pass from ``start()`` as well.
+    Out below the top rung it returns only ``nodes`` and ``budget``, and
+    never builds the top rung.
     """
     top, below, searched = ms[-1], None, False
     for m in ms:
@@ -504,43 +500,36 @@ def _climb(ms, rung, caps, budget, nodes=0, values=None):
             below, searched = ctx, False
         else:
             named, floor = caps(m, below), below if searched else None
-            search = _Search(*ctx.start(), budget, cap=min(named.values()), nodes=nodes)
+            start, incumbent = ctx.start()
+            best = start - 1 if start and m == top and values is None else start
+            search = _Search(best, incumbent, budget, cap=min(named.values()), nodes=nodes)
             if search.best < search.cap:
                 ctx.run(search, floor)
             nodes = search.nodes
             if search.truncated:
                 if m < top:
                     continue  # the budget check above ends the climb
-                return search.best, search.incumbent, search.cap, nodes, "budget"
+                return max(search.best, start), search.incumbent, search.cap, nodes, "budget"
             below, searched = search.best, True
         if values is not None:
             values[m] = below
     if values is not None:
         return below, None, below, nodes, None
-    value, incumbent = below, search.incumbent
-    closed_by = next((name for name, cap in named.items() if cap == value), "search")
-    if value and not search.found:  # a value of 0 leaves no optimum to look for
-        witness = ctx.run(_Search(value - 1, budget=budget, first=True, nodes=nodes), floor)
-        nodes = witness.nodes
-        if witness.truncated:
-            return value, incumbent, value, nodes, "budget"
-        incumbent = witness.incumbent
-    return value, incumbent, value, nodes, closed_by
+    closed_by = next((name for name, cap in named.items() if cap == below), "search")
+    return below, search.incumbent, below, nodes, closed_by
 
 
 def ex_exact(n, fam, budget=None):
     """Exact ex(n, fam) with an extremal witness.
 
-    One sequential branch and bound, run in two modes.  The value pass starts
+    One sequential branch and bound, one value pass per rung.  A pass starts
     from a greedy incumbent and proves the optimum.  The witness is the first
     optimum in include-first colex order: among the optima that contain edge
     0, the one whose indicator vector, read by ascending colex rank, is
-    lexicographically greatest.  The value pass meets it as its last
-    incumbent whenever it beats the greedy start; only when the greedy start
-    is optimal does the witness pass run, from value-1 to its first leaf
-    (``_climb`` proves this).
+    lexicographically greatest.  It is the last incumbent of the top pass,
+    which starts one below its greedy start (``_climb`` proves this).
 
-    Both passes fix edge 0 in (K_n^r is edge-transitive) and admit as second
+    Every pass fixes edge 0 in (K_n^r is edge-transitive) and admits as second
     included edge only the least edge of each orbit of the stabilizer of edge
     0 (orderly generation, McKay 1998).  That witness passes the rule: an
     optimum whose second edge lay above its orbit minimum would map to one
@@ -549,13 +538,13 @@ def ex_exact(n, fam, budget=None):
 
     The value pass stops at the averaging bound (``_ex_ladder``), which needs
     the exact ex(n-1), so ``_climb`` runs capped value passes up the rungs
-    m = r..n in memory before the witness pass.  ``closed_by`` says whether
-    the bound (``kns``) or the end of the search (``search``) proved the
-    value.  ``nodes`` counts the rungs and both passes and is the same on
+    m = r..n in memory, the witness coming from the top one.  ``closed_by``
+    says whether the bound (``kns``) or the end of the search (``search``)
+    proved the value.  ``nodes`` counts every rung's pass and is the same on
     every run; ``budget`` caps their total, and when it runs out the status
     is ``lower_bound_only`` with the incumbent ``_climb`` returns as witness.
 
-    Both passes on rung m also prune by a degree floor from below = ex(m-1)
+    The pass on rung m also prunes by a degree floor from below = ex(m-1)
     (Garnick, Kwong and Lazebnik 1993 use it to compute ex(n, {C3, C4})).
     Lemma: every fam-free G on m vertices has deg(v) >= e(G) - ex(m-1) at
     every vertex v, because G-v has e(G) - deg(v) edges and is fam-free on
@@ -565,8 +554,7 @@ def ex_exact(n, fam, budget=None):
     fewer than best + 1 - below included and undecided edges holds no leaf
     above ``best``, and pruning it changes neither the value nor the first
     leaf above ``best``, the witness (``_climb``).  ``_climb`` gives below to
-    every pass on rung m, the witness pass on rung n included, unless rung
-    m-1 is trivial.
+    the pass on rung m unless rung m-1 is trivial.
     """
     r = fam.r
     if n < r:

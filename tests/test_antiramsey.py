@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rainbowlab import antiramsey, turan
+from rainbowlab import turan
 from rainbowlab.antiramsey import (
     ArTable,
     CertificationError,
@@ -92,6 +93,14 @@ def ladder_caps(n, target):
     if n > r:
         nodes = _climb(range(r, n), rung, caps, None, nodes, values=A)[3]
     return caps(n, A.get(n - 1)), nodes
+
+
+def first_leaf(ctx):
+    """The value and witness of one rung of either solver, from two searches
+    with no cap from the ladder: a value pass from the start, then a search
+    from value-1 that stops at its first leaf."""
+    value = ctx.run(_Search(*ctx.start())).best
+    return value, ctx.run(_Search(value - 1, cap=value)).incumbent
 
 
 def assert_rainbow_copy(chi, target, emb):
@@ -472,42 +481,68 @@ class TestArExact:
                     assert verify_no_rainbow(rec.witness, F, t)
             assert ar_exact(n, t, F, budget=full.nodes) == full
 
-    def test_budget_out_below_the_top_enumerates_no_copies_there(self, monkeypatch):
-        hosts = []
-
-        def counted(target, m):
-            hosts.append(m)
-            return subgraph_copies(target, m)
-
-        monkeypatch.setattr(antiramsey, "subgraph_copies", counted)
-        rec = ar_exact(6, 1, C4, budget=0)
-        assert (rec.status, rec.lo, rec.hi, rec.witness) == ("bounds", 1, comb(6, 2) + 1, None)
-        assert hosts and 6 not in hosts
+    def test_budget_out_below_the_top_returns_the_top_seed(self):
+        # as ex_exact returns its greedy start: lo is one above the classes
+        # of the top rung's seed, and the seed is the witness
+        for n, t, F in ((6, 1, C4), (5, 1, K3), (6, 2, K3)):
+            rec = ar_exact(n, t, F, budget=0)
+            classes, rgs = _ArRung(disjoint_union(F, t), n).start()
+            assert (rec.status, rec.closed_by) == ("bounds", "budget")
+            assert (rec.lo, rec.hi) == (classes + 1, comb(n, F.r) + 1)
+            assert rec.witness.colors == tuple(c + 1 for c in rgs)
+            assert verify_no_rainbow(rec.witness, F, t)
 
     @settings(max_examples=200, deadline=None)
     @given(small_tilings())
     def test_greedy_seed_has_no_rainbow_copy(self, case):
         F, t, n = case
-        rgs = _ArRung(disjoint_union(F, t), n).seed()
+        classes, rgs = _ArRung(disjoint_union(F, t), n).start()
         if rgs is not None:
-            assert _rgs([c + 1 for c in rgs]) == rgs
+            assert _rgs([c + 1 for c in rgs]) == rgs and classes == max(rgs) + 1
             chi = EdgeColoring(F.r, n, max(rgs) + 1, [c + 1 for c in rgs])
             assert verify_no_rainbow(chi, F, t)
 
-    def test_witness_pass_runs_only_when_the_value_pass_found_no_leaf(self, monkeypatch):
-        firsts = []
+    def test_one_search_per_searched_rung(self, monkeypatch):
+        # in each call the top rung's start is optimal already, and its one
+        # pass still yields the first leaf with the value
+        calls = [(6, 2, K3), (6, 1, K3), (6, 2, E3), (6, None, C4)]
+        rungs = [
+            _ArRung(disjoint_union(F, t), n) if t else turan._ex_ladder(2, [F])[0](n)
+            for n, t, F in calls
+        ]
+        expected = [first_leaf(rung) for rung in rungs]
+        assert [rung.start()[0] for rung in rungs] == [value for value, _ in expected]
+        searches, starts, runs = [], [], []
 
         class Recorded(_Search):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                firsts.append(self.first)
+                searches.append(self)
 
         monkeypatch.setattr(turan, "_Search", Recorded)
-        ar_exact(6, 1, K4)  # the value pass finds the witness
-        assert firsts and not any(firsts)
-        firsts.clear()
-        ar_exact(6, 2, K3)  # the greedy seed has the value already
-        assert firsts.count(True) == 1
+        for ctx in (_ArRung, turan._Ctx):
+            start, run = ctx.start, ctx.run
+            monkeypatch.setattr(
+                ctx, "start", lambda self, start=start: starts.append(self) or start(self)
+            )
+            monkeypatch.setattr(
+                ctx, "run", lambda self, *args, run=run: runs.append(self) or run(self, *args)
+            )
+        for (n, t, F), (value, incumbent) in zip(calls, expected):
+            for seen in (searches, starts, runs):
+                seen.clear()
+            if t:
+                rec = ar_exact(n, t, F)
+                assert rec.value == value + 1
+                assert rec.witness.colors == tuple(c + 1 for c in incumbent)
+            else:
+                rec = ex_exact(n, singleton(F))
+                edges = all_edges_colex(n, 2)
+                witness = [e for i, e in enumerate(edges) if incumbent >> i & 1]
+                assert (rec.value, rec.witness.edges) == (value, tuple(witness))
+            # one search built per searched rung; each run once, the top included
+            assert len(searches) == len(starts) == len(set(starts))
+            assert len(runs) == len(set(runs)) and runs[-1] is starts[-1]
 
     @settings(max_examples=300, deadline=None)
     @given(PARTITIONS_K5)
@@ -548,7 +583,7 @@ class TestArExact:
 
     @pytest.mark.parametrize(
         "n, t, F, most, capped",
-        # measured 4,232, 5,165, 686, 3,547, 1,886 and 2,499 nodes; with the
+        # measured 1,759, 236, 686, 3,547, 1,886 and 1,130 nodes; with the
         # value pass trying the fresh class first, no greedy seed and a
         # witness pass on every call 7,040, 17,274, 707, 6,571, 3,544 and
         # 3,559; without the lex-leader rule as well 22,017, 74,704, 6,360,
@@ -570,9 +605,7 @@ class TestArExact:
         if capped:
             assert rec.closed_by in ("sandwich", "averaging")
         # the same value and witness from passes run without a cap
-        rung = _ArRung(disjoint_union(F, t), n)
-        A = rung.run(_Search(*rung.start())).best
-        rgs = rung.run(_Search(A - 1, first=True)).incumbent
+        A, rgs = first_leaf(_ArRung(disjoint_union(F, t), n))
         assert rec.value == A + 1
         assert rec.witness.colors == tuple(c + 1 for c in rgs)
 
@@ -613,7 +646,7 @@ class TestArExact:
         assert verify_no_rainbow(rec.witness, F, 1)
 
     def test_seven_vertex_double_triangle(self):
-        # ar(7, 2K3): 49,633 nodes; 8,009,288 without the star floor, same
+        # ar(7, 2K3): 49,710 nodes; 8,009,288 without the star floor, same
         # witness
         rec = ar_exact(7, 2, K3)
         assert (rec.value, rec.status, rec.closed_by) == (14, "exact", "search")
@@ -655,8 +688,16 @@ class TestArExact:
         rec = ar_exact(30, 2, HyperGraph(1, 1, [(0,)]))
         assert (rec.status, rec.value) == ("exact", 2)
 
+    def test_one_uniform_tiling_on_thirty_two_vertices(self):
+        # 4,960 copies of 3K_1^1 on the top rung, all of one size: the copy
+        # masks need no dominance scan (5 s when every pair was compared)
+        start = time.perf_counter()
+        rec = ar_exact(32, 1, HyperGraph(1, 3, [(0,), (1,), (2,)]))
+        assert time.perf_counter() - start < 1
+        assert (rec.status, rec.value) == ("exact", 3)
+
     def test_tetrahedron(self):
-        # ar(6, K4^3), the paper's headline case: 14,578 nodes; 1,655,259
+        # ar(6, K4^3), the paper's headline case: 16,649 nodes; 1,655,259
         # without the star floor, 2,243,451 with the value pass trying the
         # fresh class first and no greedy seed as well, 52,518,436 without
         # the lex-leader rule as well; the witness is the one found then

@@ -42,7 +42,7 @@ from rainbowlab.turan import (
 )
 from helpers import copies_brute
 from test_acceptance import _dual_oracle_matrix
-from test_antiramsey import CAP_SHAPES
+from test_antiramsey import CAP_SHAPES, first_leaf
 
 
 K3 = complete_graph(3)
@@ -136,6 +136,16 @@ class TestCopies:
             copies = subgraph_copies(F, n)
             assert len(set(copies)) == len(copies)
             assert set(copies) == copies_brute(F, n), n
+
+    def test_copy_masks_drop_exactly_the_dominated_masks(self):
+        # {K3, K4} on 6 vertices: 35 masks, of which the 20 triangles contain
+        # no other; kept in order of size
+        fam = [K3, complete_graph(4)]
+        masks = {sum(1 << i for i in cp) for F in fam for cp in copies_brute(F, 6)}
+        brute = {x for x in masks if not any(y != x and y & x == y for y in masks)}
+        kept, edgeless = tu._copy_masks(fam, 6)
+        assert (len(masks), len(kept), set(kept), edgeless) == (35, 20, brute, False)
+        assert [x.bit_count() for x in kept] == sorted(x.bit_count() for x in kept)
 
 
 class TestDualOracle:
@@ -243,11 +253,9 @@ class TestLadder:
 
     @staticmethod
     def uncapped(n, fam):
-        """Value and witness of the two passes run without the averaging cap."""
+        """Value and witness from searches run without the averaging cap."""
         edges = all_edges_colex(n, fam.r)
-        ctx = tu._ex_ladder(fam.r, fam.members)[0](n)
-        value = ctx.run(tu._Search(*ctx.start())).best
-        mask = ctx.run(tu._Search(value - 1, first=True)).incumbent
+        value, mask = first_leaf(tu._ex_ladder(fam.r, fam.members)[0](n))
         return value, HyperGraph(fam.r, n, [e for i, e in enumerate(edges) if mask >> i & 1])
 
     @pytest.mark.parametrize(
@@ -307,39 +315,33 @@ class TestLadder:
         assert not contains_member(rec.witness, GIRTH5)
 
     @pytest.mark.parametrize(
-        "n, fam, witness_pass",
+        "n, fam",
         [
-            (7, singleton(K3), False),
-            (8, GIRTH5, False),
-            (6, singleton(HyperGraph(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])), False),
-            (6, singleton(cycle(4)), True),
+            (7, singleton(K3)),
+            (8, GIRTH5),
+            (6, singleton(HyperGraph(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)]))),
+            (6, singleton(cycle(4))),
         ],
         ids=["K3", "girth5", "K4^3-", "C4"],
     )
-    def test_budget_sweep(self, n, fam, witness_pass):
-        # one budget over the rungs and both passes: it runs out in each phase
+    def test_budget_sweep(self, n, fam):
+        # one budget over the rungs: it runs out below the top and in the top pass
         full = ex_exact(n, fam)
         rung, caps = tu._ex_ladder(fam.r, fam.members)
-        # the nodes spent by the end of the lower rungs and of the top value pass
+        # the nodes spent by the end of the lower rungs
         lower = tu._climb(range(fam.r, n), rung, caps, None, values={})[3]
-        top = tu._climb(range(fam.r, n + 1), rung, caps, None, values={})[3]
-        # the witness pass runs only when the top value pass found no leaf,
-        # its greedy start being optimal already
-        assert 0 < lower < top <= full.nodes
-        assert (top < full.nodes) == witness_pass
-        assert (rung(n).start()[0] == full.value) == witness_pass
-        for budget in (0, 1, lower - 1, (lower + top) // 2, top, full.nodes - 1):
+        start = rung(n).start()[0]
+        assert 0 < lower < full.nodes
+        for budget in (0, 1, lower - 1, lower, (lower + full.nodes) // 2, full.nodes - 1):
             if budget >= full.nodes:
                 continue
             rec = ex_exact(n, fam, budget=budget)
             assert (rec.status, rec.closed_by) == ("lower_bound_only", "budget")
             assert rec.nodes == budget + 1
             assert verify_witness(rec, fam)
-            assert len(rec.witness.edges) == rec.value <= full.value
+            assert start <= len(rec.witness.edges) == rec.value <= full.value
             if budget < lower:  # the greedy start of the top rung
-                assert rec.value == rung(n).start()[0]
-            if budget >= top:  # only the witness pass ran out: the value is proven
-                assert rec.value == full.value
+                assert rec.value == start
         assert ex_exact(n, fam, budget=full.nodes) == full
 
     def test_closed_by(self):
