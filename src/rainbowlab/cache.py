@@ -127,6 +127,8 @@ def ar_record_from_text(text):
         if len(bounds) != 3:
             raise CacheError(f"malformed bounds status {status!r}")
         status, lo, hi = "bounds", _int(bounds[1]), _int(bounds[2])
+        if not lo == _int(value) <= hi:
+            raise CacheError(f"bounds {lo}:{hi} do not hold value={value}")
     elif status != "exact":
         raise CacheError(f"unknown AR status {status!r}")
     witness = None if body == "nowitness\n" else coloring_from_text(body)
@@ -222,7 +224,7 @@ class Cache:
             if not verify_no_rainbow(w, F, t):
                 raise CacheError(f"witness verification failed for {path}")
             return rec
-        if rec.is_exact() and rec.value != 1:
+        if rec.value != 1:
             raise CacheError(f"missing witness for {path}")
         return replace(rec, r=F.r)
 

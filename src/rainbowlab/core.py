@@ -446,12 +446,9 @@ class Embedding:
     def image_edges(self, F):
         return [tuple(sorted(self.mapping[v] for v in e)) for e in F.edges]
 
-    def check(self, F, H, forbidden=()):
+    def check(self, F, H):
         m = self.mapping
-        if len(m) != F.n or len(set(m)) != F.n:
-            return False
-        bad = set(forbidden)
-        if any(w in bad or not 0 <= w < H.n for w in m):
+        if len(m) != F.n or len(set(m)) != F.n or not all(0 <= w < H.n for w in m):
             return False
         return all(H.has_edge(e) for e in self.image_edges(F))
 
@@ -498,17 +495,15 @@ def _pattern_order(F):
     return order
 
 
-def iter_embeddings(F, H, forbidden=()):
-    """Yield every embedding of F into H avoiding ``forbidden`` (exhaustive).
+def iter_embeddings(F, H):
+    """Yield every embedding of F into H (exhaustive).
 
     Backtracking over a connectivity-aware static vertex order with degree and
     edge-completion pruning; for hosts with n <= 64 candidate sets are bitsets.
     """
     if F.r != H.r:
         raise ValueError(f"uniformity mismatch: {F.r} vs {H.r}")
-    bad = set(forbidden)
-    allowed = [w for w in range(H.n) if w not in bad]
-    if F.n > len(allowed):
+    if F.n > H.n:
         return
     degs_F = F.degrees()
     degs_H = H.degrees()
@@ -519,13 +514,10 @@ def iter_embeddings(F, H, forbidden=()):
     for e in F.edges:
         k = max(pos_in_order[v] for v in e)
         checks[k].append(e)
-    allowed_mask = 0
-    for w in allowed:
-        allowed_mask |= 1 << w
     degok = [0] * F.n
     for v in range(F.n):
         mask = 0
-        for w in allowed:
+        for w in range(H.n):
             if degs_H[w] >= degs_F[v]:
                 mask |= 1 << w
         degok[v] = mask
@@ -541,7 +533,7 @@ def iter_embeddings(F, H, forbidden=()):
 
     def candidates(k):
         u = order[k]
-        mask = allowed_mask & ~used & degok[u]
+        mask = degok[u] & ~used
         for e in checks[k]:
             key = tuple(sorted(mapping[x] for x in e if x != u))
             mask &= completions.get(key, 0)
@@ -569,9 +561,9 @@ def iter_embeddings(F, H, forbidden=()):
     yield from rec(0)
 
 
-def find_embedding(F, H, forbidden=()):
-    """First embedding of F into H avoiding ``forbidden``, or None (exhaustive)."""
-    return next(iter_embeddings(F, H, forbidden), None)
+def find_embedding(F, H):
+    """First embedding of F into H, or None (exhaustive)."""
+    return next(iter_embeddings(F, H), None)
 
 
 def contains_member(H, fam):

@@ -171,11 +171,7 @@ def ex_enumerate(n, fam):
     for c in masks:
         cc = np.uint32(c)
         good &= (universe & cc) != cc
-    if hasattr(np, "bitwise_count"):
-        counts = np.bitwise_count(universe).astype(np.int16)
-    else:  # numpy < 2: popcount via 10-bit halves
-        table = np.array([bin(i).count("1") for i in range(1 << 10)], dtype=np.int16)
-        counts = table[universe & 0x3FF] + table[(universe >> 10) & 0x3FF]
+    counts = np.bitwise_count(universe).astype(np.int16)
     counts[~good] = -1
     best = int(counts.max())
     idx = int(np.argmax(counts))
@@ -270,7 +266,14 @@ def _vertex_fields(m, r):
 
 class _Ctx:
     """Immutable search data of one ex(n, fam) problem, from the masks of the
-    copies in K_n^r."""
+    copies in K_n^r.
+
+    ``cmax[i]`` lists, with bit i cleared, the copies whose largest edge is i.
+    ``pack[i]`` is the mask of the packed copy holding edge i, or 0 when edge
+    i is in none, for a greedy packing of ``packs`` edge-disjoint copies (the
+    packing bound of ``ex_exact``).  ``ok_second[i]`` says whether edge i may
+    be the second included edge.
+    """
 
     def __init__(self, n, r, masks):
         edges = all_edges_colex(n, r)
@@ -280,22 +283,16 @@ class _Ctx:
         for m in masks:
             top = m.bit_length() - 1
             self.cmax[top].append(m ^ (1 << top))
-        # greedy edge-disjoint packing of copies for the counting bound
-        self.pack_of = [-1] * E
-        sizes = []
+        self.pack = [0] * E
+        self.packs = 0
         used = 0
         for m in sorted(masks, key=lambda x: (x.bit_count(), x)):
-            if m & used:
-                continue
-            pid = len(sizes)
-            sizes.append(m.bit_count())
-            used |= m
-            mm = m
-            while mm:
-                low = mm & -mm
-                self.pack_of[low.bit_length() - 1] = pid
-                mm ^= low
-        self.pack_size = sizes
+            if not m & used:
+                used |= m
+                self.packs += 1
+                for i in range(m.bit_length()):
+                    if m >> i & 1:
+                        self.pack[i] = m
         # orbit-minimal candidates for the second included edge (the
         # stabilizer of edge 0 classifies edges by their intersection size with it)
         e0 = set(edges[0])
@@ -316,74 +313,45 @@ class _Ctx:
 
     def run(self, search, below=None):
         """Run the include-first search from the root, where edge 0 is fixed
-        in.  ``below`` = ex(n-1) turns on the degree floor (``ex_exact``)."""
-        inc = [0] * len(self.pack_size)
-        und = list(self.pack_size)
-        p = self.pack_of[0]
-        if p >= 0:
-            inc[p] += 1
-            und[p] -= 1
-        unpacked = self.pack_of[1:].count(-1)
-        return search.run(_dfs, self, 1, 1, 1, inc, und, unpacked, True, self.full, below)
+        in and every pack is intact, so the packing bound is E - packs.
+        ``below`` = ex(n-1) turns on the degree floor (``ex_exact``)."""
+        return search.run(_dfs, self, 1, 1, 1, self.E - self.packs, self.full, below)
 
 
-def _dfs(search, ctx, i, chosen, k, inc, und, unpacked, second_pending, deg, below):
+def _dfs(search, ctx, i, chosen, k, bound, deg, below):
     """Include-first DFS over the edges i.. of the colex order.
 
-    ``inc[p]`` / ``und[p]`` count the included / undecided edges of pack p,
-    ``unpacked`` the undecided edges outside every pack; ``second_pending``
-    holds until a second edge is included.  ``deg`` packs, per vertex, its
-    included and undecided edges (``_vertex_fields``); with ``below`` =
-    ex(n-1) the node is pruned when one of them is under best + 1 - below.
+    ``chosen`` is the mask of the k included edges; edge 0 is always in, so
+    the second-edge rule applies while chosen == 1.  ``bound`` is the packing
+    bound of ``ex_exact``, k + undecided edges - intact packs; the node is
+    pruned when it is at most best.  ``deg`` packs, per vertex, its included
+    and undecided edges (``_vertex_fields``); with ``below`` = ex(n-1) the
+    node is pruned when one of them is under best + 1 - below.
     """
     search.tick()
-    E = ctx.E
-    if i == E:
+    if i == ctx.E:
         if k > search.best:
             search.offer(k, chosen)
         return
-    # counting bound: chosen + what packs can still contribute + loose edges
-    bound = k + unpacked
-    sizes = ctx.pack_size
-    for p in range(len(sizes)):
-        cap = sizes[p] - 1 - inc[p]
-        u = und[p]
-        bound += u if u < cap else cap
     if bound <= search.best:
         return
     if below is not None:  # the degree floor (``_vertex_fields``)
         need = search.best + 1 - below
         if need > 0 and (deg + (128 - need) * ctx.ones) & ctx.high != ctx.high:
             return
-    p = ctx.pack_of[i]
-    # include branch
-    ok = True
-    for mw in ctx.cmax[i]:
-        if mw & ~chosen == 0:
-            ok = False
-            break
-    if ok and second_pending and not ctx.ok_second[i]:
-        ok = False
-    if ok:
-        if p >= 0:
-            inc[p] += 1
-            und[p] -= 1
+    # include branch: no copy completed, and the second edge orbit-minimal
+    if chosen != 1 or ctx.ok_second[i]:
+        for mw in ctx.cmax[i]:
+            if mw & ~chosen == 0:
+                break
         else:
-            unpacked -= 1
-        _dfs(search, ctx, i + 1, chosen | (1 << i), k + 1, inc, und, unpacked, False, deg, below)
-        if p >= 0:
-            inc[p] -= 1
-            und[p] += 1
-        else:
-            unpacked += 1
-    # exclude branch
-    deg -= ctx.vec[i]
-    if p >= 0:
-        und[p] -= 1
-        _dfs(search, ctx, i + 1, chosen, k, inc, und, unpacked, second_pending, deg, below)
-        und[p] += 1
-    else:
-        _dfs(search, ctx, i + 1, chosen, k, inc, und, unpacked - 1, second_pending, deg, below)
+            _dfs(search, ctx, i + 1, chosen | (1 << i), k + 1, bound, deg, below)
+    # exclude branch: the bound drops by one, unless edge i is the first
+    # excluded edge of its pack, which then stops being intact
+    p = ctx.pack[i]
+    if not p or p & ~chosen & ((1 << i) - 1):
+        bound -= 1
+    _dfs(search, ctx, i + 1, chosen, k, bound, deg - ctx.vec[i], below)
 
 
 def _greedy(order, copies_at):
@@ -544,6 +512,23 @@ def ex_exact(n, fam, budget=None):
     every run; ``budget`` caps their total, and when it runs out the status
     is ``lower_bound_only`` with the incumbent ``_climb`` returns as witness.
 
+    Every pass prunes a node when its packing bound is at most ``best``.  A
+    greedy packing of edge-disjoint copies is fixed per rung; a fam-free leaf
+    includes at most size - 1 edges of each packed copy.  At a node with k
+    included edges, a pack p with inc included, und undecided and exc
+    excluded edges (inc + und + exc = size) can still gain at most
+    min(und, size - 1 - inc) = min(und, und + exc - 1) edges: und when
+    exc > 0, and und - 1 when the pack is intact (exc = 0; then und >= 1,
+    as no node includes a whole copy).  Summed with the undecided edges
+    outside every pack, every leaf below has at most
+    k + undecided - intact packs edges, and that is the bound ``_dfs``
+    carries.  It is E - packs at the root (edge 0 in, every pack intact).
+    Including an edge keeps it.  Excluding one lowers it by one, unless the
+    edge is the first excluded edge of its pack: that pack stops being
+    intact too, and the two changes cancel.  The prune drops only nodes
+    with no leaf above ``best``, so it changes neither the value nor the
+    witness (``_climb``).
+
     The pass on rung m also prunes by a degree floor from below = ex(m-1)
     (Garnick, Kwong and Lazebnik 1993 use it to compute ex(n, {C3, C4})).
     Lemma: every fam-free G on m vertices has deg(v) >= e(G) - ex(m-1) at
@@ -575,7 +560,9 @@ def ex_exact(n, fam, budget=None):
 
 
 def verify_witness(record, fam):
-    """Re-check a record's witness: right host size, fam-free, edge count.
+    """Re-check a record's witness: right host size, fam-free, and as many
+    edges as the value, whatever the status (a lower bound is the witness's
+    edge count too).
 
     Edgeless members are ignored (they force value 0 by convention).
     """
@@ -587,7 +574,7 @@ def verify_witness(record, fam):
         real = HyperGraphFamily(fam.r, [m for m in fam.members if m.edges])
     if real.members and contains_member(w, real):
         return False
-    return not record.is_exact() or len(w.edges) == record.value
+    return len(w.edges) == record.value
 
 
 # -- tables and derived quantities ------------------------------------------------

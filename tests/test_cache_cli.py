@@ -90,6 +90,57 @@ def test_header_fault_rejected(tmp_path, kind, old, new):
     assert run(tmp_path, *argv) == 2
 
 
+def _planted(tmp_path, kind, *argv):
+    """Run ``lab *argv K3-file --budget 20`` on a fresh cache; return that
+    argv and the path of the one record it writes."""
+    k3 = tmp_path / "k3.hg"
+    run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
+    argv = [*argv, str(k3), "--budget", "20"]
+    assert run(tmp_path, *argv) == 0
+    (path,) = (tmp_path / "cache" / kind).iterdir()
+    return argv, path
+
+
+class TestInconsistentRecords:
+    """Records whose header contradicts itself or its witness fail to load,
+    whatever their status, and a command that reads one exits 2."""
+
+    def test_lower_bound_turan_record_must_match_its_witness(self, tmp_path):
+        argv, path = _planted(tmp_path, "turan", "turan", "-n", "7", "--forbid")
+        text = path.read_text()
+        rec = turan_record_from_text(text)
+        assert rec.status == "lower_bound_only" and len(rec.witness.edges) == rec.value < 40
+        path.write_text(text.replace(f"value={rec.value} ", "value=40 ", 1))
+        with pytest.raises(CacheError):
+            Cache(tmp_path / "cache").load_turan(7, singleton(K3))
+        assert run(tmp_path, *argv) == 2
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [lambda lo, hi: (lo - 1, hi), lambda lo, hi: (lo, lo - 1)],
+        ids=["lo-below-value", "hi-below-lo"],
+    )
+    def test_ar_bounds_must_hold_the_value(self, tmp_path, bounds):
+        argv, path = _planted(tmp_path, "ar", "ar", "-n", "6", "-t", "1", "-F")
+        text = path.read_text()
+        rec = ar_record_from_text(text)
+        assert rec.status == "bounds" and rec.lo == rec.value <= rec.hi
+        lo, hi = bounds(rec.lo, rec.hi)
+        path.write_text(text.replace(f"bounds:{rec.lo}:{rec.hi}", f"bounds:{lo}:{hi}", 1))
+        with pytest.raises(CacheError):
+            Cache(tmp_path / "cache").load_ar(6, 1, K3)
+        assert run(tmp_path, *argv) == 2
+
+    def test_ar_bounds_record_needs_a_witness(self, tmp_path):
+        argv, path = _planted(tmp_path, "ar", "ar", "-n", "6", "-t", "1", "-F")
+        head = path.read_text().split("\n")[:2]
+        assert ar_record_from_text(path.read_text()).value > 1
+        path.write_text("\n".join(head) + "\nnowitness\n")
+        with pytest.raises(CacheError):
+            Cache(tmp_path / "cache").load_ar(6, 1, K3)
+        assert run(tmp_path, *argv) == 2
+
+
 class TestCache:
     def test_store_load_verify(self, tmp_path):
         cache = Cache(tmp_path)

@@ -202,15 +202,17 @@ class TestFamily:
 class TestEmbedding:
     def test_single_edge(self):
         F = HyperGraph(2, 2, [(0, 1)])
-        emb = find_embedding(F, path(4), forbidden={0})
-        assert emb is not None and emb.check(F, path(4), {0})
+        emb = find_embedding(F, path(4))
+        assert emb is not None and emb.check(F, path(4))
+        assert path(4).has_edge(emb.image_edges(F)[0])
 
-    def test_k3_into_k4_avoiding_zero(self):
+    def test_check_rejects_bad_maps(self):
         F, H = complete(3, 2), complete(4, 2)
-        emb = find_embedding(F, H, forbidden={0})
-        assert emb is not None
-        assert set(emb.mapping) <= {1, 2, 3}
-        assert emb.check(F, H, {0})
+        assert core.Embedding((1, 2, 3)).check(F, H)
+        assert not core.Embedding((1, 2)).check(F, H)  # too short
+        assert not core.Embedding((1, 1, 3)).check(F, H)  # not injective
+        assert not core.Embedding((1, 2, 4)).check(F, H)  # off the host
+        assert not core.Embedding((0, 1, 2)).check(F, path(4))  # a non-edge
 
     def test_fano_identity_embedding(self):
         F = fano()
@@ -221,7 +223,7 @@ class TestEmbedding:
 
     def test_none_when_impossible(self):
         assert find_embedding(complete(3, 2), path(4)) is None
-        assert find_embedding(complete(3, 2), complete(4, 2), forbidden={0, 1}) is None
+        assert find_embedding(complete(3, 2), complete(2, 2)) is None
 
     def test_isolated_vertices_need_room(self):
         # one edge plus an isolated vertex needs three host vertices

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from rainbowlab.constructions import (
     complete_graph,
+    complete_uniform,
     cycle,
     edge_sum_family,
+    f32,
     fano,
+    matching,
 )
 from rainbowlab import core
 from rainbowlab.core import (
@@ -288,6 +291,25 @@ class TestLadder:
         assert (plain.value, plain.witness) == (rec.value, rec.witness)
         assert plain.closed_by == rec.closed_by
         assert rec.nodes < plain.nodes  # 47,219 against 490,505
+
+    @pytest.mark.parametrize(
+        "n, F, value, nodes, closed_by",
+        [
+            (8, cycle(4), 11, 47_219, "search"),
+            (7, complete_uniform(4, 3), 23, 231_178, "search"),
+            (7, f32(), 20, 78_583, "search"),
+            (7, fano(), 30, 111_959, "search"),
+            (9, disjoint_union(K3, 2), 24, 50_521, "kns"),
+            (8, cycle(5), 16, 246_292, "kns"),
+            (8, matching(3, 2), 13, 14_279, "search"),
+        ],
+        ids=["C4", "K4^3", "F3,2", "Fano", "2K3", "C5", "3K2"],
+    )
+    def test_exact_node_counts(self, n, F, value, nodes, closed_by):
+        # the packing bound and the degree floor prune exactly these nodes;
+        # a change to either shows here before it shows in a value
+        rec = ex_exact(n, singleton(F))
+        assert (rec.value, rec.nodes, rec.closed_by) == (value, nodes, closed_by)
 
     @settings(max_examples=150, deadline=None)
     @given(free_graphs())
