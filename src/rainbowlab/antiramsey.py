@@ -31,9 +31,9 @@ from .turan import (
     _climb,
     _ex_ladder,
     _iter_copies,
+    _rungs,
     _vertex_fields,
     singleton,
-    subgraph_copies,
 )
 
 
@@ -64,7 +64,11 @@ class EdgeColoring:
         self.colors = colors
 
     def color_of(self, edge):
-        return self.colors[colex_rank(tuple(sorted(edge)))]
+        """The color of ``edge``, r distinct vertices of 0..n-1 in any order."""
+        e = tuple(sorted(edge))
+        if not len(set(e)) == len(e) == self.r or e[0] < 0 or e[-1] >= self.n:
+            raise ValueError(f"not an edge of K_{self.n}^{self.r}: {edge!r}")
+        return self.colors[colex_rank(e)]
 
     def __eq__(self, other):
         return (
@@ -372,37 +376,27 @@ def _transpositions(m, r):
 
 
 class _ArRung:
-    """The ``ar`` search context of K_m^r for ``_climb``: the forward-checking
-    index of the copies of ``target`` and the lex-leader transpositions.
+    """The ``ar`` search context of K_m^r for ``_climb``, from the masks of
+    the copies of tF in K_m^r as ``_Ctx``, and the lex-leader transpositions.
 
-    ``index`` is built once, on the first ``start`` or ``run``.  In it,
     ``after[i]`` lists (last, others) for each copy whose second-largest
-    colex edge is i: its largest edge and its edges below i, and ``allowed``
-    is the starting color mask of each edge: 0 when the edge alone is a copy,
-    else -1.  ``copies(target, m)`` enumerates the copies (``subgraph_copies``
-    by default).
+    colex edge is i: its largest edge and its edges below i.  The copies of
+    one target have one size, so no mask is dominated and the masks are the
+    copies, each of two edges or more (``_ar_ladder``).  Their order does not
+    matter: forward checking only ANDs masks and counts each edge's first
+    narrowing once, so the tree, its nodes and its leaves are the same.
     """
 
-    def __init__(self, target, m, copies=None):
-        self.target, self.m, self.copies = target, m, copies or subgraph_copies
-        self.E = comb(m, target.r)
-
-    @functools.cached_property
-    def index(self):
-        after = [[] for _ in range(self.E)]
-        allowed = [-1] * self.E
-        for cp in self.copies(self.target, self.m):
-            *others, last = sorted(cp)
-            if others:
-                second = others.pop()
-                after[second].append((last, tuple(others)))
-            else:
-                allowed[last] = 0
-        return after, allowed
+    def __init__(self, m, r, masks):
+        self.m, self.r, self.E = m, r, comb(m, r)
+        self.after = [[] for _ in range(self.E)]
+        for mask in masks:
+            *others, second, last = (i for i in range(mask.bit_length()) if mask >> i & 1)
+            self.after[second].append((last, tuple(others)))
 
     def live(self):
         """The lex-leader comparisons at the root: none decided yet."""
-        return [(p, ends, 0, {}) for p, ends in _transpositions(self.m, self.target.r)]
+        return [(p, ends, 0, {}) for p, ends in _transpositions(self.m, self.r)]
 
     def start(self):
         """A greedy partition with no rainbow copy, as (classes, restricted
@@ -410,8 +404,7 @@ class _ArRung:
         highest color its forward-checked mask allows, a fresh class when no
         copy constrains it, and narrows masks as ``_ar_dfs`` does; at an edge
         with no allowed color the greedy gives up."""
-        after, allowed = self.index
-        allowed = list(allowed)
+        allowed = [-1] * self.E
         assign, k = [], 0
         for i in range(self.E):
             colors = allowed[i] & ((2 << k) - 1)
@@ -421,7 +414,7 @@ class _ArRung:
             assign.append(c)
             k += c == k
             bit = 1 << c
-            for last, others in after[i]:
+            for last, others in self.after[i]:
                 mask = 0
                 for e in others:
                     mask |= 1 << assign[e]
@@ -430,44 +423,41 @@ class _ArRung:
         return k, tuple(assign)
 
     def run(self, search, below=None):
-        """Run ``search`` over every edge of the host.  ``below`` = A(m-1)
-        turns on the star floor (``ar_exact``)."""
-        after, allowed = self.index
-        free = [j for j, a in enumerate(allowed) if a == -1]
+        """Run ``search`` over every edge of the host, each free at the root.
+        ``below`` = A(m-1) turns on the star floor (``ar_exact``)."""
         floor, star = None, 0
         if below is not None:
-            vec, ones, high = _vertex_fields(self.m, self.target.r)
-            floor, star = (below, vec, ones, high), sum(vec[j] for j in free)
-        assign, live = [-1] * self.E, self.live()
+            vec, ones, high = _vertex_fields(self.m, self.r)
+            floor, star = (below, vec, ones, high), sum(vec)
+        allowed, assign = [-1] * self.E, [-1] * self.E
         return search.run(
-            _ar_dfs, after, list(allowed), assign, 0, 0, len(free), live, floor, star, []
+            _ar_dfs, self.after, allowed, assign, 0, 0, self.E, self.live(), floor, star, []
         )
 
 
-def _ar_ladder(target, ex, copies=None):
+def _ar_ladder(target, ex):
     """The ``rung`` and ``caps`` of the ladder of A(m) = ar(m, target) - 1,
-    for ``_climb``, given ex(m, target) by m in ``ex``.  Below v(tF) the target
-    does not fit and rung m is trivial, A(m) = C(m, r).  ``copies`` is passed
-    to ``_ArRung``.
+    for ``_climb``, given ex(m, target) by m in ``ex``.  ``rung(m)`` builds
+    ``_ArRung`` rungs (``_rungs``); A(m) is trivial below v(tF), C(m, r), and
+    for a one-edge target, 0, so every searched rung has m > r.
 
     ``caps(m, below)`` names two proven caps on A(m), the most classes of a
     partition of K_m^r with no rainbow tF, with below = A(m-1):
 
     - sandwich, A(m) <= ex(m, tF) (<= C(m, r)): one edge from each class is a
       rainbow subgraph, so it contains no tF;
-    - averaging, A(m) <= floor(m A(m-1) / (m-r)) for m > r.  Deleting a
-      vertex v from such a partition chi leaves a partition chi-v of
-      K_{m-1}^r with no rainbow tF, and chi-v loses exactly the classes whose
-      edges all contain v.  The edges of a class share at most r vertices,
-      so sum_v A(chi-v) >= (m-r) A(chi), and each term is at most A(m-1).
+    - averaging, A(m) <= floor(m A(m-1) / (m-r)).  Deleting a vertex v from
+      such a partition chi leaves a partition chi-v of K_{m-1}^r with no
+      rainbow tF, and chi-v loses exactly the classes whose edges all contain
+      v.  The edges of a class share at most r vertices, so
+      sum_v A(chi-v) >= (m-r) A(chi), and each term is at most A(m-1).
     """
     r = target.r
 
     def caps(m, below):
-        averaging = {"averaging": m * below // (m - r)} if m > r else {}
-        return {"sandwich": ex[m], **averaging}
+        return {"sandwich": ex[m], "averaging": m * below // (m - r)}
 
-    return (lambda m: _ArRung(target, m, copies) if m >= target.n else comb(m, r)), caps
+    return _rungs(_ArRung, r, (target,)), caps
 
 
 def ar_exact(n, t, F, budget=None):
@@ -485,9 +475,9 @@ def ar_exact(n, t, F, budget=None):
     second-largest edge p: once p has color c, every edge of the copy below j
     is colored.  If those colors are pairwise distinct, j must repeat one of
     them, so the colors allowed at j are narrowed to that set; otherwise no
-    color of j makes the copy rainbow and it never constrains j.  A copy with
-    one edge allows that edge no color.  So the colors allowed at j are
-    exactly those that complete no rainbow copy ending at j, as a check at j
+    color of j makes the copy rainbow and it never constrains j.  So the
+    colors allowed at j are exactly those that complete no rainbow copy
+    ending at j (a one-edge target leaves none, and A = 0), as a check at j
     itself would find: the branching, its order and the leaves are those of
     the plain search.
 
@@ -539,7 +529,8 @@ def ar_exact(n, t, F, budget=None):
     sandwich ex(n, tF) or the averaging cap from A(n-1): a values-only
     ``_climb`` of the ``ex_exact`` ladder gives ex(m, tF) for m <= n, then
     ``_climb`` runs the rungs m = r..n and takes the witness on the top.
-    Each rung's copies of tF are enumerated once and serve both ladders.
+    Both ladders build their rungs with ``_rungs`` from the cached masks of
+    ``_copy_masks``, so each rung's copies of tF are enumerated once.
     ``closed_by`` names the cap reached (the sandwich first on a tie), or
     ``search`` when the value pass ran to the end.
 
@@ -560,10 +551,12 @@ def ar_exact(n, t, F, budget=None):
         raise CapacityError(f"partition search supports C(n,r) <= 32 edges, got {E}")
     target = disjoint_union(F, t)
     key = family_key(singleton(F))
-    copies = functools.cache(subgraph_copies)
     ms, ex = range(r, n + 1), {}
-    nodes = _climb(ms, *_ex_ladder(r, [target], copies), budget, values=ex)[3]
-    A, rgs, hi, nodes, closed_by = _climb(ms, *_ar_ladder(target, ex, copies), budget, nodes)
+    rung, caps = _ar_ladder(target, ex)
+    if isinstance(rung(n), int):  # a one-edge target: A = 0, no search, no witness
+        return ArRecord(n, t, r, key, 1, None, "exact", closed_by="sandwich")
+    nodes = _climb(ms, *_ex_ladder(r, (target,)), budget, values=ex)[3]
+    A, rgs, hi, nodes, closed_by = _climb(ms, rung, caps, budget, nodes)
     witness = EdgeColoring(r, n, max(rgs) + 1, [c + 1 for c in rgs]) if rgs else None
     status, lo, hi = ("bounds", A + 1, hi + 1) if closed_by == "budget" else ("exact", 0, 0)
     return ArRecord(n, t, r, key, A + 1, witness, status, lo, hi, nodes, closed_by=closed_by)

@@ -230,10 +230,9 @@ class Cache:
 
     # -- colorings -----------------------------------------------------------------
 
-    def store_coloring(self, chi, name=None):
+    def store_coloring(self, chi):
         text = coloring_to_text(chi)
-        if name is None:
-            name = hashlib.sha256(text.encode()).hexdigest()[:16]
+        name = hashlib.sha256(text.encode()).hexdigest()[:16]
         path = self.root / "colorings" / f"{name}.col"
         _atomic_write(path, text)
         return path

@@ -119,21 +119,21 @@ def _iter_copies(F, n):
     yield from rec(0, 0, None, -1, [])
 
 
-def _copy_masks(members, n, copies=None):
+@functools.cache
+def _copy_masks(members, n):
     """Forbidden-copy bitmasks over the colex edge ranks of K_n^r, for the
-    members of a family.
+    tuple of r-graphs ``members`` of a family.
 
     Returns (masks, edgeless) where edgeless flags a member with no edges
-    fitting on n vertices (which forces ex = 0 by convention).
-    ``copies(member, n)`` enumerates the copies (``subgraph_copies`` by
-    default).
+    fitting on n vertices (which forces ex = 0 by convention).  Cached, so
+    the ``ex`` and ``ar`` ladders of ``ar_exact`` share one enumeration.
     """
     masks = set()
     edgeless = False
     for m in members:
         if m.n <= n and not m.edges:
             edgeless = True
-        for cp in (copies or subgraph_copies)(m, n):
+        for cp in subgraph_copies(m, n):
             masks.add(sum(1 << i for i in cp))
     # drop masks that contain another mask (dominated constraints); two
     # distinct masks of one size contain neither, so each mask is compared
@@ -144,7 +144,7 @@ def _copy_masks(members, n, copies=None):
             size, fewer = x.bit_count(), len(kept)
         if not any(y & x == y for y in kept[:fewer]):
             kept.append(x)
-    return kept, edgeless
+    return tuple(kept), edgeless
 
 
 # -- full enumeration oracle ------------------------------------------------------
@@ -315,25 +315,25 @@ class _Ctx:
         """Run the include-first search from the root, where edge 0 is fixed
         in and every pack is intact, so the packing bound is E - packs.
         ``below`` = ex(n-1) turns on the degree floor (``ex_exact``)."""
-        return search.run(_dfs, self, 1, 1, 1, self.E - self.packs, self.full, below)
+        return search.run(_dfs, self, 1, 1, self.E - self.packs, self.full, below)
 
 
-def _dfs(search, ctx, i, chosen, k, bound, deg, below):
+def _dfs(search, ctx, i, chosen, bound, deg, below):
     """Include-first DFS over the edges i.. of the colex order.
 
     ``chosen`` is the mask of the k included edges; edge 0 is always in, so
     the second-edge rule applies while chosen == 1.  ``bound`` is the packing
-    bound of ``ex_exact``, k + undecided edges - intact packs; the node is
-    pruned when it is at most best.  ``deg`` packs, per vertex, its included
-    and undecided edges (``_vertex_fields``); with ``below`` = ex(n-1) the
-    node is pruned when one of them is under best + 1 - below.
+    bound of ``ex_exact``, k + undecided edges - intact packs, which is k at
+    a leaf (no node includes a whole copy, so no pack stays intact); the
+    node is pruned when it is at most best.  ``deg`` packs, per vertex, its
+    included and undecided edges (``_vertex_fields``); with ``below`` =
+    ex(n-1) the node is pruned when one of them is under best + 1 - below.
     """
     search.tick()
-    if i == ctx.E:
-        if k > search.best:
-            search.offer(k, chosen)
-        return
     if bound <= search.best:
+        return
+    if i == ctx.E:
+        search.offer(bound, chosen)
         return
     if below is not None:  # the degree floor (``_vertex_fields``)
         need = search.best + 1 - below
@@ -345,13 +345,13 @@ def _dfs(search, ctx, i, chosen, k, bound, deg, below):
             if mw & ~chosen == 0:
                 break
         else:
-            _dfs(search, ctx, i + 1, chosen | (1 << i), k + 1, bound, deg, below)
+            _dfs(search, ctx, i + 1, chosen | (1 << i), bound, deg, below)
     # exclude branch: the bound drops by one, unless edge i is the first
     # excluded edge of its pack, which then stops being intact
     p = ctx.pack[i]
     if not p or p & ~chosen & ((1 << i) - 1):
         bound -= 1
-    _dfs(search, ctx, i + 1, chosen, k, bound, deg - ctx.vec[i], below)
+    _dfs(search, ctx, i + 1, chosen, bound, deg - ctx.vec[i], below)
 
 
 def _greedy(order, copies_at):
@@ -369,8 +369,9 @@ def _greedy(order, copies_at):
 
 
 def _trivial_value(m, r, masks, edgeless):
-    """ex(m) when no search is needed, else None: 0 when some member is
-    edgeless or a single edge on m vertices, C(m,r) when no member fits."""
+    """Rung m's value, ex(m) or A(m), when no search is needed, else None:
+    0 when some member is edgeless or a single edge on m vertices, C(m,r)
+    when no member fits."""
     if edgeless or 1 in [x.bit_count() for x in masks]:
         return 0
     if not masks:
@@ -378,14 +379,27 @@ def _trivial_value(m, r, masks, edgeless):
     return None
 
 
-def _ex_ladder(r, members, copies=None):
-    """The ``rung`` and ``caps`` of the ex(m, fam) ladder, for ``_climb``,
-    where fam is the family of the r-graphs ``members``.
+def _rungs(context, r, members):
+    """The cached ``rung(m)`` of a ladder over the copies of the r-graphs
+    ``members`` in K_m^r, for ``_climb``: rung m's value when
+    ``_trivial_value`` knows it, else ``context(m, r, masks)`` on the masks
+    of ``_copy_masks``.  Each rung is built once."""
 
-    ``rung(m)`` is ex(m) when ``_trivial_value`` knows it, else the search
-    context of K_m^r.  It is cached, so each rung is built once.  The first
-    rung, K_r^r, has one edge, so its value is trivial and every later rung
-    has a cap.  ``copies`` is passed to ``_copy_masks``.
+    @functools.cache
+    def rung(m):
+        masks, edgeless = _copy_masks(members, m)
+        value = _trivial_value(m, r, masks, edgeless)
+        return context(m, r, masks) if value is None else value
+
+    return rung
+
+
+def _ex_ladder(r, members):
+    """The ``rung`` and ``caps`` of the ex(m, fam) ladder, for ``_climb``,
+    where fam is the family of the tuple of r-graphs ``members``.
+
+    ``rung(m)`` builds ``_Ctx`` rungs (``_rungs``).  The first rung, K_r^r,
+    has one edge, so its value is trivial and every later rung has a cap.
 
     ``caps(m, below)`` is the averaging bound of Katona, Nemetz and Simonovits
     (1964), ex(m) <= floor(m ex(m-1) / (m-r)), with below = ex(m-1).  Proof:
@@ -393,14 +407,7 @@ def _ex_ladder(r, members, copies=None):
     since each edge misses m-r vertices and each G-v is fam-free on m-1
     vertices (a copy in G-v, isolated vertices included, is a copy in G).
     """
-
-    @functools.cache
-    def rung(m):
-        masks, edgeless = _copy_masks(members, m, copies)
-        value = _trivial_value(m, r, masks, edgeless)
-        return _Ctx(m, r, masks) if value is None else value
-
-    return rung, lambda m, below: {"kns": m * below // (m - r)}
+    return _rungs(_Ctx, r, members), lambda m, below: {"kns": m * below // (m - r)}
 
 
 def _climb(ms, rung, caps, budget, nodes=0, values=None):
@@ -564,17 +571,15 @@ def verify_witness(record, fam):
     edges as the value, whatever the status (a lower bound is the witness's
     edge count too).
 
-    Edgeless members are ignored (they force value 0 by convention).
+    An edgeless member on at most n vertices forces value 0 by convention,
+    so with one the value and the witness must be empty.
     """
     w = record.witness
     if w is None or w.n != record.n or w.r != record.r:
         return False
-    real = fam
-    if not all(m.edges for m in fam.members):
-        real = HyperGraphFamily(fam.r, [m for m in fam.members if m.edges])
-    if real.members and contains_member(w, real):
-        return False
-    return len(w.edges) == record.value
+    if any(m.n <= w.n and not m.edges for m in fam.members):
+        return record.value == len(w.edges) == 0
+    return not contains_member(w, fam) and len(w.edges) == record.value
 
 
 # -- tables and derived quantities ------------------------------------------------

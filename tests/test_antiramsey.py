@@ -84,15 +84,16 @@ def ar_matching(n, k):
 def ladder_caps(n, target):
     """The proven caps on A(n) = ar(n, target) - 1 by name, and the nodes of
     the values-only climbs that give them: the ``ex`` ladder up to n and the
-    ``ar`` rungs below n."""
+    ``ar`` rungs below n.  On K_r^r, one edge, only the sandwich applies."""
     r = target.r
     ex = {}
-    nodes = _climb(range(r, n + 1), *_ex_ladder(r, [target]), None, values=ex)[3]
+    nodes = _climb(range(r, n + 1), *_ex_ladder(r, (target,)), None, values=ex)[3]
+    if n == r:
+        return {"sandwich": ex[n]}, nodes
     rung, caps = _ar_ladder(target, ex)
     A = {}
-    if n > r:
-        nodes = _climb(range(r, n), rung, caps, None, nodes, values=A)[3]
-    return caps(n, A.get(n - 1)), nodes
+    nodes = _climb(range(r, n), rung, caps, None, nodes, values=A)[3]
+    return caps(n, A[n - 1]), nodes
 
 
 def first_leaf(ctx):
@@ -146,7 +147,7 @@ def _relabeled(rgs, sigma):
 
 def _survives(rgs, n):
     """Whether the lex-leader check of a rung of K_n keeps every prefix of rgs."""
-    live = _ArRung(K2, n).live()
+    live = _ar_ladder(K3, {})[0](n).live()
     for i in range(len(rgs) + 1):
         live = _leader(list(rgs[:i]) + [-1] * (len(rgs) - i), live, i)
         if live is None:
@@ -221,6 +222,15 @@ class TestEdgeColoring:
     def test_color_of(self):
         chi = EdgeColoring(2, 3, 3, [1, 2, 3])
         assert chi.color_of((1, 2)) == 3
+
+    def test_color_of_rejects_a_non_edge(self):
+        # a repeated vertex, a wrong size or a vertex outside 0..n-1 is no
+        # edge of K_6, and would otherwise read another edge's color
+        chi = EdgeColoring(2, 6, 2, [1] * 14 + [2])
+        assert chi.color_of((4, 5)) == chi.color_of([5, 4]) == 2
+        for edge in ((2, 2), (0, 1, 2), (0, 6), (-1, 3), (0,)):
+            with pytest.raises(ValueError):
+                chi.color_of(edge)
 
     def test_text_round_trip(self):
         chi = EdgeColoring(2, 4, 3, [1, 2, 3, 1, 2, 3])
@@ -399,7 +409,7 @@ class TestArExact:
     @pytest.mark.parametrize("budget", [0, None])
     @pytest.mark.parametrize("F", [K2, E3], ids=["K2", "E3"])
     def test_single_edge_exact_under_any_budget(self, F, budget):
-        # the sandwich cap ex(n, F) = 0 is met by the empty start: no pass runs
+        # a one-edge target makes the top rung trivial: no pass runs
         for n in range(F.n, 7):
             rec = ar_exact(n, 1, F, budget=budget)
             assert (rec.value, rec.status, rec.witness) == (1, "exact", None)
@@ -486,7 +496,7 @@ class TestArExact:
         # of the top rung's seed, and the seed is the witness
         for n, t, F in ((6, 1, C4), (5, 1, K3), (6, 2, K3)):
             rec = ar_exact(n, t, F, budget=0)
-            classes, rgs = _ArRung(disjoint_union(F, t), n).start()
+            classes, rgs = _ar_ladder(disjoint_union(F, t), {})[0](n).start()
             assert (rec.status, rec.closed_by) == ("bounds", "budget")
             assert (rec.lo, rec.hi) == (classes + 1, comb(n, F.r) + 1)
             assert rec.witness.colors == tuple(c + 1 for c in rgs)
@@ -496,7 +506,8 @@ class TestArExact:
     @given(small_tilings())
     def test_greedy_seed_has_no_rainbow_copy(self, case):
         F, t, n = case
-        classes, rgs = _ArRung(disjoint_union(F, t), n).start()
+        rung = _ar_ladder(disjoint_union(F, t), {})[0](n)
+        classes, rgs = (rung, None) if isinstance(rung, int) else rung.start()
         if rgs is not None:
             assert _rgs([c + 1 for c in rgs]) == rgs and classes == max(rgs) + 1
             chi = EdgeColoring(F.r, n, max(rgs) + 1, [c + 1 for c in rgs])
@@ -507,7 +518,7 @@ class TestArExact:
         # pass still yields the first leaf with the value
         calls = [(6, 2, K3), (6, 1, K3), (6, 2, E3), (6, None, C4)]
         rungs = [
-            _ArRung(disjoint_union(F, t), n) if t else turan._ex_ladder(2, [F])[0](n)
+            _ar_ladder(disjoint_union(F, t), {})[0](n) if t else turan._ex_ladder(2, (F,))[0](n)
             for n, t, F in calls
         ]
         expected = [first_leaf(rung) for rung in rungs]
@@ -605,9 +616,30 @@ class TestArExact:
         if capped:
             assert rec.closed_by in ("sandwich", "averaging")
         # the same value and witness from passes run without a cap
-        A, rgs = first_leaf(_ArRung(disjoint_union(F, t), n))
+        A, rgs = first_leaf(_ar_ladder(disjoint_union(F, t), {})[0](n))
         assert rec.value == A + 1
         assert rec.witness.colors == tuple(c + 1 for c in rgs)
+
+    @pytest.mark.parametrize(
+        "n, t, name, value, nodes, closed_by",
+        [
+            (6, 3, "K2", 7, 3_547, "search"),
+            (6, 2, "K3", 12, 5_667, "search"),
+            (6, 1, "K3", 6, 603, "search"),
+            (6, 1, "C4", 8, 1_759, "sandwich"),
+            (6, 2, "P3", 8, 1_886, "search"),
+            (6, 1, "K4", 11, 236, "averaging"),
+            (6, 1, "K4^3-", 6, 1_130, "search"),
+            (6, 2, "E3", 11, 686, "sandwich"),
+        ],
+        ids=[f"{t}{name}" for _, t, name in LADDER],
+    )
+    def test_exact_node_counts(self, n, t, name, value, nodes, closed_by):
+        # the ``LADDER`` calls: the bound prune, forward checking, the
+        # lex-leader rule and the star floor prune exactly these nodes; a
+        # change to any of them shows here before it shows in a value
+        rec = ar_exact(n, t, CAP_SHAPES[name])
+        assert (rec.value, rec.nodes, rec.closed_by) == (value, nodes, closed_by)
 
     @pytest.mark.parametrize(
         "t, F, value",

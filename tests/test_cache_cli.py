@@ -22,7 +22,7 @@ from rainbowlab.cache import (
 from rainbowlab import constructions as cons
 from rainbowlab.cli import _hash_file, main
 from rainbowlab.constructions import complete_graph
-from rainbowlab.core import HyperGraph, disjoint_union, from_text
+from rainbowlab.core import HyperGraph, HyperGraphFamily, disjoint_union, from_text, to_text
 from rainbowlab.turan import ex_exact, singleton
 
 K2 = HyperGraph(2, 2, [(0, 1)])
@@ -113,6 +113,24 @@ class TestInconsistentRecords:
         path.write_text(text.replace(f"value={rec.value} ", "value=40 ", 1))
         with pytest.raises(CacheError):
             Cache(tmp_path / "cache").load_turan(7, singleton(K3))
+        assert run(tmp_path, *argv) == 2
+
+    def test_turan_record_with_a_fitting_edgeless_member_must_be_empty(self, tmp_path):
+        # an edgeless member on at most n vertices forces ex = 0, so a
+        # triangle-free witness with edges overstates the value
+        e3, k3 = tmp_path / "e3.hg", tmp_path / "k3.hg"
+        e3.write_text(to_text(HyperGraph(2, 3, [])))
+        k3.write_text(to_text(K3))
+        argv = ["turan", "-n", "5", "--forbid", str(e3), "--forbid", str(k3)]
+        assert run(tmp_path, *argv) == 0
+        (path,) = (tmp_path / "cache" / "turan").iterdir()
+        head, meta, body = path.read_text().split("\n", 2)
+        assert "value=0 status=exact" in head and body == "2 5 0\n"
+        path4 = HyperGraph(2, 5, [(0, 1), (1, 2), (2, 3)])
+        path.write_text(f"{head.replace('value=0', 'value=3')}\n{meta}\n{to_text(path4)}")
+        fam = HyperGraphFamily(2, [HyperGraph(2, 3, []), K3])
+        with pytest.raises(CacheError):
+            Cache(tmp_path / "cache").load_turan(5, fam)
         assert run(tmp_path, *argv) == 2
 
     @pytest.mark.parametrize(

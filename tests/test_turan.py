@@ -143,7 +143,7 @@ class TestCopies:
     def test_copy_masks_drop_exactly_the_dominated_masks(self):
         # {K3, K4} on 6 vertices: 35 masks, of which the 20 triangles contain
         # no other; kept in order of size
-        fam = [K3, complete_graph(4)]
+        fam = (K3, complete_graph(4))
         masks = {sum(1 << i for i in cp) for F in fam for cp in copies_brute(F, 6)}
         brute = {x for x in masks if not any(y != x and y & x == y for y in masks)}
         kept, edgeless = tu._copy_masks(fam, 6)
