@@ -8,10 +8,8 @@ edge order) and returns A + 1; surjectivity is automatic since every class of
 a partition is nonempty.
 """
 
-from __future__ import annotations
-
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -210,26 +208,22 @@ def build_coloring_fact31(n, t, F, inner):
 # -- exact ar ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArRecord:
-    """ar(n, tF) with a witness coloring on value-1 colors (none when value=1)."""
+class ArRecord(
+    namedtuple(
+        "ArRecord",
+        "n t r F_key value witness status lo hi nodes solver closed_by",
+        defaults=(0, 0, 0, SOLVER_VERSION, ""),
+    )
+):
+    """ar(n, tF) with a witness EdgeColoring on value-1 colors (None when value=1).
 
-    n: int
-    t: int
-    r: int
-    F_key: str
-    value: int
-    witness: EdgeColoring | None
-    status: str  # "exact" or "bounds"
-    lo: int = 0
-    hi: int = 0
-    nodes: int = 0
-    solver: str = SOLVER_VERSION
-    #: what proved the value: "sandwich" or "averaging" (the value pass
-    #: reached that cap), "search" (the value pass ran to the end), "budget"
-    #: (not proved: the node budget ran out) or "cache" (loaded).  Like
-    #: ``nodes``, never written.
-    closed_by: str = ""
+    status is "exact" or "bounds".  closed_by says what proved the value:
+    "sandwich" or "averaging" (the value pass reached that cap), "search"
+    (the value pass ran to the end), "budget" (not proved: the node budget
+    ran out) or "cache" (loaded).  Like ``nodes``, it is never written.
+    """
+
+    __slots__ = ()
 
     def is_exact(self):
         return self.status == "exact"
@@ -599,14 +593,7 @@ class ArTable:
 # -- verification of the finite statements ---------------------------------------
 
 
-@dataclass(frozen=True)
-class SandwichVerdict:
-    n: int
-    s: int
-    ar_value: int
-    lower: int
-    upper: int
-    holds: bool
+SandwichVerdict = namedtuple("SandwichVerdict", "n s ar_value lower upper holds")
 
 
 def sandwich_check(n, s, F, turan_table, ar_table):
@@ -615,6 +602,8 @@ def sandwich_check(n, s, F, turan_table, ar_table):
     For s = 1 the lower bound degenerates (a single color admits no rainbow F
     with two or more edges): 2 when |F| >= 2, else 1.
     """
+    if s < 1:
+        raise ValueError(f"the sandwich needs s >= 1, got s={s}")
     ar_rec = ar_table.get(F, n, s)
     upper = turan_table.ex(singleton(disjoint_union(F, s)), n) + 1
     if s >= 2:
@@ -625,18 +614,13 @@ def sandwich_check(n, s, F, turan_table, ar_table):
     return SandwichVerdict(n, s, ar_rec.value, lower, upper, holds)
 
 
-@dataclass(frozen=True)
-class ReductionVerdict:
-    n: int
-    t: int
-    ar_big: int
-    crossing: int
-    ar_inner: int
-    holds: bool
+ReductionVerdict = namedtuple("ReductionVerdict", "n t ar_big crossing ar_inner holds")
 
 
 def reduction_check(n, t, F, ar_table):
     """ar(n,(t+2)F) >= C(n,r) - C(n-t,r) + ar(n-t, 2F) from exact records."""
+    if t < 0:
+        raise ValueError(f"the reduction needs t >= 0, got t={t}")
     big = ar_table.get(F, n, t + 2)
     inner = ar_table.get(F, n - t, 2)
     crossing = comb(n, F.r) - comb(n - t, F.r)
@@ -644,17 +628,15 @@ def reduction_check(n, t, F, ar_table):
     return ReductionVerdict(n, t, big.value, crossing, inner.value, holds)
 
 
-@dataclass(frozen=True)
-class IdentityVerdict:
-    n: int
-    t: int
-    ar_value: int
-    ex_value: int
-    t_max: int
-    in_range: bool
-    identity_holds: bool
-    lower_holds: bool
-    status: str  # holds | out-of-range | violation
+class IdentityVerdict(
+    namedtuple(
+        "IdentityVerdict",
+        "n t ar_value ex_value t_max in_range identity_holds lower_holds status",
+    )
+):
+    """status is "holds", "out-of-range" or "violation"."""
+
+    __slots__ = ()
 
 
 def verify_identity_thm15(n, t, F, turan_table, ar_table):
@@ -664,6 +646,8 @@ def verify_identity_thm15(n, t, F, turan_table, ar_table):
     is a violation."""
     from .turan import edge_sensitivity_gap
 
+    if t < 1:
+        raise ValueError(f"the identity needs t >= 1, got t={t}")
     ar_value = ar_table.ar(F, n, t + 1)
     ex_value = turan_table.ex(singleton(disjoint_union(F, t)), n)
     gap = edge_sensitivity_gap(F, n, turan_table)
@@ -682,11 +666,7 @@ def verify_identity_thm15(n, t, F, turan_table, ar_table):
 # -- stability census ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusResult:
-    threshold: Fraction
-    alpha: Fraction
-    vertices: tuple
+CensusResult = namedtuple("CensusResult", "threshold alpha vertices")
 
 
 def stability_degree_census(H, F, pi, table):

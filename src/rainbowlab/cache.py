@@ -14,13 +14,10 @@ lives only inside the manifest JSON.  Writes go through atomic renames, and
 every witness is re-verified on load.
 """
 
-from __future__ import annotations
-
 import hashlib
 import json
 import os
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from .antiramsey import (
@@ -226,7 +223,7 @@ class Cache:
             return rec
         if rec.value != 1:
             raise CacheError(f"missing witness for {path}")
-        return replace(rec, r=F.r)
+        return rec._replace(r=F.r)
 
     # -- colorings -----------------------------------------------------------------
 

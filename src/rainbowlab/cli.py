@@ -5,8 +5,6 @@ Exit codes: 0 success / all verdicts hold, 1 verification failure,
 2 malformed input or insufficient exact records.
 """
 
-from __future__ import annotations
-
 import argparse
 import hashlib
 import sys
@@ -15,7 +13,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import antiramsey as anti
-from . import constructions as cons
 from . import turan as tur
 from .cache import Cache, CacheError, ar_record, turan_record
 from .core import (
@@ -70,6 +67,8 @@ def _inputs(args):
 
 
 def cmd_zoo(args):
+    from . import constructions as cons  # only `zoo` needs it; keeps `lab` start-up light
+
     if args.zoo_cmd == "list":
         for name, (_, params) in sorted(cons.ZOO.items()):
             sig = " ".join(f"--{p}" if p == "minus" else f"-{p} <int>" for p in params)

@@ -10,8 +10,6 @@ Vertices are 0-based everywhere; the literature's 1-based edge lists are
 shifted down by one.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .core import HyperGraph, HyperGraphFamily, colex_key

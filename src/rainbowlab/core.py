@@ -13,10 +13,8 @@ Conventions
   anything that does not round-trip bit-exactly.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 #: canonical labeling refuses larger inputs (capacity, not correctness)
@@ -434,14 +432,13 @@ def family_key(fam):
 # -- embedding search -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(namedtuple("Embedding", "mapping")):
     """An injective vertex map realizing F as a subgraph of H.
 
     mapping[i] is the host image of pattern vertex i.
     """
 
-    mapping: tuple
+    __slots__ = ()
 
     def image_edges(self, F):
         return [tuple(sorted(self.mapping[v] for v in e)) for e in F.edges]

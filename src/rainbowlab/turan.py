@@ -15,12 +15,10 @@ binomials and degree averages) use exact rationals; e^{1/5} is handled by a
 certified interval.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -183,22 +181,22 @@ def ex_enumerate(n, fam):
 # -- branch and bound ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TuranRecord:
-    """A certified ex(n, family) value with its extremal witness."""
+class TuranRecord(
+    namedtuple(
+        "TuranRecord",
+        "n r family_key value witness status nodes solver closed_by",
+        defaults=(0, SOLVER_VERSION, ""),
+    )
+):
+    """A certified ex(n, family) value with its extremal witness (a HyperGraph).
 
-    n: int
-    r: int
-    family_key: str
-    value: int
-    witness: HyperGraph
-    status: str  # "exact" or "lower_bound_only"
-    nodes: int = 0
-    solver: str = SOLVER_VERSION
-    #: what proved the value: "kns" (the averaging bound), "search" (the
-    #: value pass ran to the end), "trivial", "budget" (not proved: the node
-    #: budget ran out) or "cache" (loaded).  Like ``nodes``, never written.
-    closed_by: str = ""
+    status is "exact" or "lower_bound_only".  closed_by says what proved the
+    value: "kns" (the averaging bound), "search" (the value pass ran to the
+    end), "trivial", "budget" (not proved: the node budget ran out) or "cache"
+    (loaded).  Like ``nodes``, it is never written.
+    """
+
+    __slots__ = ()
 
     def is_exact(self):
         return self.status == "exact"
@@ -618,12 +616,7 @@ def singleton(F):
     return HyperGraphFamily(F.r, [F])
 
 
-@dataclass(frozen=True)
-class DerivedQuantities:
-    n: int
-    delta_n: int
-    d_n: Fraction
-    pi_hat: Fraction
+DerivedQuantities = namedtuple("DerivedQuantities", "n delta_n d_n pi_hat")
 
 
 def derived_quantities(F, table, n):
@@ -639,29 +632,20 @@ def derived_quantities(F, table, n):
     )
 
 
-@dataclass(frozen=True)
-class CheckParams:
+class CheckParams(namedtuple("CheckParams", "c1 c2 pi m")):
     """Constants for the boundedness/smoothness style checks."""
 
-    c1: Fraction
-    c2: Fraction
-    pi: Fraction
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0:
+    def __new__(cls, c1, c2, pi, m):
+        if c1 <= 0 or c2 <= 0:
             raise ValueError("c1 and c2 must be positive")
-        if not 0 <= self.pi <= 1:
+        if not 0 <= pi <= 1:
             raise ValueError("pi must lie in [0, 1]")
+        return super().__new__(cls, c1, c2, pi, m)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    n: int
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
-    note: str = ""
+CheckResult = namedtuple("CheckResult", "n lhs rhs holds note", defaults=("",))
 
 
 def smoothness_check(F, params, table, n_range):
@@ -737,12 +721,7 @@ def boundedness_falsifier(F, params, n, samples, table, seed=0):
     return hits
 
 
-@dataclass(frozen=True)
-class GapResult:
-    n: int
-    gap: int
-    threshold: int
-    t_max: int
+GapResult = namedtuple("GapResult", "n gap threshold t_max")
 
 
 def edge_sensitivity_gaps(F, ns, table):

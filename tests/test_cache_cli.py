@@ -237,6 +237,15 @@ class TestCache:
         assert (tmp_path / "envcache" / "turan").exists()
 
 
+def _loaded_by(code):
+    """The names in sys.modules after running code in a fresh interpreter."""
+    src = str(Path(rainbowlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code += "; import sys; print(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
 def run(tmp_path, *argv):
     return main(["--cache-dir", str(tmp_path / "cache"), *argv])
 
@@ -400,11 +409,13 @@ class TestCli:
 
     def test_cli_import_leaves_numpy_unloaded(self):
         # numpy serves only the enumeration oracle; `lab` start-up must not pay for it
-        code = "import sys, rainbowlab.cli; print('numpy' in sys.modules)"
-        src = str(Path(rainbowlab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert "numpy" not in _loaded_by("import rainbowlab.cli")
+
+    def test_cli_import_leaves_heavy_modules_unloaded(self):
+        # records are namedtuples, so no `dataclasses` (which pulls in `inspect`),
+        # and only `zoo` needs the constructions
+        new = _loaded_by("import rainbowlab.cli") - _loaded_by("pass")
+        assert not new & {"dataclasses", "inspect", "rainbowlab.constructions"}
 
     def test_malformed_input_exit_two(self, tmp_path):
         bad = tmp_path / "bad.hg"
@@ -466,6 +477,22 @@ class TestCli:
         assert "insufficient records: no exact" in capsys.readouterr().err
         for kind in ("turan", "ar", "manifests"):
             assert not list((tmp_path / "cache" / kind).glob("*"))
+
+    @pytest.mark.parametrize("check,t", [("reduction", "-1"), ("sandwich", "0"), ("identity", "-1")])
+    def test_verify_t_outside_the_statement_exit_two(self, tmp_path, capsys, monkeypatch, check, t):
+        k2 = tmp_path / "k2.hg"
+        run(tmp_path, "zoo", "emit", "complete-graph", "-l", "2", "-o", str(k2))
+        # the records that t = -1 would otherwise read: ar(6, 1K2) and ar(7, 2K2)
+        run(tmp_path, "ar", "-n", "6", "-t", "1", "-F", str(k2))
+        run(tmp_path, "ar", "-n", "7", "-t", "2", "-F", str(k2))
+        capsys.readouterr()
+        loads = []
+        for name in ("load_ar", "load_turan"):
+            monkeypatch.setattr(Cache, name, lambda self, *key: loads.append(key))
+        assert run(tmp_path, "verify", check, "-n", "6", "-t", t, "-F", str(k2)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.rstrip().endswith(f"={t}")
+        assert loads == []
 
     def test_unknown_zoo_exit_two(self, tmp_path):
         assert run(tmp_path, "zoo", "emit", "nonesuch", "-o", str(tmp_path / "x.hg")) == 2

@@ -1,0 +1,53 @@
+"""Records and verdicts are immutable value types with fixed defaults."""
+
+from fractions import Fraction
+
+import pytest
+
+from rainbowlab import antiramsey as anti
+from rainbowlab import turan as tu
+from rainbowlab.core import Embedding, HyperGraph
+
+EMPTY = HyperGraph(2, 3, [])
+HALF = Fraction(1, 2)
+
+#: one instance of each record and verdict type, with only its required fields
+RECORDS = [
+    Embedding((0, 1)),
+    tu.TuranRecord(3, 2, "key", 0, EMPTY, "exact"),
+    tu.DerivedQuantities(5, 1, HALF, HALF),
+    tu.CheckParams(HALF, HALF, HALF, 3),
+    tu.CheckResult(5, HALF, HALF, True),
+    tu.GapResult(5, 0, 1, 0),
+    anti.ArRecord(3, 1, 2, "key", 1, None, "exact"),
+    anti.SandwichVerdict(5, 1, 2, 2, 3, True),
+    anti.ReductionVerdict(6, 1, 9, 5, 4, True),
+    anti.IdentityVerdict(6, 1, 5, 3, 0, False, True, True, "out-of-range"),
+    anti.CensusResult(HALF, HALF, (0,)),
+]
+
+
+@pytest.mark.parametrize("rec", RECORDS, ids=lambda rec: type(rec).__name__)
+def test_fields_are_read_only(rec):
+    with pytest.raises(AttributeError):
+        setattr(rec, rec._fields[0], 0)
+    with pytest.raises(AttributeError):
+        rec.extra = 0  # no instance dict either
+
+
+def test_defaults():
+    ex = tu.TuranRecord(3, 2, "key", 0, EMPTY, "exact")
+    assert (ex.nodes, ex.solver, ex.closed_by) == (0, tu.SOLVER_VERSION, "")
+    ar = anti.ArRecord(3, 1, 2, "key", 1, None, "exact")
+    assert (ar.lo, ar.hi, ar.nodes, ar.solver, ar.closed_by) == (0, 0, 0, tu.SOLVER_VERSION, "")
+    assert tu.CheckResult(5, HALF, HALF, True).note == ""
+
+
+@pytest.mark.parametrize(
+    "c1,c2,pi",
+    [(0, HALF, HALF), (HALF, -1, HALF), (HALF, HALF, Fraction(-1, 3)), (HALF, HALF, Fraction(4, 3))],
+    ids=["c1<=0", "c2<=0", "pi<0", "pi>1"],
+)
+def test_check_params_reject_constants_out_of_range(c1, c2, pi):
+    with pytest.raises(ValueError):
+        tu.CheckParams(c1, c2, pi, 3)
