@@ -534,7 +534,7 @@ def ar_exact(n, t, F, budget=None):
     incumbent as witness: the top rung's seed when it runs out below the top.
     """
     if t < 1:
-        raise ValueError("t = 0 tilings are rejected (rainbow copy would be vacuous)")
+        raise ValueError(f"t must be >= 1, got t={t}")
     if t * F.n > n:
         raise ValueError(f"target cannot embed: t*v(F) = {t * F.n} > n = {n}")
     if not F.edges:

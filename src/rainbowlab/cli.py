@@ -162,42 +162,39 @@ def cmd_derived(args, cache, mid):
 
 
 def cmd_report(args, cache, mid):
-    F = read_file(args.F) if args.F else None
-    rows = []
-    if args.report_cmd == "gap":
-        table = _computing_table(cache, mid)
-        print(f"{'n':>4} {'gap':>6} {'threshold':>10} {'t_max':>6}")
-        for g in tur.edge_sensitivity_gaps(F, args.n_range, table):
-            rows.append(f"gap n={g.n} gap={g.gap} t_max={g.t_max}")
-            print(f"{g.n:>4} {g.gap:>6} {g.threshold:>10} {g.t_max:>6}")
-    elif args.report_cmd == "smoothness":
-        ns = args.n_range
-        table = _computing_table(cache, mid)
-        pi = args.pi
-        if pi is None:
-            pi = tur.derived_quantities(F, table, max(ns)).pi_hat
-        params = tur.CheckParams(c1=Fraction(1), c2=Fraction(1), pi=pi, m=F.n)
-        print(f"pi = {pi}")
-        print(f"{'n':>4} {'lhs':>12} {'rhs':>14} {'holds':>6}")
-        for row in tur.smoothness_check(F, params, table, ns):
-            note = f" ({row.note})" if row.note else ""
-            print(f"{row.n:>4} {str(row.lhs):>12} {str(row.rhs):>14} {str(row.holds):>6}{note}")
-            rows.append(f"smoothness n={row.n} holds={row.holds}")
-    else:  # facts
+    """Print one table; its rows are computed before the first line is
+    printed, so a command that fails leaves stdout empty."""
+    if args.report_cmd == "facts":
+        fails = [
+            (r, n, t)
+            for r in args.r_range
+            for n in args.n_range
+            for t in range(max(0, (n - r) // (5 * r + 1)) + 1)
+            if not tur.fact51_check(n, t, r).holds
+        ]
         print(f"{'r':>3} {'n':>4} {'t':>4} {'holds':>6}")
-        for r in args.r_range:
-            for n in args.n_range:
-                t = 0
-                while (t + 1) * (5 * r + 1) <= n - r:
-                    t += 1
-                for tt in range(0, t + 1):
-                    res = tur.fact51_check(n, tt, r)
-                    if not res.holds:
-                        rows.append(f"fact51 r={r} n={n} t={tt} FAILS")
-                        print(f"{r:>3} {n:>4} {tt:>4} {'False':>6}")
-        print("fact51 grid complete" + (" (all hold)" if not rows else ""))
-        rows.append("fact51 grid done")
-    return 0, rows
+        for r, n, t in fails:
+            print(f"{r:>3} {n:>4} {t:>4} {'False':>6}")
+        print("fact51 grid complete" + (" (all hold)" if not fails else ""))
+        return 0, [f"fact51 r={r} n={n} t={t} FAILS" for r, n, t in fails] + ["fact51 grid done"]
+    F = read_file(args.F)
+    table = _computing_table(cache, mid)
+    if args.report_cmd == "gap":
+        gaps = list(tur.edge_sensitivity_gaps(F, args.n_range, table))
+        print(f"{'n':>4} {'gap':>6} {'threshold':>10} {'t_max':>6}")
+        for g in gaps:
+            print(f"{g.n:>4} {g.gap:>6} {g.threshold:>10} {g.t_max:>6}")
+        return 0, [f"gap n={g.n} gap={g.gap} t_max={g.t_max}" for g in gaps]
+    ns = args.n_range
+    pi = args.pi if args.pi is not None else tur.derived_quantities(F, table, max(ns)).pi_hat
+    params = tur.CheckParams(c1=Fraction(1), c2=Fraction(1), pi=pi, m=F.n)
+    rows = tur.smoothness_check(F, params, table, ns)
+    print(f"pi = {pi}")
+    print(f"{'n':>4} {'lhs':>12} {'rhs':>14} {'holds':>6}")
+    for row in rows:
+        note = f" ({row.note})" if row.note else ""
+        print(f"{row.n:>4} {str(row.lhs):>12} {str(row.rhs):>14} {str(row.holds):>6}{note}")
+    return 0, [f"smoothness n={row.n} holds={row.holds}" for row in rows]
 
 
 COMMANDS = {
@@ -275,7 +272,6 @@ def build_parser():
     rf = rsub.add_parser("facts")
     rf.add_argument("--r-range", type=_parse_range, default="2:4")
     rf.add_argument("--n-range", type=_parse_range, default="20:60")
-    rf.add_argument("-F", default=None)
     return p
 
 

@@ -450,112 +450,59 @@ class Embedding(namedtuple("Embedding", "mapping")):
         return all(H.has_edge(e) for e in self.image_edges(F))
 
 
-def _pattern_order(F):
-    """Static vertex order for backtracking: connectivity-first, most-anchored,
-    descending degree; isolated vertices last."""
-    degs = F.degrees()
-    verts = [v for v in range(F.n) if degs[v] > 0]
-    isolated = [v for v in range(F.n) if degs[v] == 0]
-    order = []
-    placed = set()
-    vset = set(verts)
-    while vset - placed:
-        # new component: start from max degree among unplaced
-        rest = [v for v in verts if v not in placed]
-        start = max(rest, key=lambda v: degs[v])
-        order.append(start)
-        placed.add(start)
-        while True:
-            # next: maximize number of edges fully anchored once placed
-            cand_best, score_best = None, None
-            for v in rest:
-                if v in placed:
-                    continue
-                full = sum(
-                    1
-                    for e in F.edges
-                    if v in e and all(u in placed or u == v for u in e)
-                )
-                touch = sum(
-                    1 for e in F.edges if v in e and any(u in placed for u in e)
-                )
-                if touch == 0:
-                    continue
-                score = (full, touch, degs[v])
-                if score_best is None or score > score_best:
-                    score_best, cand_best = score, v
-            if cand_best is None:
-                break
-            order.append(cand_best)
-            placed.add(cand_best)
-    order.extend(isolated)
-    return order
-
-
 def iter_embeddings(F, H):
-    """Yield every embedding of F into H (exhaustive).
+    """Yield every embedding of F into H, each once (exhaustive).
 
-    Backtracking over a connectivity-aware static vertex order with degree and
-    edge-completion pruning; for hosts with n <= 64 candidate sets are bitsets.
+    Backtracking places next the unplaced pattern vertex with the most
+    neighbors already placed (ties: larger degree, then smaller label), so
+    each component is placed connected and isolated vertices come last.  An
+    edge of F is checked at its last-placed vertex, whose candidates are one
+    bitset of unused host vertices ANDed with the completion bitset of the
+    edge's placed (r-1)-subset, looked up by the sum of its vertices' bits.
     """
     if F.r != H.r:
         raise ValueError(f"uniformity mismatch: {F.r} vs {H.r}")
     if F.n > H.n:
         return
-    degs_F = F.degrees()
-    degs_H = H.degrees()
-    order = _pattern_order(F)
-    pos_in_order = {v: k for k, v in enumerate(order)}
-    # edges checked at step k: all their pattern vertices are placed by step k
-    checks = [[] for _ in range(F.n)]
+    nbrs = [set() for _ in range(F.n)]
     for e in F.edges:
-        k = max(pos_in_order[v] for v in e)
-        checks[k].append(e)
-    degok = [0] * F.n
-    for v in range(F.n):
-        mask = 0
-        for w in range(H.n):
-            if degs_H[w] >= degs_F[v]:
-                mask |= 1 << w
-        degok[v] = mask
-    # completion index: (r-1)-subset -> bitmask of vertices closing a host edge
+        for v in e:
+            nbrs[v].update(e)
+    degs = F.degrees()
+    order = []
+    rest = set(range(F.n))
+    while rest:
+        u = max(rest, key=lambda v: (len(nbrs[v] - rest), degs[v], -v))
+        order.append(u)
+        rest.remove(u)
+    # closes[k]: for each edge whose last-placed vertex is order[k], its other vertices
+    closes = [[] for _ in range(F.n)]
+    for e in F.edges:
+        k = max(map(order.index, e))
+        closes[k].append([x for x in e if x != order[k]])
+    # completions[S]: host vertices v with S | {v} a host edge, for S an (r-1)-subset bitset
     completions = {}
     for e in H.edges:
+        key = sum(1 << v for v in e)
         for v in e:
-            key = tuple(u for u in e if u != v)
-            completions[key] = completions.get(key, 0) | (1 << v)
+            completions[key ^ (1 << v)] = completions.get(key ^ (1 << v), 0) | (1 << v)
+    bits = [0] * F.n  # bits[u]: the host vertex of placed pattern vertex u, as a bit
 
-    mapping = [-1] * F.n
-    used = 0
-
-    def candidates(k):
-        u = order[k]
-        mask = degok[u] & ~used
-        for e in checks[k]:
-            key = tuple(sorted(mapping[x] for x in e if x != u))
-            mask &= completions.get(key, 0)
-            if not mask:
-                return 0
-        return mask
-
-    def rec(k):
-        nonlocal used
+    def rec(k, free):
         if k == F.n:
-            yield Embedding(tuple(mapping))
+            yield Embedding(tuple(b.bit_length() - 1 for b in bits))
             return
+        mask = free
+        for others in closes[k]:
+            mask &= completions.get(sum(map(bits.__getitem__, others)), 0)
         u = order[k]
-        mask = candidates(k)
         while mask:
             low = mask & -mask
-            w = low.bit_length() - 1
             mask ^= low
-            mapping[u] = w
-            used |= low
-            yield from rec(k + 1)
-            used &= ~low
-            mapping[u] = -1
+            bits[u] = low
+            yield from rec(k + 1, free ^ low)
 
-    yield from rec(0)
+    yield from rec(0, (1 << H.n) - 1)
 
 
 def find_embedding(F, H):

@@ -727,15 +727,21 @@ GapResult = namedtuple("GapResult", "n gap threshold t_max")
 def edge_sensitivity_gaps(F, ns, table):
     """For each n of ns: gap = ex(n,F) - ex(n,{F} u F+F), the edge-sensitivity
     threshold 2 v(F) |F| C(n-1,r-1), and t_max = floor(sqrt(gap/threshold)).
-    The family {F} u F+F is built once, before the first n."""
+    The family {F} u F+F is built once, before the first n.  A superfamily's
+    ex is no larger, so records that give a negative gap contradict each
+    other and raise ValueError."""
     from .constructions import edge_sum_family
 
     fam_F = singleton(F)
     fam_union = fam_F.union(edge_sum_family(F, F))
     for n in ns:
-        gap = table.ex(fam_F, n) - table.ex(fam_union, n)
-        if gap < 0:
-            raise AssertionError("superfamily monotonicity violated in the table")
+        ex_F, ex_union = table.ex(fam_F, n), table.ex(fam_union, n)
+        if ex_F < ex_union:
+            raise ValueError(
+                f"records contradict superfamily monotonicity at n={n}: "
+                f"ex(n, F) = {ex_F} < ex(n, F u F+F) = {ex_union}"
+            )
+        gap = ex_F - ex_union
         threshold = 2 * F.n * len(F.edges) * comb(n - 1, F.r - 1)
         t_max = isqrt(gap // threshold) if threshold > 0 else 0
         yield GapResult(n=n, gap=gap, threshold=threshold, t_max=t_max)

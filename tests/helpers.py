@@ -1,8 +1,8 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's own search strategies: isomorphism by
-trying all vertex bijections, copies and rainbow copies by trying all
-injective vertex maps, containment counting by brute force over copies, and
+trying all vertex bijections, embeddings, copies and rainbow copies by
+trying all injective vertex maps, containment counting by brute force over copies, and
 anti-Ramsey values by unpruned enumeration of all set partitions.
 """
 
@@ -43,6 +43,17 @@ def copies_brute(F, n):
         frozenset(colex_rank(tuple(sorted(p[v] for v in e))) for e in F.edges)
         for p in itertools.permutations(range(n), F.n)
     }
+
+
+def embeddings_brute(F, H):
+    """The embeddings of F into H as a list of vertex maps (tuples), one per
+    injective map of F's vertices into H's that sends edges to edges (every
+    map tried)."""
+    return [
+        p
+        for p in itertools.permutations(range(H.n), F.n)
+        if all(H.has_edge([p[v] for v in e]) for e in F.edges)
+    ]
 
 
 def random_relabel(H, rng):

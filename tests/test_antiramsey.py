@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rainbowlab import antiramsey as anti
 from rainbowlab import turan
 from rainbowlab.antiramsey import (
     ArTable,
@@ -31,6 +32,7 @@ from rainbowlab.antiramsey import (
 )
 from rainbowlab.constructions import complete_graph, cycle, edge_sum_family
 from rainbowlab.core import (
+    CapacityError,
     FormatError,
     HyperGraph,
     all_edges_colex,
@@ -415,6 +417,12 @@ class TestArExact:
             assert (rec.value, rec.status, rec.witness) == (1, "exact", None)
             assert (rec.nodes, rec.closed_by) == (0, "sandwich")
 
+    def test_capacity_limit_before_any_search(self, monkeypatch):
+        for name in ("_ar_ladder", "_ex_ladder"):
+            monkeypatch.setattr(anti, name, lambda *a: pytest.fail("searched"))
+        with pytest.raises(CapacityError, match="got 36"):
+            ar_exact(9, 1, K3)  # C(9, 2) = 36 > 32 edges
+
     def test_brute_agreement(self):
         for n, t, F in ((4, 2, K2), (5, 2, K2), (4, 1, K3), (5, 1, K3)):
             assert ar_exact(n, t, F).value == ar_brute(n, t, F), (n, t)
@@ -453,6 +461,8 @@ class TestArExact:
     def test_rejections(self):
         with pytest.raises(ValueError):
             ar_exact(6, 0, K3)
+        with pytest.raises(ValueError, match="got t=-1"):
+            ar_exact(5, -1, K3)
         with pytest.raises(ValueError):
             ar_exact(5, 2, K3)  # 2*3 > 5
         with pytest.raises(ValueError):

@@ -455,11 +455,68 @@ class TestCli:
         k3 = tmp_path / "k3.hg"
         run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
         capsys.readouterr()
+        F = [] if argv.startswith("facts") else ["-F", str(k3)]
         with pytest.raises(SystemExit) as exc:
-            run(tmp_path, "report", *argv.split(), "-F", str(k3))
+            run(tmp_path, "report", *argv.split(), *F)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
         assert not list((tmp_path / "cache").rglob("*"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "gap -F {k3} --n-range 0:2",
+            "smoothness -F {k3} --n-range 0:2 --pi 1/2",
+            "facts --r-range 2:2 --n-range 1:3",
+        ],
+        ids=["gap", "smoothness", "facts"],
+    )
+    def test_failed_report_prints_nothing(self, tmp_path, capsys, argv):
+        k3 = tmp_path / "k3.hg"
+        run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
+        capsys.readouterr()
+        assert run(tmp_path, "report", *argv.format(k3=k3).split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    def test_report_facts_takes_no_pattern(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "report", "facts", "-F", str(tmp_path / "missing.hg"))
+        assert exc.value.code == 2
+
+    def test_contradicting_records_exit_two(self, tmp_path, capsys):
+        # a planted understated ex(5, K3) = 4 (a 4-cycle) against the computed
+        # ex(5, {K3, C4}) = 5
+        k3 = tmp_path / "k3.hg"
+        run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
+        assert run(tmp_path, "turan", "-n", "5", "--forbid", str(k3)) == 0
+        (path,) = (tmp_path / "cache" / "turan").iterdir()
+        head, meta, _ = path.read_text().split("\n", 2)
+        c4 = HyperGraph(2, 5, [(0, 1), (1, 2), (0, 3), (2, 3)])
+        path.write_text(f"{head.replace('value=6', 'value=4')}\n{meta}\n{to_text(c4)}")
+        capsys.readouterr()
+        assert run(tmp_path, "report", "gap", "-F", str(k3), "--n-range", "5:5") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+        assert "n=5" in err and "= 4 <" in err and "= 5" in err
+
+    def test_negative_t_exit_two(self, tmp_path, capsys):
+        k3 = tmp_path / "k3.hg"
+        run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
+        capsys.readouterr()
+        assert run(tmp_path, "ar", "-n", "5", "-t", "-1", "-F", str(k3)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "t=-1" in err
+
+    @pytest.mark.parametrize("cmd", ["turan -n 12 --forbid", "ar -n 9 -t 1 -F"], ids=["turan", "ar"])
+    def test_over_capacity_exit_two(self, tmp_path, capsys, cmd):
+        k3 = tmp_path / "k3.hg"
+        run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
+        capsys.readouterr()
+        assert run(tmp_path, *cmd.split(), str(k3)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        for kind in ("turan", "ar"):
+            assert not list((tmp_path / "cache" / kind).glob("*"))
 
     def test_missing_input_file_exit_two(self, tmp_path):
         k3 = tmp_path / "k3.hg"

@@ -26,6 +26,7 @@ from rainbowlab.constructions import blow_up, fano, matching, sunflower
 from helpers import (
     brute_isomorphic,
     brute_r_partite,
+    embeddings_brute,
     max_disjoint_copies,
     random_hypergraph,
     random_relabel,
@@ -234,6 +235,30 @@ class TestEmbedding:
     def test_iter_embeddings_counts_triangles(self):
         # 4 triangles x 6 automorphisms in K_4
         assert sum(1 for _ in iter_embeddings(complete(3, 2), complete(4, 2))) == 24
+
+    @pytest.mark.parametrize(
+        "r,fn,fm,iso,hn,hm",
+        [
+            (2, 4, 3, 0, 6, 9),  # connected or not, as drawn
+            (2, 5, 2, 0, 6, 10),  # two components, or a path and an isolated vertex
+            (2, 4, 2, 2, 6, 8),  # isolated pattern vertices
+            (2, 5, 4, 0, 4, 5),  # F.n > H.n
+            (3, 5, 3, 0, 6, 12),
+            (3, 6, 2, 0, 7, 14),  # disjoint or overlapping triples
+            (3, 4, 1, 2, 6, 8),
+            (1, 3, 2, 0, 5, 3),  # r = 1
+            (1, 3, 1, 1, 4, 2),
+        ],
+    )
+    def test_iter_embeddings_matches_brute_force(self, r, fn, fm, iso, hn, hm):
+        rng = random.Random(f"{r}-{fn}-{fm}-{iso}-{hn}-{hm}")
+        for _ in range(6):
+            core_F = random_hypergraph(rng, r, fn, fm)
+            F = HyperGraph(r, fn + iso, core_F.edges)
+            H = random_hypergraph(rng, r, hn, hm)
+            got = [emb.mapping for emb in iter_embeddings(F, H)]
+            assert len(got) == len(set(got))
+            assert set(got) == set(embeddings_brute(F, H))
 
 
 class TestContainment:

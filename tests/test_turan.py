@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 from fractions import Fraction
 from math import comb
 
@@ -231,6 +232,11 @@ class TestExExact:
         big = HyperGraphFamily(2, [K3, cycle(4)])
         for n in (5, 6):
             assert ex_exact(n, big).value <= ex_exact(n, small).value
+
+    def test_capacity_limit_before_any_search(self, monkeypatch):
+        monkeypatch.setattr(tu, "_ex_ladder", lambda *a: pytest.fail("searched"))
+        with pytest.raises(core.CapacityError, match="got 66"):
+            ex_exact(12, singleton(K3))  # C(12, 2) = 66 > 64 edges
 
     def test_budget_truncation(self):
         rec = ex_exact(7, singleton(K3), budget=30)
@@ -482,6 +488,18 @@ class TestGap:
             table.put(ex_exact(n, fam_u))
         for n in (5, 6):
             assert edge_sensitivity_gap(K3, n, table).gap >= 0
+
+    def test_contradicting_records_raise_value_error(self):
+        # an understated ex(5, K3) = 4 (a 4-cycle) against ex(5, {K3, C4}) = 5
+        fam_F = singleton(K3)
+        fam_u = fam_F.union(edge_sum_family(K3, K3))
+        table = TuranTable()
+        c4 = HyperGraph(2, 5, [(0, 1), (1, 2), (0, 3), (2, 3)])
+        table.put(tu.TuranRecord(5, 2, core.family_key(fam_F), 4, c4, "exact"))
+        table.put(ex_exact(5, fam_u))
+        msg = "at n=5: ex(n, F) = 4 < ex(n, F u F+F) = 5"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            edge_sensitivity_gap(K3, 5, table)
 
     def test_single_edge_gap_zero(self):
         fam_F = singleton(K2)
