@@ -24,6 +24,7 @@ from .core import (
     find_embedding,
 )
 from .turan import (
+    MAX_EDGES,
     MissingRecordError,
     SOLVER_VERSION,
     _climb,
@@ -111,22 +112,26 @@ def coloring_from_text(text):
 def find_rainbow_copy(chi, target):
     """An embedding of ``target`` into K_n^r whose edge images carry pairwise
     distinct colors under chi, or None.  Exhaustive: the first rainbow copy
-    that ``subgraph_copies`` lists, as an embedding, built lazily so that
-    the copies after it are never built.  An edgeless target has
-    no color to repeat, so it has one when it fits; if the target has more
-    vertices than the host no copy exists and None is returned.
+    that ``subgraph_copies`` lists, built lazily so that the copies after it
+    are never built.  An edgeless target that fits has one, the empty copy.
     """
     r, n = chi.r, chi.n
     if target.r != r:
         raise ValueError(f"uniformity mismatch: {target.r} vs {r}")
-    if not target.edges:
-        return find_embedding(target, HyperGraph(r, n, []))
     if len(target.edges) > chi.ncolors:
         return None
     for cp in _iter_copies(target, n):
-        if len({chi.colors[i] for i in cp}) == len(cp):
-            edges = all_edges_colex(n, r)
-            return find_embedding(target, HyperGraph(r, n, [edges[i] for i in cp]))
+        seen, rest = 0, cp  # the colors of the edges read so far, and the edges left
+        while rest:
+            low = rest & -rest
+            bit = 1 << chi.colors[low.bit_length() - 1]
+            if seen & bit:
+                break
+            seen |= bit
+            rest ^= low
+        else:
+            image = [e for i, e in enumerate(all_edges_colex(n, r)) if cp >> i & 1]
+            return find_embedding(target, HyperGraph(r, n, image))
     return None
 
 
@@ -541,8 +546,8 @@ def ar_exact(n, t, F, budget=None):
         raise ValueError("F must have at least one edge")
     r = F.r
     E = comb(n, r)
-    if E > 32:
-        raise CapacityError(f"partition search supports C(n,r) <= 32 edges, got {E}")
+    if E > MAX_EDGES:
+        raise CapacityError(f"partition search supports C(n,r) <= {MAX_EDGES} edges, got {E}")
     target = disjoint_union(F, t)
     key = family_key(singleton(F))
     ms, ex = range(r, n + 1), {}

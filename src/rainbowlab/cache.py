@@ -75,8 +75,7 @@ def _parse_record(text, tag, names):
 
 
 def turan_record_to_text(rec, manifest=""):
-    status = rec.status
-    head = f"TURAN n={rec.n} fam={rec.family_key} value={rec.value} status={status}"
+    head = f"TURAN n={rec.n} fam={rec.family_key} value={rec.value} status={rec.status}"
     meta = f"meta solver={rec.solver} manifest={manifest}"
     return head + "\n" + meta + "\n" + to_text(rec.witness)
 
@@ -104,9 +103,7 @@ def turan_record_from_text(text):
 
 
 def ar_record_to_text(rec, manifest=""):
-    status = rec.status
-    if status == "bounds":
-        status = f"bounds:{rec.lo}:{rec.hi}"
+    status = f"bounds:{rec.lo}:{rec.hi}" if rec.status == "bounds" else rec.status
     head = f"AR n={rec.n} t={rec.t} F={rec.F_key} value={rec.value} status={status}"
     meta = f"meta solver={rec.solver} manifest={manifest}"
     body = coloring_to_text(rec.witness) if rec.witness is not None else "nowitness\n"
@@ -233,9 +230,6 @@ class Cache:
         path = self.root / "colorings" / f"{name}.col"
         _atomic_write(path, text)
         return path
-
-    def load_coloring(self, path):
-        return coloring_from_text(Path(path).read_text(encoding="ascii"))
 
 
 # -- compute-through helpers -----------------------------------------------------

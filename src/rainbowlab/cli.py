@@ -14,7 +14,14 @@ from pathlib import Path
 
 from . import antiramsey as anti
 from . import turan as tur
-from .cache import Cache, CacheError, ar_record, turan_record
+from .cache import (
+    Cache,
+    CacheError,
+    ar_record,
+    ar_record_to_text,
+    turan_record,
+    turan_record_to_text,
+)
 from .core import (
     CapacityError,
     FormatError,
@@ -91,14 +98,13 @@ def cmd_turan(args, cache, mid):
     members = [read_file(p) for p in args.forbid]
     fam = HyperGraphFamily(members[0].r, members)
     rec = turan_record(cache, args.n, fam, budget=args.budget, manifest=mid)
-    print(f"TURAN n={rec.n} fam={rec.family_key} value={rec.value} status={rec.status}")
+    print(turan_record_to_text(rec).partition("\n")[0])
     return 0, [f"value={rec.value}", rec.status, f"closed_by={rec.closed_by}"]
 
 
 def cmd_ar(args, cache, mid):
     rec = ar_record(cache, args.n, args.t, read_file(args.F), budget=args.budget, manifest=mid)
-    status = rec.status if rec.is_exact() else f"bounds:{rec.lo}:{rec.hi}"
-    print(f"AR n={rec.n} t={rec.t} F={rec.F_key} value={rec.value} status={status}")
+    print(ar_record_to_text(rec).partition("\n")[0])
     return 0, [f"value={rec.value}", rec.status, f"closed_by={rec.closed_by}"]
 
 
@@ -109,7 +115,7 @@ def cmd_construct(args, cache, mid):
         chi = anti.build_coloring_fact21(args.n, args.t, F, rec)
         target = f"rainbow-{args.t + 1}F-free"
     else:
-        inner = cache.load_coloring(args.inner)
+        inner = anti.coloring_from_text(Path(args.inner).read_text(encoding="ascii"))
         chi = anti.build_coloring_fact31(args.n, args.t, F, inner)
         target = f"rainbow-{args.t + 2}F-free"
     path = cache.store_coloring(chi) if args.output is None else Path(args.output)

@@ -36,6 +36,10 @@ from .core import complete as complete_host
 
 SOLVER_VERSION = "rainbowlab-0.1.0"
 
+#: the most host edges C(n, r) that ``ex_exact`` and ``ar_exact`` search; it
+#: keeps every ``_vertex_fields`` counter at most C(n-1, r-1) <= 35 < 128
+MAX_EDGES = 64
+
 #: certified enclosure of e^{1/5}
 E15_LO = Fraction(12214027, 10**7)
 E15_HI = Fraction(12214028, 10**7)
@@ -62,13 +66,13 @@ def _shapes(c):
 
 
 def subgraph_copies(F, n):
-    """Every copy of F in K_n^r as a frozenset of colex edge ranks, in the
-    order of ``_iter_copies``."""
+    """Every copy of F in K_n^r as the bitmask of its colex edge ranks, in
+    the order of ``_iter_copies``."""
     return list(_iter_copies(F, n))
 
 
 def _iter_copies(F, n):
-    """Yield every copy of F in K_n^r as a frozenset of colex edge ranks.
+    """Yield every copy of F in K_n^r as the bitmask of its colex edge ranks.
 
     Built, not searched.  A copy of a connected component c with v vertices
     covers exactly v host vertices S, and its edge set is one of the shapes
@@ -79,60 +83,51 @@ def _iter_copies(F, n):
     isomorphic iff they have the same shapes, so the shapes also group
     identical components, which are placed in order of their minimum vertex:
     each copy of F appears exactly once.  Isolated vertices of F only require
-    v(F) <= n.  Lazy, so a caller that stops early builds only the copies it
-    reads (the placements of each component are listed first).
+    v(F) <= n (an edgeless F has one copy, 0).  Lazy, so a caller that stops
+    early builds only the copies it reads (component placements come first).
     """
-    if F.n > n or not F.edges:
+    if F.n > n:
         return
     comps = sorted((_shapes(c), c.n) for c in map(F.induced, F.components()))
-    placements = []  # per component: (shapes, list of (vertex_mask, frozenset of ranks))
-    cache = {}
+    cache = {}  # shapes -> list of (vertex_mask, edge_mask)
     for shapes, v in comps:
         if shapes not in cache:
             local = all_edges_colex(v, F.r)
             options = []
             for S in all_edges_colex(n, v):
-                ranks = [colex_rank([S[a] for a in e]) for e in local]
+                bits = [1 << colex_rank([S[a] for a in e]) for e in local]
                 vm = sum(1 << w for w in S)
-                options.extend((vm, frozenset(ranks[j] for j in s)) for s in shapes)
+                options.extend((vm, sum(bits[j] for j in s)) for s in shapes)
             cache[shapes] = options
-        placements.append((shapes, cache[shapes]))
+    placements = [cache[shapes] for shapes, _ in comps]  # identical components share one list
     k = len(comps)
 
-    def rec(i, used_mask, prev_key, prev_min, acc):
+    def rec(i, used_mask, prev, prev_min, acc):
         if i == k:
-            yield frozenset().union(*acc)
+            yield acc
             return
-        key, options = placements[i]
-        for vm, ranks in options:
+        options = placements[i]
+        for vm, mask in options:
             if vm & used_mask:
                 continue
             lo = (vm & -vm).bit_length() - 1
-            if key == prev_key and lo <= prev_min:
+            if options is prev and lo <= prev_min:
                 continue
-            acc.append(ranks)
-            yield from rec(i + 1, used_mask | vm, key, lo, acc)
-            acc.pop()
+            yield from rec(i + 1, used_mask | vm, options, lo, acc | mask)
 
-    yield from rec(0, 0, None, -1, [])
+    yield from rec(0, 0, None, -1, 0)
 
 
 @functools.cache
 def _copy_masks(members, n):
     """Forbidden-copy bitmasks over the colex edge ranks of K_n^r, for the
-    tuple of r-graphs ``members`` of a family.
+    tuple of r-graphs ``members`` of a family, in order of size.
 
-    Returns (masks, edgeless) where edgeless flags a member with no edges
-    fitting on n vertices (which forces ex = 0 by convention).  Cached, so
-    the ``ex`` and ``ar`` ladders of ``ar_exact`` share one enumeration.
+    A member with no edges fitting on n vertices has the one copy 0, which
+    every other mask contains, so it leaves (0,).  Cached, so the ``ex`` and
+    ``ar`` ladders of ``ar_exact`` share one enumeration.
     """
-    masks = set()
-    edgeless = False
-    for m in members:
-        if m.n <= n and not m.edges:
-            edgeless = True
-        for cp in subgraph_copies(m, n):
-            masks.add(sum(1 << i for i in cp))
+    masks = {x for m in members for x in subgraph_copies(m, n)}
     # drop masks that contain another mask (dominated constraints); two
     # distinct masks of one size contain neither, so each mask is compared
     # only with the kept masks of fewer edges
@@ -142,7 +137,7 @@ def _copy_masks(members, n):
             size, fewer = x.bit_count(), len(kept)
         if not any(y & x == y for y in kept[:fewer]):
             kept.append(x)
-    return tuple(kept), edgeless
+    return tuple(kept)
 
 
 # -- full enumeration oracle ------------------------------------------------------
@@ -161,8 +156,8 @@ def ex_enumerate(n, fam):
     E = comb(n, r)
     if E > 20:
         raise CapacityError(f"enumeration oracle supports C(n,r) <= 20, got {E}")
-    masks, edgeless = _copy_masks(fam.members, n)
-    if edgeless:
+    masks = _copy_masks(fam.members, n)
+    if masks == (0,):  # an edgeless member: the empty copy is in every edge set
         return 0, HyperGraph(r, n, [])
     universe = np.arange(1 << E, dtype=np.uint32)
     good = np.ones(1 << E, dtype=bool)
@@ -366,15 +361,14 @@ def _greedy(order, copies_at):
     return chosen
 
 
-def _trivial_value(m, r, masks, edgeless):
+def _trivial_value(m, r, masks):
     """Rung m's value, ex(m) or A(m), when no search is needed, else None:
-    0 when some member is edgeless or a single edge on m vertices, C(m,r)
-    when no member fits."""
-    if edgeless or 1 in [x.bit_count() for x in masks]:
-        return 0
+    C(m,r) when no member fits, and 0 when the first (smallest) of the kept
+    ``masks`` has at most one edge: some member is edgeless or a single edge
+    on m vertices."""
     if not masks:
         return comb(m, r)
-    return None
+    return 0 if masks[0].bit_count() <= 1 else None
 
 
 def _rungs(context, r, members):
@@ -385,8 +379,8 @@ def _rungs(context, r, members):
 
     @functools.cache
     def rung(m):
-        masks, edgeless = _copy_masks(members, m)
-        value = _trivial_value(m, r, masks, edgeless)
+        masks = _copy_masks(members, m)
+        value = _trivial_value(m, r, masks)
         return context(m, r, masks) if value is None else value
 
     return rung
@@ -550,8 +544,8 @@ def ex_exact(n, fam, budget=None):
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
     E = comb(n, r)
-    if E > 64:
-        raise CapacityError(f"branch and bound supports C(n,r) <= 64, got {E}")
+    if E > MAX_EDGES:
+        raise CapacityError(f"branch and bound supports C(n,r) <= {MAX_EDGES}, got {E}")
     key = family_key(fam)
     rung, caps = _ex_ladder(r, fam.members)
     value = rung(n)
@@ -680,8 +674,8 @@ def boundedness_falsifier(F, params, n, samples, table, seed=0):
     size_needed = (1 - params.c2) * ex_n
     if deg_needed > comb(n - 1, r - 1):
         return []  # premise unsatisfiable: max degree is capped
-    masks, edgeless = _copy_masks(fam.members, n)
-    if _trivial_value(n, r, masks, edgeless) == 0:
+    masks = _copy_masks(fam.members, n)
+    if _trivial_value(n, r, masks) == 0:
         return []  # no F-free graph has any edge
     E = comb(n, r)
     edges = all_edges_colex(n, r)

@@ -37,10 +37,10 @@ def rainbow_brute(chi, target):
 
 
 def copies_brute(F, n):
-    """The copies of F in K_n^r as a set of frozensets of colex edge ranks,
+    """The copies of F in K_n^r as a set of bitmasks of colex edge ranks,
     one per injective map of its vertices into the host's (every map tried)."""
     return {
-        frozenset(colex_rank(tuple(sorted(p[v] for v in e))) for e in F.edges)
+        sum(1 << colex_rank(tuple(sorted(p[v] for v in e))) for e in F.edges)
         for p in itertools.permutations(range(n), F.n)
     }
 
@@ -100,7 +100,9 @@ def _ar_brute_search(n, t, F):
     A = 0), by enumerating every set partition in lexicographic order of its
     restricted growth string (no pruning)."""
     E = comb(n, F.r)
-    copies = [tuple(sorted(cp)) for cp in subgraph_copies(disjoint_union(F, t), n)]
+    copies = [
+        [e for e in range(E) if cp >> e & 1] for cp in subgraph_copies(disjoint_union(F, t), n)
+    ]
     best, first = 0, None
     a = [0] * E
 

@@ -508,7 +508,7 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and "t=-1" in err
 
-    @pytest.mark.parametrize("cmd", ["turan -n 12 --forbid", "ar -n 9 -t 1 -F"], ids=["turan", "ar"])
+    @pytest.mark.parametrize("cmd", ["turan -n 12 --forbid", "ar -n 12 -t 1 -F"], ids=["turan", "ar"])
     def test_over_capacity_exit_two(self, tmp_path, capsys, cmd):
         k3 = tmp_path / "k3.hg"
         run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))

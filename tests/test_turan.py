@@ -57,7 +57,7 @@ GIRTH5 = HyperGraphFamily(2, [K3, cycle(4)])
 
 @functools.cache
 def _ex_brute(F, n):
-    masks = [sum(1 << i for i in cp) for cp in copies_brute(F, n)]
+    masks = copies_brute(F, n)
     return max(
         x.bit_count() for x in range(1 << comb(n, F.r)) if all(x & c != c for c in masks)
     )
@@ -80,7 +80,7 @@ def free_graphs(draw):
     F = HyperGraph(r, v, draw(st.lists(st.sampled_from(pool), min_size=1, unique=True)))
     m = draw(st.integers(r + 1, 6))
     E = comb(m, r)
-    masks = [sum(1 << i for i in cp) for cp in copies_brute(F, m)] if F.n <= m else []
+    masks = copies_brute(F, m)
     order = draw(st.permutations(range(E)))
     keep = draw(st.lists(st.booleans(), min_size=E, max_size=E))
     chosen = 0
@@ -125,6 +125,8 @@ class TestCopies:
             HyperGraph(2, 5, [(0, 2), (2, 3)]),
             HyperGraph(3, 5, [(0, 1, 3), (1, 3, 4)]),
             HyperGraph(3, 6, [(0, 1, 2), (2, 3, 4), (0, 1, 5)]),
+            HyperGraph(2, 3, []),
+            HyperGraph(3, 4, []),
         ],
         ids=[
             *(f"{t}{name}" for name in CAP_SHAPES for t in (1, 2, 3)),
@@ -133,6 +135,8 @@ class TestCopies:
             "P3+2K1",  # isolated vertices
             "tight-pair+K1",
             "three-triples",
+            "3K1",  # edgeless: one empty copy
+            "4K1^3",
         ],
     )
     def test_against_injective_maps(self, F):
@@ -145,11 +149,13 @@ class TestCopies:
         # {K3, K4} on 6 vertices: 35 masks, of which the 20 triangles contain
         # no other; kept in order of size
         fam = (K3, complete_graph(4))
-        masks = {sum(1 << i for i in cp) for F in fam for cp in copies_brute(F, 6)}
+        masks = copies_brute(K3, 6) | copies_brute(complete_graph(4), 6)
         brute = {x for x in masks if not any(y != x and y & x == y for y in masks)}
-        kept, edgeless = tu._copy_masks(fam, 6)
-        assert (len(masks), len(kept), set(kept), edgeless) == (35, 20, brute, False)
+        kept = tu._copy_masks(fam, 6)
+        assert (len(masks), len(kept), set(kept)) == (35, 20, brute)
         assert [x.bit_count() for x in kept] == sorted(x.bit_count() for x in kept)
+        # a fitting edgeless member has the empty copy, which every mask contains
+        assert tu._copy_masks((HyperGraph(2, 3, []), K3), 5) == (0,)
 
 
 class TestDualOracle:
