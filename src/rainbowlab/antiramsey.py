@@ -8,7 +8,6 @@ edge order) and returns A + 1; surjectivity is automatic since every class of
 a partition is nonempty.
 """
 
-import functools
 from collections import namedtuple
 from fractions import Fraction
 from math import comb
@@ -30,7 +29,9 @@ from .turan import (
     _climb,
     _ex_ladder,
     _iter_copies,
+    _leader,
     _rungs,
+    _transpositions,
     _vertex_fields,
     singleton,
 )
@@ -249,7 +250,8 @@ def _ar_dfs(search, after, allowed, assign, i, k, free, live, floor, star, commo
     prunes a node where some vertex v has fewer than best + 1 - below classes
     wholly inside star(v) and free undecided edges at v; ``star`` packs those
     counts per vertex, and ``common[c]`` packs a 1 for each vertex that every
-    edge of class c contains.  ``ar_exact`` proves all four sound.
+    edge of class c contains.  ``ar_exact`` and ``_leader`` prove all four
+    sound.
 
     Colors are tried in ascending order, so leaves come in lexicographic
     order of their restricted growth strings.
@@ -317,61 +319,6 @@ def _ar_dfs(search, after, allowed, assign, i, k, free, live, floor, star, commo
             last, old = narrowed.pop()
             allowed[last] = old
     assign[i] = -1
-
-
-def _leader(assign, live, i):
-    """Extend each comparison of ``live`` to the image prefix that edges
-    0..i-1 determine; the comparisons still tied, or None when the prefix
-    of ``assign`` is greater than one of its images.
-
-    A comparison (p, ends, ln, rel) has found ``assign[:ln]`` equal to the
-    restricted growth string of the image b[j] = assign[p[j]] on its first
-    ln positions; ``rel`` renames the colors of b in order of first
-    appearance.  One that finds ``assign`` smaller is dropped for good.
-    """
-    kept = []
-    for cmp in live:
-        p, ends, ln, rel = cmp
-        end = ends[i]
-        if ln == end:
-            kept.append(cmp)
-            continue
-        while ln < end:
-            x = assign[p[ln]]
-            y = rel.get(x)
-            if y is None:
-                y = len(rel)
-                rel = {**rel, x: y}
-            a = assign[ln]
-            if a != y:
-                if a > y:
-                    return None
-                break
-            ln += 1
-        else:
-            kept.append((p, ends, ln, rel))
-    return kept
-
-
-@functools.cache
-def _transpositions(m, r):
-    """The adjacent transpositions (v v+1) of the vertices of K_m^r as
-    (p, ends): p[j] is the colex rank of the image of edge j, and ends[i]
-    the length of the longest image prefix that edges 0..i-1 determine
-    (every j < ends[i] has p[j] < i)."""
-    edges = all_edges_colex(m, r)
-    E = len(edges)
-    out = []
-    for v in range(m - 1):
-        swap = {v: v + 1, v + 1: v}
-        p = [colex_rank(tuple(sorted(swap.get(x, x) for x in e))) for e in edges]
-        ends, ln = [], 0
-        for i in range(E + 1):
-            while ln < E and p[ln] < i:
-                ln += 1
-            ends.append(ln)
-        out.append((p, ends))
-    return tuple(out)
 
 
 class _ArRung:
@@ -488,25 +435,9 @@ def ar_exact(n, t, F, budget=None):
     ``best``, so it changes neither the value nor the first leaf above
     ``best``, the witness.
 
-    Every pass skips partitions that are not lex-leaders (Crawford, Ginsberg,
-    Luks and Roy 1996).  A vertex permutation s of K_n^r maps a partition a
-    to a.s, edge j taking the class of edge s(j); write R(a.s) for its
-    restricted growth string.  For each adjacent transposition s = (v v+1)
-    the search compares a with R(a.s) on the longest prefix that the edges
-    colored so far determine, and prunes the node when a is greater there.
-    The restricted growth string of a prefix is the prefix of the string, so
-    a prefix greater than its image makes every string below it greater than
-    its image, and a leaf survives iff a <= R(a.s) for every such s; a
-    string that passes at its leaf passes at every prefix.  s permutes the
-    copies of tF, so a.s has the classes of a and no rainbow tF when a has
-    none.  Value: every partition's orbit under S_n holds a
-    lexicographically least string w, and w <= R(w.s) for every s, so w
-    survives; the forward-checking and bound prunes keep it as they keep
-    every leaf above ``best``, so every orbit that beats ``best`` keeps a
-    leaf and the value is unchanged.  Witness: the least string w with A
-    classes and no rainbow tF satisfies w <= R(w.s) for every s, as R(w.s)
-    is such a string too.  So w survives, and the first leaf with A is still
-    w: the witness is unchanged.
+    Every pass skips partitions that are not lex-leaders (``_leader``, as
+    leaves come in ascending order).  Its comparisons name no color at the
+    start, so an image is compared as its restricted growth string.
 
     The pass on rung m also prunes by a star floor from below = A(m-1).
     Lemma: a partition chi of K_m^r with A* classes and no rainbow tF has,
@@ -520,9 +451,8 @@ def ar_exact(n, t, F, budget=None):
     leaf below, and a leaf above ``best`` has A* >= best + 1, so a node where
     that sum falls below best + 1 - below at some vertex holds no leaf above
     ``best``.  Like the bound prune, the star floor keeps every leaf above
-    ``best``, so it changes neither the value nor the witness, and the
-    lex-leader argument above holds with it.  ``_climb`` gives below to the
-    pass on rung m unless rung m-1 is trivial.
+    ``best``, so it changes neither the value nor the witness.  ``_climb``
+    gives below to the pass on rung m unless rung m-1 is trivial.
 
     The value pass stops at a proven cap on A(n) (``_ar_ladder``), the
     sandwich ex(n, tF) or the averaging cap from A(n-1): a values-only

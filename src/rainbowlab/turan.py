@@ -3,9 +3,8 @@
 Two independent routes to ex(n, family):
 
 - ``ex_exact``: branch and bound over edges in colex order (include-first),
-  pruned by an edge-disjoint copy packing bound, copy-completion tests, and
-  symmetry fixing of the first two included edges (the host K_n^r is r-set
-  transitive).
+  pruned by an edge-disjoint copy packing bound, copy-completion tests, a
+  degree floor and the lex-leader rule that ``ar_exact`` shares.
 - ``ex_enumerate``: vectorized sweep over all 2^C(n,r) edge subsets,
   usable up to 20 edges.  This is the dual oracle; it shares only the copy
   enumeration with the branch and bound.
@@ -264,14 +263,12 @@ class _Ctx:
     ``cmax[i]`` lists, with bit i cleared, the copies whose largest edge is i.
     ``pack[i]`` is the mask of the packed copy holding edge i, or 0 when edge
     i is in none, for a greedy packing of ``packs`` edge-disjoint copies (the
-    packing bound of ``ex_exact``).  ``ok_second[i]`` says whether edge i may
-    be the second included edge.
+    packing bound of ``ex_exact``).
     """
 
     def __init__(self, n, r, masks):
-        edges = all_edges_colex(n, r)
-        E = len(edges)
-        self.E = E
+        self.n, self.r, self.E = n, r, comb(n, r)
+        E = self.E
         self.cmax = [[] for _ in range(E)]
         for m in masks:
             top = m.bit_length() - 1
@@ -286,15 +283,6 @@ class _Ctx:
                 for i in range(m.bit_length()):
                     if m >> i & 1:
                         self.pack[i] = m
-        # orbit-minimal candidates for the second included edge (the
-        # stabilizer of edge 0 classifies edges by their intersection size with it)
-        e0 = set(edges[0])
-        classmin = {}
-        for i in range(1, E):
-            classmin.setdefault(len(e0.intersection(edges[i])), i)
-        self.ok_second = [False] * E
-        for i in classmin.values():
-            self.ok_second[i] = True
         # the degree floor: per-edge vertex vectors, and every vertex's degree
         self.vec, self.ones, self.high = _vertex_fields(n, r)
         self.full = comb(n - 1, r - 1) * self.ones
@@ -304,47 +292,130 @@ class _Ctx:
         greedy = _greedy(range(self.E), self.cmax)
         return greedy.bit_count(), greedy
 
+    def live(self):
+        """The lex-leader comparisons at the root: none decided yet, and both
+        values, 0 and 1, named as themselves."""
+        return [(p, ends, 0, {0: 0, 1: 1}) for p, ends in _transpositions(self.n, self.r)]
+
     def run(self, search, below=None):
-        """Run the include-first search from the root, where edge 0 is fixed
-        in and every pack is intact, so the packing bound is E - packs.
+        """Run the include-first search from the root, where no edge is
+        decided and every pack is intact, so the packing bound is E - packs.
         ``below`` = ex(n-1) turns on the degree floor (``ex_exact``)."""
-        return search.run(_dfs, self, 1, 1, self.E - self.packs, self.full, below)
+        return search.run(
+            _dfs, self, 0, 0, self.E - self.packs, self.full, below, [-1] * self.E, self.live()
+        )
 
 
-def _dfs(search, ctx, i, chosen, bound, deg, below):
+def _dfs(search, ctx, i, chosen, bound, deg, below, assign, live):
     """Include-first DFS over the edges i.. of the colex order.
 
-    ``chosen`` is the mask of the k included edges; edge 0 is always in, so
-    the second-edge rule applies while chosen == 1.  ``bound`` is the packing
-    bound of ``ex_exact``, k + undecided edges - intact packs, which is k at
-    a leaf (no node includes a whole copy, so no pack stays intact); the
-    node is pruned when it is at most best.  ``deg`` packs, per vertex, its
-    included and undecided edges (``_vertex_fields``); with ``below`` =
-    ex(n-1) the node is pruned when one of them is under best + 1 - below.
+    ``chosen`` is the mask of the k included edges, and ``assign[j]`` is 0
+    for an included edge j, 1 for an excluded one and -1 while undecided.
+    ``bound`` is the packing bound of ``ex_exact``, k + undecided edges -
+    intact packs, which is k at a leaf (no node includes a whole copy, so no
+    pack stays intact); the node is pruned when it is at most best.  ``deg``
+    packs, per vertex, its included and undecided edges
+    (``_vertex_fields``); with ``below`` = ex(n-1) the node is pruned when
+    one of them is under best + 1 - below.  ``live`` holds the lex-leader
+    comparisons still undecided (``_leader``).
     """
     search.tick()
     if bound <= search.best:
-        return
-    if i == ctx.E:
-        search.offer(bound, chosen)
         return
     if below is not None:  # the degree floor (``_vertex_fields``)
         need = search.best + 1 - below
         if need > 0 and (deg + (128 - need) * ctx.ones) & ctx.high != ctx.high:
             return
-    # include branch: no copy completed, and the second edge orbit-minimal
-    if chosen != 1 or ctx.ok_second[i]:
-        for mw in ctx.cmax[i]:
-            if mw & ~chosen == 0:
-                break
-        else:
-            _dfs(search, ctx, i + 1, chosen | (1 << i), bound, deg, below)
+    live = _leader(assign, live, i)
+    if live is None:
+        return
+    if i == ctx.E:
+        search.offer(bound, chosen)
+        return
+    # include branch: no copy completed
+    for mw in ctx.cmax[i]:
+        if mw & ~chosen == 0:
+            break
+    else:
+        assign[i] = 0
+        _dfs(search, ctx, i + 1, chosen | (1 << i), bound, deg, below, assign, live)
     # exclude branch: the bound drops by one, unless edge i is the first
     # excluded edge of its pack, which then stops being intact
     p = ctx.pack[i]
     if not p or p & ~chosen & ((1 << i) - 1):
         bound -= 1
-    _dfs(search, ctx, i + 1, chosen, bound, deg - ctx.vec[i], below)
+    assign[i] = 1
+    _dfs(search, ctx, i + 1, chosen, bound, deg - ctx.vec[i], below, assign, live)
+    assign[i] = -1
+
+
+def _leader(assign, live, i):
+    """Extend each comparison of ``live`` to the image prefix that edges
+    0..i-1 determine; the comparisons still tied, or None when the prefix
+    of ``assign`` is greater than one of its images.
+
+    A comparison (p, ends, ln, rel) has found ``assign[:ln]`` equal to the
+    image b[j] = rel[assign[p[j]]] on its first ln positions; a value of the
+    image that ``rel`` does not name yet takes the next name, so names come
+    in order of first appearance.  One that finds ``assign`` smaller is
+    dropped for good.
+
+    The rule is sound (lex-leaders, Crawford, Ginsberg, Luks and Roy 1996).
+    A vertex permutation s of K_n^r maps a string a over the colex edges to
+    a.s, edge j taking the value of edge s(j); N(a.s) is a.s named by
+    ``rel``.  s permutes the copies of every pattern, so N(a.s) is feasible
+    iff a is, with the same value.  The first ends[i] positions of an image
+    read only edges below i, and naming reads only earlier positions, so a
+    prefix greater than its image makes every string below it greater than
+    its image: a string survives iff a <= N(a.s) for each s of
+    ``_transpositions``.  The least feasible string with a given value is
+    at most each of its images, so it survives.  The rule does not read
+    ``best``, so in a search that meets leaves in ascending order it changes
+    neither the value nor the witness, the first optimum (``_climb``).
+    """
+    kept = []
+    for cmp in live:
+        p, ends, ln, rel = cmp
+        end = ends[i]
+        if ln == end:
+            kept.append(cmp)
+            continue
+        while ln < end:
+            x = assign[p[ln]]
+            y = rel.get(x)
+            if y is None:
+                y = len(rel)
+                rel = {**rel, x: y}
+            a = assign[ln]
+            if a != y:
+                if a > y:
+                    return None
+                break
+            ln += 1
+        else:
+            kept.append((p, ends, ln, rel))
+    return kept
+
+
+@functools.cache
+def _transpositions(m, r):
+    """The adjacent transpositions (v v+1) of the vertices of K_m^r as
+    (p, ends): p[j] is the colex rank of the image of edge j, and ends[i]
+    the length of the longest image prefix that edges 0..i-1 determine
+    (every j < ends[i] has p[j] < i)."""
+    edges = all_edges_colex(m, r)
+    E = len(edges)
+    out = []
+    for v in range(m - 1):
+        swap = {v: v + 1, v + 1: v}
+        p = [colex_rank(tuple(sorted(swap.get(x, x) for x in e))) for e in edges]
+        ends, ln = [], 0
+        for i in range(E + 1):
+            while ln < E and p[ln] < i:
+                ln += 1
+            ends.append(ln)
+        out.append((p, ends))
+    return tuple(out)
 
 
 def _greedy(order, copies_at):
@@ -491,17 +562,14 @@ def ex_exact(n, fam, budget=None):
 
     One sequential branch and bound, one value pass per rung.  A pass starts
     from a greedy incumbent and proves the optimum.  The witness is the first
-    optimum in include-first colex order: among the optima that contain edge
-    0, the one whose indicator vector, read by ascending colex rank, is
-    lexicographically greatest.  It is the last incumbent of the top pass,
+    optimum in include-first colex order, the last incumbent of the top pass,
     which starts one below its greedy start (``_climb`` proves this).
 
-    Every pass fixes edge 0 in (K_n^r is edge-transitive) and admits as second
-    included edge only the least edge of each orbit of the stabilizer of edge
-    0 (orderly generation, McKay 1998).  That witness passes the rule: an
-    optimum whose second edge lay above its orbit minimum would map to one
-    with a smaller second edge, which would come first.  So the rule changes
-    neither the value nor the witness.
+    Every pass prunes the edge sets that are not lex-leaders (``_leader``).
+    Include-first meets leaves in ascending order of their ``assign``
+    strings (0 for an included edge), so the witness is the least optimal
+    string: the optimum whose indicator vector, read by ascending colex
+    rank, is lexicographically greatest.
 
     The value pass stops at the averaging bound (``_ex_ladder``), which needs
     the exact ex(n-1), so ``_climb`` runs capped value passes up the rungs
@@ -521,7 +589,8 @@ def ex_exact(n, fam, budget=None):
     as no node includes a whole copy).  Summed with the undecided edges
     outside every pack, every leaf below has at most
     k + undecided - intact packs edges, and that is the bound ``_dfs``
-    carries.  It is E - packs at the root (edge 0 in, every pack intact).
+    carries.  It is E - packs at the root (no edge decided, every pack
+    intact).
     Including an edge keeps it.  Excluding one lowers it by one, unless the
     edge is the first excluded edge of its pack: that pack stops being
     intact too, and the two changes cancel.  The prune drops only nodes

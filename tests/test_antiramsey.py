@@ -607,12 +607,14 @@ class TestArExact:
 
     @pytest.mark.parametrize(
         "n, t, F, most, capped",
-        # measured 1,759, 236, 686, 3,547, 1,886 and 1,130 nodes; with the
-        # value pass trying the fresh class first, no greedy seed and a
-        # witness pass on every call 7,040, 17,274, 707, 6,571, 3,544 and
-        # 3,559; without the lex-leader rule as well 22,017, 74,704, 6,360,
-        # 59,558, 13,482 and 29,072; without forward checking as well
-        # 108,776, 204,091, 821,009, 289,266, 296,016 and 420,921
+        # measured 768, 237, 686, 3,055, 1,338 and 989 nodes; before the
+        # ``ex`` ladder had the lex-leader rule 1,759, 236, 686, 3,547, 1,886
+        # and 1,130; with the value pass trying the fresh class first, no
+        # greedy seed and a witness pass on every call as well 7,040,
+        # 17,274, 707, 6,571, 3,544 and 3,559; without the lex-leader rule
+        # in ``ar`` as well 22,017, 74,704, 6,360, 59,558, 13,482 and
+        # 29,072; without forward checking as well 108,776, 204,091,
+        # 821,009, 289,266, 296,016 and 420,921
         [
             (6, 1, C4, 4_500, True),
             (6, 1, K4, 5_500, True),
@@ -636,13 +638,13 @@ class TestArExact:
     @pytest.mark.parametrize(
         "n, t, name, value, nodes, closed_by",
         [
-            (6, 3, "K2", 7, 3_547, "search"),
-            (6, 2, "K3", 12, 5_667, "search"),
-            (6, 1, "K3", 6, 603, "search"),
-            (6, 1, "C4", 8, 1_759, "sandwich"),
-            (6, 2, "P3", 8, 1_886, "search"),
-            (6, 1, "K4", 11, 236, "averaging"),
-            (6, 1, "K4^3-", 6, 1_130, "search"),
+            (6, 3, "K2", 7, 3_055, "search"),
+            (6, 2, "K3", 12, 5_431, "search"),
+            (6, 1, "K3", 6, 605, "search"),
+            (6, 1, "C4", 8, 768, "sandwich"),
+            (6, 2, "P3", 8, 1_338, "search"),
+            (6, 1, "K4", 11, 237, "averaging"),
+            (6, 1, "K4^3-", 6, 989, "search"),
             (6, 2, "E3", 11, 686, "sandwich"),
         ],
         ids=[f"{t}{name}" for _, t, name in LADDER],
@@ -658,7 +660,7 @@ class TestArExact:
         "t, F, value",
         # ar(n, K3) = n (Erdos-Simonovits-Sos), ar(n, C4) = floor(4n/3)
         # (Alon 1983), ar(n, K4) = floor(n^2/4) + 2 (Montellano-Ballesteros
-        # and Neumann-Lara 2002; 5,615 nodes, 7,519,261 without the star
+        # and Neumann-Lara 2002; 5,744 nodes, 7,519,383 without the star
         # floor); ar(7, 2P3) = 8 as the search found it without the
         # lex-leader rule, in 162,742 nodes
         [
@@ -678,8 +680,8 @@ class TestArExact:
 
     @pytest.mark.parametrize(
         "F, value",
-        # ar(n, K3) = n, ar(n, K4) = floor(n^2/4) + 2; measured 88,929 and
-        # 27,140 nodes
+        # ar(n, K3) = n, ar(n, K4) = floor(n^2/4) + 2; measured 84,298 and
+        # 27,302 nodes
         [(K3, 8), (K4, 8 * 8 // 4 + 2)],
         ids=["K3", "K4"],
     )
@@ -693,7 +695,7 @@ class TestArExact:
     @pytest.mark.parametrize(
         "t, F, value",
         # ar(9, K4) = floor(n^2/4) + 2, and ar(9, 2K3) = ex(9, K3) + 2 by the
-        # identity of Theorem 1.5 at t = 1; measured 108,987 and 168,670
+        # identity of Theorem 1.5 at t = 1; measured 108,950 and 120,227
         # nodes, both closed by the averaging cap
         [(1, K4, 9 * 9 // 4 + 2), (2, K3, 9 * 9 // 4 + 2)],
         ids=["K4", "2K3"],
@@ -706,7 +708,7 @@ class TestArExact:
         assert verify_no_rainbow(rec.witness, F, t)
 
     def test_seven_vertex_double_triangle(self):
-        # ar(7, 2K3): 49,710 nodes; 8,009,288 without the star floor, same
+        # ar(7, 2K3): 46,426 nodes; 7,997,683 without the star floor, same
         # witness
         rec = ar_exact(7, 2, K3)
         assert (rec.value, rec.status, rec.closed_by) == (14, "exact", "search")
@@ -757,10 +759,11 @@ class TestArExact:
         assert (rec.status, rec.value) == ("exact", 3)
 
     def test_tetrahedron(self):
-        # ar(6, K4^3), the paper's headline case: 16,649 nodes; 1,655,259
-        # without the star floor, 2,243,451 with the value pass trying the
-        # fresh class first and no greedy seed as well, 52,518,436 without
-        # the lex-leader rule as well; the witness is the one found then
+        # ar(6, K4^3), the paper's headline case: 16,622 nodes; 1,797,573
+        # without the star floor; in earlier versions 2,243,451 without the
+        # star floor, with the value pass trying the fresh class first and no
+        # greedy seed, and 52,518,436 without the lex-leader rule as well;
+        # the witness is the one found then
         rec = ar_exact(6, 1, complete(4, 3))
         assert (rec.value, rec.status, rec.closed_by) == (12, "exact", "search")
         assert rec.nodes < 20_000

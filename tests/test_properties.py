@@ -1,6 +1,6 @@
 """Property tests: the four text parsers round-trip byte-exactly and reject
-every edit they cannot reproduce, and the two ``ex`` routes agree on random
-small families."""
+every edit they cannot reproduce, the canonical form does not change under
+relabeling, and the two ``ex`` routes agree on random small families."""
 
 import itertools
 from math import comb
@@ -17,8 +17,16 @@ from rainbowlab.cache import (
     turan_record_from_text,
     turan_record_to_text,
 )
-from rainbowlab.core import FormatError, HyperGraph, HyperGraphFamily, from_text, to_text
+from rainbowlab.core import (
+    FormatError,
+    HyperGraph,
+    HyperGraphFamily,
+    canonical_form,
+    from_text,
+    to_text,
+)
 from rainbowlab.turan import SOLVER_VERSION, TuranRecord, ex_enumerate, ex_exact, verify_witness
+from helpers import random_relabel
 
 # characters that int() accepts around or inside a number but that no
 # canonical text holds there (a tab, an underscore, a plus sign, an
@@ -188,6 +196,13 @@ def _rejected_or_canonical(parse, serialize, text):
     except (FormatError, CacheError):
         return
     assert serialize(obj, text) == text, text
+
+
+class TestCanonicalForm:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 9).flatmap(lambda n: hypergraphs(n=n)), st.randoms(use_true_random=False))
+    def test_relabeling_invariance(self, H, rng):
+        assert canonical_form(random_relabel(H, rng)) == canonical_form(H)
 
 
 @st.composite

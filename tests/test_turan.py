@@ -22,6 +22,7 @@ from rainbowlab.core import (
     HyperGraph,
     HyperGraphFamily,
     all_edges_colex,
+    colex_rank,
     complete,
     contains_member,
     disjoint_union,
@@ -275,7 +276,7 @@ class TestLadder:
 
     @pytest.mark.parametrize(
         "fam, most",
-        [(GIRTH5, 100_000), (singleton(K3), 5_000)],  # 2,065,657 and 302,407 without the ladder
+        [(GIRTH5, 100_000), (singleton(K3), 5_000)],  # 6,706 and 4,462 without the ladder
         ids=["girth5", "triangle"],
     )
     def test_nine_vertex_node_counts(self, fam, most):
@@ -285,8 +286,8 @@ class TestLadder:
         assert (rec.value, rec.witness) == self.uncapped(9, fam)
 
     def test_degree_floor_on_the_nine_vertex_four_cycle(self):
-        # 17,291,234 nodes without the degree floor, same value and witness;
-        # the averaging bound (14) is loose by one
+        # 7,423 nodes, 23,101 without the degree floor, same value and
+        # witness; the averaging bound (14) is loose by one
         rec = ex_exact(9, singleton(cycle(4)))
         assert (rec.value, rec.closed_by) == (13, "search")
         assert rec.nodes < 2_000_000
@@ -302,26 +303,33 @@ class TestLadder:
         plain = ex_exact(8, fam)
         assert (plain.value, plain.witness) == (rec.value, rec.witness)
         assert plain.closed_by == rec.closed_by
-        assert rec.nodes < plain.nodes  # 47,219 against 490,505
+        assert rec.nodes < plain.nodes  # 1,484 against 3,815
 
     @pytest.mark.parametrize(
         "n, F, value, nodes, closed_by",
         [
-            (8, cycle(4), 11, 47_219, "search"),
-            (7, complete_uniform(4, 3), 23, 231_178, "search"),
-            (7, f32(), 20, 78_583, "search"),
-            (7, fano(), 30, 111_959, "search"),
-            (9, disjoint_union(K3, 2), 24, 50_521, "kns"),
-            (8, cycle(5), 16, 246_292, "kns"),
-            (8, matching(3, 2), 13, 14_279, "search"),
+            (8, cycle(4), 11, 1_484, "search"),
+            (7, complete_uniform(4, 3), 23, 8_032, "search"),
+            (7, f32(), 20, 4_012, "search"),
+            (7, fano(), 30, 1_542, "search"),
+            (9, disjoint_union(K3, 2), 24, 2_078, "kns"),
+            (8, cycle(5), 16, 2_992, "kns"),
+            (8, matching(3, 2), 13, 1_713, "search"),
+            # ex(10, C5) = floor(n^2/4), and ex(11, C4) = 18 (Clapham,
+            # Flockhart and Sheehan 1989); neither closes in 10M nodes
+            # without the lex-leader rule
+            (10, cycle(5), 25, 78_527, "kns"),
+            (11, cycle(4), 18, 252_425, "search"),
         ],
-        ids=["C4", "K4^3", "F3,2", "Fano", "2K3", "C5", "3K2"],
+        ids=["C4", "K4^3", "F3,2", "Fano", "2K3", "C5", "3K2", "C5-10", "C4-11"],
     )
     def test_exact_node_counts(self, n, F, value, nodes, closed_by):
-        # the packing bound and the degree floor prune exactly these nodes;
-        # a change to either shows here before it shows in a value
+        # the packing bound, the degree floor and the lex-leader rule prune
+        # exactly these nodes; a change to any of them shows here before it
+        # shows in a value
         rec = ex_exact(n, singleton(F))
         assert (rec.value, rec.nodes, rec.closed_by) == (value, nodes, closed_by)
+        assert verify_witness(rec, singleton(F))
 
     @settings(max_examples=150, deadline=None)
     @given(free_graphs())
@@ -390,6 +398,56 @@ class TestLadder:
         monkeypatch.setattr(core, "canonical_form", lambda H: calls.append(H) or real(H))
         assert verify_witness(rec, GIRTH5)
         assert calls == []
+
+
+def _relabeled(bits, sigma, r):
+    """The 0/1 string of the edge set bits of K_n^r composed with the vertex
+    map sigma: edge e gets the value of sigma(e)."""
+    edges = all_edges_colex(len(sigma), r)
+    return tuple(bits[colex_rank(tuple(sorted(sigma[v] for v in e)))] for e in edges)
+
+
+def _survives(bits, n, r):
+    """Whether the lex-leader check of a rung of K_n^r keeps every prefix of
+    the 0/1 string bits."""
+    live = tu._Ctx(n, r, ()).live()
+    for i in range(len(bits) + 1):
+        live = tu._leader(list(bits[:i]) + [-1] * (len(bits) - i), live, i)
+        if live is None:
+            return False
+    return True
+
+
+#: edge sets of K_5 and of K_5^3, 10 edges each, as 0/1 strings (0 = included)
+EDGE_SETS_K5 = st.lists(st.integers(0, 1), min_size=10, max_size=10).map(tuple)
+
+
+class TestLexLeader:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3]), EDGE_SETS_K5)
+    def test_lex_leader_of_every_orbit_survives(self, r, bits):
+        # soundness: the least string of the orbit under all 120 vertex
+        # permutations of K_5^r is kept at every prefix
+        leader = min(_relabeled(bits, s, r) for s in itertools.permutations(range(5)))
+        assert _survives(leader, 5, r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3]), EDGE_SETS_K5)
+    def test_lex_leader_check_is_the_adjacent_transposition_rule(self, r, bits):
+        # a full string survives iff it is <= each image under (v v+1)
+        swaps = [[*range(v), v + 1, v, *range(v + 2, 5)] for v in range(4)]
+        assert _survives(bits, 5, r) == all(bits <= _relabeled(bits, s, r) for s in swaps)
+
+    # 1,484 nodes against 224,814 without the rule, and 1,713 against 45,894
+    @pytest.mark.parametrize("F", [cycle(4), matching(3, 2)], ids=["C4", "3K2"])
+    def test_rule_changes_neither_value_nor_witness(self, F, monkeypatch):
+        fam = singleton(F)
+        rec = ex_exact(8, fam)
+        monkeypatch.setattr(tu, "_transpositions", lambda m, r: ())
+        plain = ex_exact(8, fam)
+        assert (plain.value, plain.witness) == (rec.value, rec.witness)
+        assert plain.closed_by == rec.closed_by
+        assert rec.nodes < plain.nodes
 
 
 class TestDerived:
