@@ -26,6 +26,7 @@ from .turan import (
     MAX_EDGES,
     MissingRecordError,
     SOLVER_VERSION,
+    _bits,
     _climb,
     _ex_ladder,
     _iter_copies,
@@ -41,15 +42,15 @@ class CertificationError(Exception):
     """A coloring failed the rainbow-freeness check it is supposed to satisfy."""
 
 
-class EdgeColoring:
+class EdgeColoring(namedtuple("EdgeColoring", "r n ncolors colors")):
     """A surjective coloring of all edges of K_n^r.
 
     colors[i] is the color (1..ncolors) of the edge with colex rank i.
     """
 
-    __slots__ = ("r", "n", "ncolors", "colors")
+    __slots__ = ()
 
-    def __init__(self, r, n, ncolors, colors):
+    def __new__(cls, r, n, ncolors, colors):
         E = comb(n, r)
         colors = tuple(colors)
         if len(colors) != E:
@@ -58,10 +59,7 @@ class EdgeColoring:
             raise ValueError("colors must lie in 1..ncolors")
         if len(set(colors)) != ncolors:
             raise ValueError("coloring must be surjective onto 1..ncolors")
-        self.r = r
-        self.n = n
-        self.ncolors = ncolors
-        self.colors = colors
+        return super().__new__(cls, r, n, ncolors, colors)
 
     def color_of(self, edge):
         """The color of ``edge``, r distinct vertices of 0..n-1 in any order."""
@@ -69,16 +67,6 @@ class EdgeColoring:
         if not len(set(e)) == len(e) == self.r or e[0] < 0 or e[-1] >= self.n:
             raise ValueError(f"not an edge of K_{self.n}^{self.r}: {edge!r}")
         return self.colors[colex_rank(e)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EdgeColoring)
-            and (self.r, self.n, self.ncolors, self.colors)
-            == (other.r, other.n, other.ncolors, other.colors)
-        )
-
-    def __repr__(self):
-        return f"EdgeColoring(r={self.r}, n={self.n}, ncolors={self.ncolors})"
 
 
 def coloring_to_text(chi):
@@ -116,7 +104,7 @@ def find_rainbow_copy(chi, target):
     that ``subgraph_copies`` lists, built lazily so that the copies after it
     are never built.  An edgeless target that fits has one, the empty copy.
     """
-    r, n = chi.r, chi.n
+    r, n, colors = chi.r, chi.n, chi.colors
     if target.r != r:
         raise ValueError(f"uniformity mismatch: {target.r} vs {r}")
     if len(target.edges) > chi.ncolors:
@@ -125,7 +113,7 @@ def find_rainbow_copy(chi, target):
         seen, rest = 0, cp  # the colors of the edges read so far, and the edges left
         while rest:
             low = rest & -rest
-            bit = 1 << chi.colors[low.bit_length() - 1]
+            bit = 1 << colors[low.bit_length() - 1]
             if seen & bit:
                 break
             seen |= bit
@@ -337,7 +325,7 @@ class _ArRung:
         self.m, self.r, self.E = m, r, comb(m, r)
         self.after = [[] for _ in range(self.E)]
         for mask in masks:
-            *others, second, last = (i for i in range(mask.bit_length()) if mask >> i & 1)
+            *others, second, last = _bits(mask)
             self.after[second].append((last, tuple(others)))
 
     def live(self):

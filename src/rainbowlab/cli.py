@@ -193,8 +193,7 @@ def cmd_report(args, cache, mid):
         return 0, [f"gap n={g.n} gap={g.gap} t_max={g.t_max}" for g in gaps]
     ns = args.n_range
     pi = args.pi if args.pi is not None else tur.derived_quantities(F, table, max(ns)).pi_hat
-    params = tur.CheckParams(c1=Fraction(1), c2=Fraction(1), pi=pi, m=F.n)
-    rows = tur.smoothness_check(F, params, table, ns)
+    rows = tur.smoothness_check(F, pi, table, ns)
     print(f"pi = {pi}")
     print(f"{'n':>4} {'lhs':>12} {'rhs':>14} {'holds':>6}")
     for row in rows:

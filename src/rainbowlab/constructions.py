@@ -216,7 +216,7 @@ def edge_sum(F, e, F2, e2, phi):
         raise ValueError(f"uniformity mismatch: {F.r} vs {F2.r}")
     e = tuple(sorted(e))
     e2 = tuple(sorted(e2))
-    if e not in F._edgeset or e2 not in F2._edgeset:
+    if e not in F.edges or e2 not in F2.edges:
         raise ValueError("glue edges must belong to the respective hypergraphs")
     if sorted(phi) != list(e) or sorted(phi.values()) != list(e2):
         raise ValueError("phi must biject the removed edge of F onto that of F2")

@@ -47,17 +47,17 @@ def all_edges_colex(n, r):
     return sorted(itertools.combinations(range(n), r), key=colex_key)
 
 
-class HyperGraph:
+class HyperGraph(namedtuple("HyperGraph", "r n edges")):
     """An r-uniform hypergraph on vertices 0..n-1 with a colex-sorted edge list.
 
     Invariants: every edge has exactly r distinct vertices < n, no duplicate
-    edges, edge list strictly increasing in colex order.  Instances are
-    immutable; do not mutate ``edges``.
+    edges, edge list strictly increasing in colex order.  Its fields are
+    read-only.
     """
 
-    __slots__ = ("r", "n", "edges", "_edgeset")
+    __slots__ = ()
 
-    def __init__(self, r, n, edges):
+    def __new__(cls, r, n, edges):
         if r < 1:
             raise ValueError(f"uniformity must be >= 1, got {r}")
         if n < 0:
@@ -74,32 +74,10 @@ class HyperGraph:
         for a, b in zip(norm, norm[1:]):
             if a == b:
                 raise ValueError(f"duplicate edge {a!r}")
-        self.r = r
-        self.n = n
-        self.edges = tuple(norm)
-        self._edgeset = frozenset(norm)
-
-    # -- basic protocol ---------------------------------------------------
-
-    def __len__(self):
-        return len(self.edges)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HyperGraph)
-            and self.r == other.r
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.r, self.n, self.edges))
-
-    def __repr__(self):
-        return f"HyperGraph(r={self.r}, n={self.n}, m={len(self.edges)})"
+        return super().__new__(cls, r, n, tuple(norm))
 
     def has_edge(self, e):
-        return tuple(sorted(e)) in self._edgeset
+        return tuple(sorted(e)) in self.edges
 
     # -- local structure --------------------------------------------------
 
@@ -538,18 +516,12 @@ def is_r_partite(H):
         for i in inc[v]:
             e = H.edges[i]
             seen = set()
-            undecided = 0
             for u in e:
                 c = color[u]
-                if c == -1:
-                    undecided += 1
-                elif c in seen:
+                if c in seen:
                     return False
-                else:
+                if c != -1:
                     seen.add(c)
-            # a fully colored edge must use r distinct colors
-            if undecided == 0 and len(seen) != r:
-                return False
         return True
 
     def rec(v, maxc):

@@ -117,6 +117,14 @@ def _iter_copies(F, n):
     yield from rec(0, 0, None, -1, 0)
 
 
+def _bits(mask):
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @functools.cache
 def _copy_masks(members, n):
     """Forbidden-copy bitmasks over the colex edge ranks of K_n^r, for the
@@ -280,9 +288,8 @@ class _Ctx:
             if not m & used:
                 used |= m
                 self.packs += 1
-                for i in range(m.bit_length()):
-                    if m >> i & 1:
-                        self.pack[i] = m
+                for i in _bits(m):
+                    self.pack[i] = m
         # the degree floor: per-edge vertex vectors, and every vertex's degree
         self.vec, self.ones, self.high = _vertex_fields(n, r)
         self.full = comb(n - 1, r - 1) * self.ones
@@ -695,26 +702,16 @@ def derived_quantities(F, table, n):
     )
 
 
-class CheckParams(namedtuple("CheckParams", "c1 c2 pi m")):
-    """Constants for the boundedness/smoothness style checks."""
-
-    __slots__ = ()
-
-    def __new__(cls, c1, c2, pi, m):
-        if c1 <= 0 or c2 <= 0:
-            raise ValueError("c1 and c2 must be positive")
-        if not 0 <= pi <= 1:
-            raise ValueError("pi must lie in [0, 1]")
-        return super().__new__(cls, c1, c2, pi, m)
-
-
 CheckResult = namedtuple("CheckResult", "n lhs rhs holds note", defaults=("",))
 
 
-def smoothness_check(F, params, table, n_range):
+def smoothness_check(F, pi, table, n_range):
     """Per-n comparison of |delta(n,F) - d(n-1,F)| against the smoothness
-    threshold (1-pi)/(8 v(F)) * C(n, r-1).  Reports only; finite n proves
-    nothing asymptotic.  Degenerate (r-partite) F is smooth by definition."""
+    threshold (1-pi)/(8 v(F)) * C(n, r-1), for pi in [0, 1].  Reports only;
+    finite n proves nothing asymptotic.  Degenerate (r-partite) F is smooth
+    by definition."""
+    if not 0 <= pi <= 1:
+        raise ValueError(f"pi must lie in [0, 1], got {pi}")
     rows = []
     degenerate = is_r_partite(F)
     fam = singleton(F)
@@ -722,7 +719,7 @@ def smoothness_check(F, params, table, n_range):
         dq = derived_quantities(F, table, n)
         d_prev = Fraction(F.r * table.ex(fam, n - 1), n - 1)
         lhs = abs(Fraction(dq.delta_n) - d_prev)
-        rhs = (1 - params.pi) / (8 * params.m) * comb(n, F.r - 1)
+        rhs = (1 - pi) / (8 * F.n) * comb(n, F.r - 1)
         if degenerate:
             rows.append(CheckResult(n, lhs, rhs, True, "degenerate: vacuous"))
         else:
@@ -730,17 +727,20 @@ def smoothness_check(F, params, table, n_range):
     return rows
 
 
-def boundedness_falsifier(F, params, n, samples, table, seed=0):
+def boundedness_falsifier(F, c1, c2, n, samples, table, seed=0):
     """Search for an F-free n-vertex r-graph meeting both boundedness premises.
 
     Any returned graph certifies that (c1,c2)-boundedness fails at this n for
-    these constants.  An empty list is not a proof of boundedness.
+    these constants, both positive.  An empty list is not a proof of
+    boundedness.
     """
+    if c1 <= 0 or c2 <= 0:
+        raise ValueError("c1 and c2 must be positive")
     fam = singleton(F)
     ex_n = table.ex(fam, n)
     r = F.r
-    deg_needed = Fraction(r * ex_n, n) + params.c1 * comb(n - 1, r - 1)
-    size_needed = (1 - params.c2) * ex_n
+    deg_needed = Fraction(r * ex_n, n) + c1 * comb(n - 1, r - 1)
+    size_needed = (1 - c2) * ex_n
     if deg_needed > comb(n - 1, r - 1):
         return []  # premise unsatisfiable: max degree is capped
     masks = _copy_masks(fam.members, n)
@@ -751,11 +751,8 @@ def boundedness_falsifier(F, params, n, samples, table, seed=0):
     # in a random order an edge can complete any copy it lies in
     copies_at = [[] for _ in range(E)]
     for m in masks:
-        mm = m
-        while mm:
-            low = mm & -mm
-            copies_at[low.bit_length() - 1].append(m ^ low)
-            mm ^= low
+        for i in _bits(m):
+            copies_at[i].append(m ^ (1 << i))
 
     rng = random.Random(seed)
     candidates = [sum(1 << colex_rank(e) for e in table.get(fam, n).witness.edges)]

@@ -430,6 +430,16 @@ class TestCli:
                 run(tmp_path, "report", "smoothness", "-F", str(k3), "--n-range", "5:6", "--pi", pi)
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize("pi", ["3/2", "-1/3"])
+    def test_out_of_range_pi_exit_two(self, tmp_path, capsys, pi):
+        k3 = tmp_path / "k3.hg"
+        run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
+        capsys.readouterr()
+        # "--pi=" keeps argparse from reading "-1/3" as an option
+        assert run(tmp_path, "report", "smoothness", "-F", str(k3), "--n-range", "5:6", f"--pi={pi}") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "pi must lie in [0, 1]" in err
+
     @pytest.mark.parametrize("budget", ["-5", "-1", "ten", "1.5"])
     @pytest.mark.parametrize("cmd", ["turan -n 6 --forbid", "ar -n 5 -t 1 -F"], ids=["turan", "ar"])
     def test_bad_budget_exit_two(self, tmp_path, cmd, budget):

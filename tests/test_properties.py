@@ -1,6 +1,7 @@
 """Property tests: the four text parsers round-trip byte-exactly and reject
 every edit they cannot reproduce, the canonical form does not change under
-relabeling, and the two ``ex`` routes agree on random small families."""
+relabeling, ``is_r_partite`` agrees with a sweep over every vertex coloring,
+and the two ``ex`` routes agree on random small families."""
 
 import itertools
 from math import comb
@@ -23,10 +24,11 @@ from rainbowlab.core import (
     HyperGraphFamily,
     canonical_form,
     from_text,
+    is_r_partite,
     to_text,
 )
 from rainbowlab.turan import SOLVER_VERSION, TuranRecord, ex_enumerate, ex_exact, verify_witness
-from helpers import random_relabel
+from helpers import brute_r_partite, random_relabel
 
 # characters that int() accepts around or inside a number but that no
 # canonical text holds there (a tab, an underscore, a plus sign, an
@@ -203,6 +205,13 @@ class TestCanonicalForm:
     @given(st.integers(0, 9).flatmap(lambda n: hypergraphs(n=n)), st.randoms(use_true_random=False))
     def test_relabeling_invariance(self, H, rng):
         assert canonical_form(random_relabel(H, rng)) == canonical_form(H)
+
+
+class TestRPartite:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 7).flatmap(lambda n: hypergraphs(n=n)))
+    def test_equals_sweep_over_all_colorings(self, H):
+        assert is_r_partite(H) == brute_r_partite(H)
 
 
 @st.composite

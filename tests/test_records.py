@@ -1,4 +1,5 @@
-"""Records and verdicts are immutable value types with fixed defaults."""
+"""Records, verdicts and the hypergraph and coloring types are immutable
+value types with fixed defaults."""
 
 from fractions import Fraction
 
@@ -9,14 +10,16 @@ from rainbowlab import turan as tu
 from rainbowlab.core import Embedding, HyperGraph
 
 EMPTY = HyperGraph(2, 3, [])
+K3 = HyperGraph(2, 3, [(0, 1), (0, 2), (1, 2)])
 HALF = Fraction(1, 2)
 
-#: one instance of each record and verdict type, with only its required fields
+#: one instance of each record, verdict and value type, with only its required fields
 RECORDS = [
     Embedding((0, 1)),
+    EMPTY,
+    anti.EdgeColoring(2, 2, 1, (1,)),
     tu.TuranRecord(3, 2, "key", 0, EMPTY, "exact"),
     tu.DerivedQuantities(5, 1, HALF, HALF),
-    tu.CheckParams(HALF, HALF, HALF, 3),
     tu.CheckResult(5, HALF, HALF, True),
     tu.GapResult(5, 0, 1, 0),
     anti.ArRecord(3, 1, 2, "key", 1, None, "exact"),
@@ -29,8 +32,9 @@ RECORDS = [
 
 @pytest.mark.parametrize("rec", RECORDS, ids=lambda rec: type(rec).__name__)
 def test_fields_are_read_only(rec):
+    name = rec._fields[0]
     with pytest.raises(AttributeError):
-        setattr(rec, rec._fields[0], 0)
+        setattr(rec, name, 0)
     with pytest.raises(AttributeError):
         rec.extra = 0  # no instance dict either
 
@@ -44,10 +48,15 @@ def test_defaults():
 
 
 @pytest.mark.parametrize(
-    "c1,c2,pi",
-    [(0, HALF, HALF), (HALF, -1, HALF), (HALF, HALF, Fraction(-1, 3)), (HALF, HALF, Fraction(4, 3))],
+    "check",
+    [
+        lambda table: tu.boundedness_falsifier(K3, 0, HALF, 5, 1, table),
+        lambda table: tu.boundedness_falsifier(K3, HALF, -1, 5, 1, table),
+        lambda table: tu.smoothness_check(K3, Fraction(-1, 3), table, range(5, 7)),
+        lambda table: tu.smoothness_check(K3, Fraction(4, 3), table, range(5, 7)),
+    ],
     ids=["c1<=0", "c2<=0", "pi<0", "pi>1"],
 )
-def test_check_params_reject_constants_out_of_range(c1, c2, pi):
+def test_check_params_reject_constants_out_of_range(check):
     with pytest.raises(ValueError):
-        tu.CheckParams(c1, c2, pi, 3)
+        check(tu.TuranTable())  # empty: the constants are checked before any record is read

@@ -30,7 +30,6 @@ from rainbowlab.core import (
 )
 from rainbowlab import turan as tu
 from rainbowlab.turan import (
-    CheckParams,
     MissingRecordError,
     TuranTable,
     derived_quantities,
@@ -473,8 +472,7 @@ class TestDerived:
 class TestSmoothness:
     def test_triangle_rows_frozen(self):
         table = ladder(singleton(K3), 4, 9)
-        params = CheckParams(c1=Fraction(1, 100), c2=Fraction(1), pi=Fraction(1, 2), m=3)
-        rows = smoothness_check(K3, params, table, range(5, 10))
+        rows = smoothness_check(K3, Fraction(1, 2), table, range(5, 10))
         assert [(row.n, row.holds) for row in rows] == [
             (5, True),
             (6, False),
@@ -487,14 +485,12 @@ class TestSmoothness:
     def test_degenerate_flag(self):
         C4 = cycle(4)  # bipartite, hence degenerate
         table = ladder(singleton(C4), 3, 6)
-        params = CheckParams(c1=Fraction(1), c2=Fraction(1), pi=Fraction(0), m=4)
-        rows = smoothness_check(C4, params, table, range(4, 7))
+        rows = smoothness_check(C4, Fraction(0), table, range(4, 7))
         assert all(row.note == "degenerate: vacuous" and row.holds for row in rows)
 
     def test_pi_one_collapses_threshold(self):
         table = ladder(singleton(K3), 4, 6)
-        params = CheckParams(c1=Fraction(1), c2=Fraction(1), pi=Fraction(1), m=3)
-        rows = smoothness_check(K3, params, table, range(5, 7))
+        rows = smoothness_check(K3, Fraction(1), table, range(5, 7))
         for row in rows:
             assert row.rhs == 0
             assert row.holds == (row.lhs == 0)
@@ -503,18 +499,15 @@ class TestSmoothness:
 class TestBoundednessFalsifier:
     def test_huge_c1_unsatisfiable(self):
         table = ladder(singleton(K3), 5, 5)
-        params = CheckParams(c1=Fraction(10), c2=Fraction(1, 2), pi=Fraction(1, 2), m=3)
-        assert tu.boundedness_falsifier(K3, params, 5, 5, table) == []
+        assert tu.boundedness_falsifier(K3, Fraction(10), Fraction(1, 2), 5, 5, table) == []
 
     def test_single_edge_never(self):
         table = ladder(singleton(K2), 2, 5)
-        params = CheckParams(c1=Fraction(1, 1000), c2=Fraction(1), pi=Fraction(0), m=2)
-        assert tu.boundedness_falsifier(K2, params, 5, 10, table) == []
+        assert tu.boundedness_falsifier(K2, Fraction(1, 1000), Fraction(1), 5, 10, table) == []
 
     def test_extremal_bipartite_witness_found(self):
         table = ladder(singleton(K3), 5, 5)
-        params = CheckParams(c1=Fraction(1, 1000), c2=Fraction(1), pi=Fraction(1, 2), m=3)
-        hits = tu.boundedness_falsifier(K3, params, 5, 20, table, seed=1)
+        hits = tu.boundedness_falsifier(K3, Fraction(1, 1000), Fraction(1), 5, 20, table, seed=1)
         assert hits
         for H in hits:
             assert not contains_member(H, singleton(K3))
