@@ -239,7 +239,8 @@ def _ar_dfs(search, after, allowed, assign, i, k, free, live, floor, star, commo
     wholly inside star(v) and free undecided edges at v; ``star`` packs those
     counts per vertex, and ``common[c]`` packs a 1 for each vertex that every
     edge of class c contains.  ``ar_exact`` and ``_leader`` prove all four
-    sound.
+    sound.  Children that the bound or the star floor would prune on entry
+    are counted, not called (``ar_exact``).
 
     Colors are tried in ascending order, so leaves come in lexicographic
     order of their restricted growth strings.
@@ -264,6 +265,14 @@ def _ar_dfs(search, after, allowed, assign, i, k, free, live, floor, star, commo
         free -= 1
         if floor is not None:
             star -= vec[i]
+        if k + free <= search.best or (
+            floor is not None and need > 0 and (star + (128 - need) * ones) & high != high
+        ):  # every child that repeats a class is pruned on entry: count, not call
+            pruned = colors if k + 1 + free <= search.best else colors & ~(1 << k)
+            search.tick(pruned.bit_count())
+            colors ^= pruned
+            if not colors:
+                return
     threats = []
     for last, others in after[i]:
         mask = 0
@@ -394,6 +403,12 @@ def _ar_ladder(target, ex):
     return _rungs(_ArRung, r, (target,)), caps
 
 
+def _check_embeds(n, t, F):
+    """Raise ValueError when tF has more vertices than K_n^r."""
+    if t * F.n > n:
+        raise ValueError(f"target cannot embed: t*v(F) = {t * F.n} > n = {n}")
+
+
 def ar_exact(n, t, F, budget=None):
     """Exact ar(n, tF): max color classes of a no-rainbow-tF partition, plus one.
 
@@ -442,6 +457,19 @@ def ar_exact(n, t, F, budget=None):
     ``best``, so it changes neither the value nor the witness.  ``_climb``
     gives below to the pass on rung m unless rung m-1 is trivial.
 
+    A node counts the children that the bound or the star floor would drop
+    on entry instead of calling them.  Once edge i leaves the free set, a
+    child that repeats a class c < k has k classes, at most the free edges
+    left (narrowing only removes free edges) and at each vertex at most the
+    star count left (narrowing removes free edges from stars, and class c
+    can only lose vertices that all its edges contain).  So when the bound or
+    the star floor prunes the node with free and star updated, it prunes
+    each such child; the fresh-class child has k + 1 classes and so is pruned
+    by the bound when k + 1 + free <= best.  Each counted child is one node,
+    ``best`` does not move between siblings that offer no leaf, and a count
+    that passes the budget stops at budget + 1 (``_Search.tick``), so nodes,
+    values, witnesses and budget records are those of calling every child.
+
     The value pass stops at a proven cap on A(n) (``_ar_ladder``), the
     sandwich ex(n, tF) or the averaging cap from A(n-1): a values-only
     ``_climb`` of the ``ex_exact`` ladder gives ex(m, tF) for m <= n, then
@@ -458,8 +486,7 @@ def ar_exact(n, t, F, budget=None):
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got t={t}")
-    if t * F.n > n:
-        raise ValueError(f"target cannot embed: t*v(F) = {t * F.n} > n = {n}")
+    _check_embeds(n, t, F)
     if not F.edges:
         raise ValueError("F must have at least one edge")
     r = F.r
@@ -489,6 +516,8 @@ class ArTable:
 
     On a miss the table asks ``loader(n, t, F)`` for the record (None when
     there is none) and keeps what it returns, so each record is loaded once.
+    Asked for a tF that does not fit in K_n^r, it raises ``ar_exact``'s
+    ValueError before it looks.
     """
 
     def __init__(self, loader=None):
@@ -499,6 +528,7 @@ class ArTable:
         self._records[record.F_key, record.n, record.t] = record
 
     def get(self, F, n, t):
+        _check_embeds(n, t, F)  # no record can exist, so name why
         key = family_key(singleton(F))
         rec = self._records.get((key, n, t))
         if rec is None and self._loader is not None:

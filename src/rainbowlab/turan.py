@@ -232,9 +232,12 @@ class _Search:
         if self.cap is not None and k >= self.cap:
             raise _Stop
 
-    def tick(self):
-        self.nodes += 1
+    def tick(self, count=1):
+        """Count ``count`` nodes.  Past the budget, stop with ``nodes`` at
+        budget + 1, where ticks one at a time would have stopped."""
+        self.nodes += count
         if self.budget is not None and self.nodes > self.budget:
+            self.nodes = self.budget + 1
             self.truncated = True
             raise _Stop
 

@@ -490,13 +490,13 @@ class TestArExact:
         for n, t, F in ((5, 1, K3), (6, 1, C4), (5, 2, K2)):
             full = ar_exact(n, t, F)
             caps, ladder_nodes = ladder_caps(n, disjoint_union(F, t))
-            for budget in (0, 1, 10, 100, 1_000, 10_000, full.nodes - 1):
-                if budget >= full.nodes:
-                    continue
+            for budget in range(full.nodes):
                 rec = ar_exact(n, t, F, budget=budget)
                 assert (rec.status, rec.closed_by) == ("bounds", "budget")
                 assert rec.lo <= full.value <= rec.hi
-                assert rec.nodes <= budget + 1
+                # the node that passes the budget stops the search, counted
+                # one at a time or many siblings at once
+                assert rec.nodes == budget + 1
                 cap = min(caps.values()) if budget >= ladder_nodes else comb(n, F.r)
                 assert rec.hi <= cap + 1
                 if rec.witness is not None:
@@ -655,6 +655,32 @@ class TestArExact:
         # change to any of them shows here before it shows in a value
         rec = ar_exact(n, t, CAP_SHAPES[name])
         assert (rec.value, rec.nodes, rec.closed_by) == (value, nodes, closed_by)
+
+    @pytest.mark.parametrize(
+        "n, t, name, calls",
+        # 5,727 calls for the 13,109 nodes above; 12,149 (2,907, 5,335, 546,
+        # 540, 1,169, 188, 779 and 685) when every pruned child was called
+        [
+            (6, 3, "K2", 1_483),
+            (6, 2, "K3", 1_740),
+            (6, 1, "K3", 388),
+            (6, 1, "C4", 277),
+            (6, 2, "P3", 662),
+            (6, 1, "K4", 62),
+            (6, 1, "K4^3-", 700),
+            (6, 2, "E3", 415),
+        ],
+        ids=[f"{t}{name}" for _, t, name in LADDER],
+    )
+    def test_exact_dfs_calls(self, n, t, name, calls, monkeypatch):
+        # a node that the bound or the star floor prunes once its edge leaves
+        # the free set counts its children that repeat a class and calls only
+        # the others, so the same nodes take fewer calls
+        seen = []
+        dfs = anti._ar_dfs
+        monkeypatch.setattr(anti, "_ar_dfs", lambda *args: seen.append(1) or dfs(*args))
+        ar_exact(n, t, CAP_SHAPES[name])
+        assert len(seen) == calls
 
     @pytest.mark.parametrize(
         "t, F, value",

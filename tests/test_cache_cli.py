@@ -540,10 +540,25 @@ class TestCli:
     def test_verify_on_empty_cache_computes_nothing(self, tmp_path, capsys, check):
         k3 = tmp_path / "k3.hg"
         run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
-        assert run(tmp_path, "verify", check, "-n", "6", "-t", "1", "-F", str(k3)) == 2
+        # n = 9: the reduction at t = 1 reads ar(n, 3K3), which needs 9 vertices
+        assert run(tmp_path, "verify", check, "-n", "9", "-t", "1", "-F", str(k3)) == 2
         assert "insufficient records: no exact" in capsys.readouterr().err
         for kind in ("turan", "ar", "manifests"):
             assert not list((tmp_path / "cache" / kind).glob("*"))
+
+    @pytest.mark.parametrize(
+        "check,n,t,size",
+        # the ar record each needs is of 2K3, 3K3 and 2K3: on 6, 9 and 6 vertices
+        [("sandwich", "5", "2", 6), ("reduction", "4", "1", 9), ("identity", "5", "1", 6)],
+    )
+    def test_verify_target_too_large_exit_two(self, tmp_path, capsys, check, n, t, size):
+        # no search can make the record, so the error names the size, not the cache
+        k3 = tmp_path / "k3.hg"
+        run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
+        capsys.readouterr()
+        assert run(tmp_path, "verify", check, "-n", n, "-t", t, "-F", str(k3)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: target cannot embed: t*v(F) = {size} > n = {n}\n"
 
     @pytest.mark.parametrize("check,t", [("reduction", "-1"), ("sandwich", "0"), ("identity", "-1")])
     def test_verify_t_outside_the_statement_exit_two(self, tmp_path, capsys, monkeypatch, check, t):
