@@ -147,8 +147,7 @@ def build_coloring_fact21(n, t, F, record):
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if t * F.n > n:
-        raise ValueError(f"target cannot embed: t*v(F) = {t * F.n} > n = {n}")
+    _check_embeds(n, t, F)
     fam = singleton(disjoint_union(F, t))
     if record.family_key != family_key(fam) or record.n != n:
         raise ValueError("record does not match ex(n, tF)")

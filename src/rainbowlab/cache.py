@@ -218,7 +218,9 @@ class Cache:
             if not verify_no_rainbow(w, F, t):
                 raise CacheError(f"witness verification failed for {path}")
             return rec
-        if rec.value != 1:
+        # only a one-edge target has ar = 1 exactly; a bounds record may hold 1
+        one_edge = t == 1 and len(F.edges) == 1
+        if rec.value != 1 or (rec.status == "exact" and not one_edge):
             raise CacheError(f"missing witness for {path}")
         return rec._replace(r=F.r)
 

@@ -13,6 +13,7 @@ Conventions
   anything that does not round-trip bit-exactly.
 """
 
+import functools
 import itertools
 from collections import namedtuple
 from math import comb
@@ -261,8 +262,11 @@ def _cert_bytes(H, pos):
     return head + b"".join(bytes(e) for e in redges)
 
 
+@functools.cache
 def _canonical_search(H):
     """Individualization-refinement search; returns the minimum certificate.
+
+    Memoized, so each graph is labeled once per process.
 
     Discovered automorphisms (pairs of leaves with equal certificates) prune
     sibling branches whose target vertices lie in an already-explored orbit of
@@ -352,47 +356,29 @@ def is_isomorphic(H1, H2):
 # -- families -----------------------------------------------------------------
 
 
-class HyperGraphFamily:
+class HyperGraphFamily(namedtuple("HyperGraphFamily", "r members")):
     """A finite set of r-graphs, pairwise non-isomorphic (deduped on construction).
 
-    ``forms[i]`` is the canonical form of ``members[i]``; each is computed
-    once, here, and reused by ``union`` and ``family_key``.
+    Construction keeps the first member of each canonical form and sorts the
+    kept members by (n, edge count, form), so two families are equal iff
+    their kept members are.  Its fields are read-only.
     """
 
-    __slots__ = ("r", "members", "forms")
+    __slots__ = ()
 
-    def __init__(self, r, members):
-        members = list(members)
+    def __new__(cls, r, members):
+        first = {}
         for m in members:
             if m.r != r:
                 raise ValueError(f"family uniformity {r} but member has r={m.r}")
-        self._keep(r, [(canonical_form(m), m) for m in members])
-
-    def _keep(self, r, pairs):
-        """Keep the first member of each form, sorted by (n, edges, form)."""
-        first = {}
-        for f, m in pairs:
-            first.setdefault(f, m)
+            first.setdefault(canonical_form(m), m)
         kept = sorted(first.items(), key=lambda p: (p[1].n, len(p[1].edges), p[0]))
-        self.r = r
-        self.members = tuple(m for _, m in kept)
-        self.forms = tuple(f for f, _ in kept)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __repr__(self):
-        return f"HyperGraphFamily(r={self.r}, members={len(self.members)})"
+        return super().__new__(cls, r, tuple(m for _, m in kept))
 
     def union(self, other):
         if self.r != other.r:
             raise ValueError("uniformity mismatch in family union")
-        fam = HyperGraphFamily.__new__(HyperGraphFamily)
-        fam._keep(self.r, [*zip(self.forms, self.members), *zip(other.forms, other.members)])
-        return fam
+        return HyperGraphFamily(self.r, self.members + other.members)
 
 
 def family_key(fam):
@@ -401,7 +387,7 @@ def family_key(fam):
 
     h = hashlib.sha256()
     h.update(f"r={fam.r};".encode())
-    for f in sorted(fam.forms):
+    for f in sorted(canonical_form(m) for m in fam.members):
         h.update(f)
         h.update(b"|")
     return h.hexdigest()[:16]

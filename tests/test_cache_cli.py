@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import rainbowlab
-from rainbowlab.antiramsey import ArRecord, ar_exact
+from rainbowlab.antiramsey import ArRecord, EdgeColoring, ar_exact
 from rainbowlab.cache import (
     Cache,
     CacheError,
@@ -22,7 +22,7 @@ from rainbowlab.cache import (
 from rainbowlab import constructions as cons
 from rainbowlab.cli import _hash_file, main
 from rainbowlab.constructions import complete_graph
-from rainbowlab.core import HyperGraph, HyperGraphFamily, disjoint_union, from_text, to_text
+from rainbowlab.core import HyperGraph, HyperGraphFamily, disjoint_union, family_key, from_text, to_text
 from rainbowlab.turan import ex_exact, singleton
 
 K2 = HyperGraph(2, 2, [(0, 1)])
@@ -158,6 +158,20 @@ class TestInconsistentRecords:
             Cache(tmp_path / "cache").load_ar(6, 1, K3)
         assert run(tmp_path, *argv) == 2
 
+    def test_ar_exact_record_of_value_one_needs_a_one_edge_target(self, tmp_path):
+        # ar(5, K3) = 5; only a one-edge target has ar = 1 with no witness
+        k3 = tmp_path / "k3.hg"
+        run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
+        argv = ["ar", "-n", "5", "-t", "1", "-F", str(k3)]
+        assert run(tmp_path, *argv) == 0
+        (path,) = (tmp_path / "cache" / "ar").iterdir()
+        head, meta, _ = path.read_text().split("\n", 2)
+        assert "value=5 status=exact" in head
+        path.write_text(f"{head.replace('value=5', 'value=1')}\n{meta}\nnowitness\n")
+        with pytest.raises(CacheError):
+            Cache(tmp_path / "cache").load_ar(5, 1, K3)
+        assert run(tmp_path, *argv) == 2
+
 
 class TestCache:
     def test_store_load_verify(self, tmp_path):
@@ -213,6 +227,10 @@ class TestCache:
         rec = ar_record(cache, 4, 1, edge3)
         assert rec.witness is None and rec.value == 1
         assert cache.load_ar(4, 1, edge3).r == 3
+        # a bounds record of value 1 loads without a witness for any target
+        cache.store_ar(ar_exact(6, 3, K2, budget=0))
+        back = cache.load_ar(6, 3, K2)
+        assert (back.status, back.value, back.lo, back.hi, back.r) == ("bounds", 1, 1, 16, 2)
 
     def test_recompute_byte_identical(self, tmp_path):
         cache = Cache(tmp_path)
@@ -292,14 +310,14 @@ class TestCli:
         k2 = tmp_path / "k2.hg"
         run(tmp_path, "zoo", "emit", "complete-graph", "-l", "2", "-o", str(k2))
         cache = Cache(tmp_path / "cache")
-        # ex(4, K2) and ex(4, 2K2)
-        turan_record(cache, 4, singleton(disjoint_union(K2, 1)))
-        turan_record(cache, 4, singleton(disjoint_union(K2, 2)))
-        good = ar_exact(4, 2, K2)
-        # fabricate an impossible value below the unconditional lower bound
-        fake = ArRecord(4, 2, 2, good.F_key, 1, None, "exact")
+        # ex(6, 2K2) and ex(6, 3K2)
+        turan_record(cache, 6, singleton(disjoint_union(K2, 2)))
+        turan_record(cache, 6, singleton(disjoint_union(K2, 3)))
+        # fabricate an impossible value below the lower bound ex(6, 2K2) + 2 = 7;
+        # its one-color witness has no rainbow 3K2, so the record loads
+        fake = ArRecord(6, 3, 2, family_key(singleton(K2)), 2, EdgeColoring(2, 6, 1, [1] * 15), "exact")
         cache.store_ar(fake)
-        assert run(tmp_path, "verify", "sandwich", "-n", "4", "-t", "2", "-F", str(k2)) == 1
+        assert run(tmp_path, "verify", "sandwich", "-n", "6", "-t", "3", "-F", str(k2)) == 1
 
     def test_construct_pipeline(self, tmp_path, capsys):
         k3 = tmp_path / "k3.hg"

@@ -173,31 +173,41 @@ class TestIsIsomorphic:
 
 
 class TestFamily:
-    def test_each_canonical_form_computed_once(self, monkeypatch):
-        calls = []
-
-        def counting(H):
-            calls.append(H)
-            return canonical_form(H)
-
-        monkeypatch.setattr(core, "canonical_form", counting)
+    def test_each_canonical_form_computed_once(self):
+        core._canonical_search.cache_clear()
         members = [path(k) for k in range(2, 6)] + [complete(3, 2)]
-        fam = HyperGraphFamily(2, members)
-        assert len(fam) == len(members)
-        assert len(calls) == len(members)
-        calls.clear()
+        fam = HyperGraphFamily(2, members + members)
+        assert len(fam.members) == len(members)
+        assert core._canonical_search.cache_info().misses == len(members)
         key = core.family_key(fam)
         both = fam.union(HyperGraphFamily(2, []))
-        assert calls == []
         assert core.family_key(both) == key
-        assert fam.forms == tuple(canonical_form(m) for m in fam.members)
+        assert core._canonical_search.cache_info().misses == len(members)
 
     def test_union_matches_fresh_family(self):
         a = HyperGraphFamily(2, [path(4), complete(3, 2)])
         b = HyperGraphFamily(2, [path(3), random_relabel(path(4), random.Random(1))])
-        fresh = HyperGraphFamily(2, list(a) + list(b))
-        u = a.union(b)
-        assert (u.members, u.forms) == (fresh.members, fresh.forms)
+        fresh = HyperGraphFamily(2, a.members + b.members)
+        assert a.union(b) == fresh
+
+    def test_fields_are_read_only(self):
+        fam = HyperGraphFamily(2, [complete(3, 2)])
+        with pytest.raises(AttributeError):
+            fam.members = (complete(4, 2),)
+        with pytest.raises(AttributeError):
+            fam.r = 3
+        assert fam.members == (complete(3, 2),) and fam.r == 2
+
+    def test_relabeled_copies_give_equal_families(self):
+        rng = random.Random(3)
+        k3, c4 = complete(3, 2), HyperGraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        a = HyperGraphFamily(2, [c4, k3, random_relabel(c4, rng)])
+        b = HyperGraphFamily(2, [k3, random_relabel(k3, rng), c4, random_relabel(c4, rng)])
+        assert a == b and hash(a) == hash(b)
+        assert a != HyperGraphFamily(2, [k3])
+        # a family of relabeled copies alone keeps other graphs, but files the same records
+        relabeled = HyperGraphFamily(2, [random_relabel(c4, rng), random_relabel(k3, rng)])
+        assert core.family_key(relabeled) == core.family_key(a)
 
 
 class TestEmbedding:

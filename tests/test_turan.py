@@ -521,7 +521,7 @@ class TestBoundednessFalsifier:
 class TestGap:
     def test_union_family_is_triangle_and_c4(self):
         fam = singleton(K3).union(edge_sum_family(K3, K3))
-        shapes = sorted((m.n, len(m.edges)) for m in fam)
+        shapes = sorted((m.n, len(m.edges)) for m in fam.members)
         assert shapes == [(3, 3), (4, 4)]
 
     def test_frozen_values(self):
