@@ -204,11 +204,11 @@ def build_coloring_fact31(n, t, F, inner):
 class ArRecord(
     namedtuple(
         "ArRecord",
-        "n t r F_key value witness status lo hi nodes solver closed_by",
+        "n t F_key value witness status lo hi nodes solver closed_by",
         defaults=(0, 0, 0, SOLVER_VERSION, ""),
     )
 ):
-    """ar(n, tF) with a witness EdgeColoring on value-1 colors (None when value=1).
+    """ar(n, tF) with a witness EdgeColoring on value-1 colors (None: a one-edge tF).
 
     status is "exact" or "bounds".  closed_by says what proved the value:
     "sandwich" or "averaging" (the value pass reached that cap), "search"
@@ -341,17 +341,18 @@ class _ArRung:
         return [(p, ends, 0, {}) for p, ends in _transpositions(self.m, self.r)]
 
     def start(self):
-        """A greedy partition with no rainbow copy, as (classes, restricted
-        growth string), or (0, None).  In colex order each edge takes the
+        """A partition with no rainbow copy, as (classes, restricted growth
+        string), of at least one class.  In colex order each edge takes the
         highest color its forward-checked mask allows, a fresh class when no
-        copy constrains it, and narrows masks as ``_ar_dfs`` does; at an edge
-        with no allowed color the greedy gives up."""
+        copy constrains it, and narrows masks as ``_ar_dfs`` does.  At an
+        edge with no allowed color it falls back to one class: every copy
+        has two or more edges (``_ar_ladder``), so none is rainbow."""
         allowed = [-1] * self.E
         assign, k = [], 0
         for i in range(self.E):
             colors = allowed[i] & ((2 << k) - 1)
             if not colors:
-                return 0, None
+                return 1, (0,) * self.E
             c = colors.bit_length() - 1
             assign.append(c)
             k += c == k
@@ -413,8 +414,8 @@ def ar_exact(n, t, F, budget=None):
 
     Enumerates restricted growth strings over the colex edge order, least
     first, in one sequential value pass per rung.  A pass starts from a
-    greedy seed (``_ArRung.start``), whose forward checking is the search's
-    own, so its classes are a lower bound on A, and finds the maximum A.  The
+    seed of at least one class with no rainbow copy (``_ArRung.start``), so
+    its classes are a lower bound on A, and finds the maximum A.  The
     witness is the lexicographically least maximizer, the last incumbent of
     the top pass, which starts one below its seed (``_climb`` proves this).
 
@@ -497,12 +498,12 @@ def ar_exact(n, t, F, budget=None):
     ms, ex = range(r, n + 1), {}
     rung, caps = _ar_ladder(target, ex)
     if isinstance(rung(n), int):  # a one-edge target: A = 0, no search, no witness
-        return ArRecord(n, t, r, key, 1, None, "exact", closed_by="sandwich")
+        return ArRecord(n, t, key, 1, None, "exact", closed_by="sandwich")
     nodes = _climb(ms, *_ex_ladder(r, (target,)), budget, values=ex)[3]
     A, rgs, hi, nodes, closed_by = _climb(ms, rung, caps, budget, nodes)
-    witness = EdgeColoring(r, n, max(rgs) + 1, [c + 1 for c in rgs]) if rgs else None
+    witness = EdgeColoring(r, n, max(rgs) + 1, [c + 1 for c in rgs])
     status, lo, hi = ("bounds", A + 1, hi + 1) if closed_by == "budget" else ("exact", 0, 0)
-    return ArRecord(n, t, r, key, A + 1, witness, status, lo, hi, nodes, closed_by=closed_by)
+    return ArRecord(n, t, key, A + 1, witness, status, lo, hi, nodes, closed_by=closed_by)
 
 
 def verify_no_rainbow(chi, F, t):

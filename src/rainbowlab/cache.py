@@ -14,7 +14,6 @@ lives only inside the manifest JSON.  Writes go through atomic renames, and
 every witness is re-verified on load.
 """
 
-import hashlib
 import json
 import os
 import tempfile
@@ -27,7 +26,7 @@ from .antiramsey import (
     coloring_to_text,
     verify_no_rainbow,
 )
-from .core import family_key, from_text, to_text
+from .core import digest16, family_key, from_text, to_text
 from .turan import SOLVER_VERSION, TuranRecord, ex_exact, singleton, verify_witness
 
 
@@ -111,7 +110,7 @@ def ar_record_to_text(rec, manifest=""):
 
 
 def ar_record_from_text(text):
-    """Parse an AR record; without a witness ``r`` is 0 (``Cache.load_ar`` sets it)."""
+    """Parse an AR record; ``Cache.load_ar`` checks it against its target."""
     (n, t, F, value, status), (solver, manifest), body = _parse_record(
         text, "AR", ("n", "t", "F", "value", "status")
     )
@@ -129,7 +128,6 @@ def ar_record_from_text(text):
     rec = ArRecord(
         n=_int(n),
         t=_int(t),
-        r=witness.r if witness is not None else 0,
         F_key=F,
         value=_int(value),
         witness=witness,
@@ -159,7 +157,7 @@ class Cache:
             {"argv": list(argv), "inputs": dict(input_hashes), "solver": SOLVER_VERSION},
             sort_keys=True,
         )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return digest16(payload.encode())
 
     def write_manifest(self, argv, input_hashes, wall_time, verdicts=()):
         mid = self.manifest_id(argv, input_hashes)
@@ -211,25 +209,22 @@ class Cache:
         rec = ar_record_from_text(path.read_text(encoding="ascii"))
         if (rec.n, rec.t, rec.F_key) != (n, t, key):
             raise CacheError(f"record at {path} does not match its key")
-        if rec.witness is not None:
-            w = rec.witness
-            if w.r != F.r or w.n != n or w.ncolors != rec.value - 1:
-                raise CacheError(f"witness shape mismatch for {path}")
-            if not verify_no_rainbow(w, F, t):
-                raise CacheError(f"witness verification failed for {path}")
+        w = rec.witness
+        if w is None:  # only a one-edge target has none: ar = 1 exactly
+            if (rec.value, rec.status, t, len(F.edges)) != (1, "exact", 1, 1):
+                raise CacheError(f"missing witness for {path}")
             return rec
-        # only a one-edge target has ar = 1 exactly; a bounds record may hold 1
-        one_edge = t == 1 and len(F.edges) == 1
-        if rec.value != 1 or (rec.status == "exact" and not one_edge):
-            raise CacheError(f"missing witness for {path}")
-        return rec._replace(r=F.r)
+        if w.r != F.r or w.n != n or w.ncolors != rec.value - 1:
+            raise CacheError(f"witness shape mismatch for {path}")
+        if not verify_no_rainbow(w, F, t):
+            raise CacheError(f"witness verification failed for {path}")
+        return rec
 
     # -- colorings -----------------------------------------------------------------
 
     def store_coloring(self, chi):
         text = coloring_to_text(chi)
-        name = hashlib.sha256(text.encode()).hexdigest()[:16]
-        path = self.root / "colorings" / f"{name}.col"
+        path = self.root / "colorings" / f"{digest16(text.encode())}.col"
         _atomic_write(path, text)
         return path
 

@@ -6,7 +6,6 @@ Exit codes: 0 success / all verdicts hold, 1 verification failure,
 """
 
 import argparse
-import hashlib
 import sys
 import time
 from fractions import Fraction
@@ -26,6 +25,7 @@ from .core import (
     CapacityError,
     FormatError,
     HyperGraphFamily,
+    digest16,
     disjoint_union,
     read_file,
     write_file,
@@ -34,7 +34,7 @@ from .turan import MissingRecordError, TuranTable, singleton
 
 
 def _hash_file(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+    return digest16(Path(path).read_bytes())
 
 
 def _parse_range(text):
@@ -58,6 +58,25 @@ def _fraction(text):
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+
+
+def _join_rationals(argv):
+    """``argv`` with the rational option ``--pi`` joined to its next argument
+    when that parses as a fraction, so ``--pi -1/3`` reaches ``_fraction`` as
+    ``--pi=-1/3``: argparse would read "-1/3" as an option.  The manifest id
+    still hashes ``argv`` as given."""
+    out = []
+    for arg in argv:
+        if out[-1:] == ["--pi"]:
+            try:
+                _fraction(arg)
+            except argparse.ArgumentTypeError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
 
 
 def _inputs(args):
@@ -283,7 +302,7 @@ def build_parser():
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_rationals(argv))
     cache = Cache(args.cache_dir)
     try:
         if args.cmd == "zoo":

@@ -18,6 +18,14 @@ import itertools
 from collections import namedtuple
 from math import comb
 
+try:  # the builtin module: hashlib is pretty heavy to load
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
+
 #: canonical labeling refuses larger inputs (capacity, not correctness)
 MAX_CANON_VERTICES = 20
 
@@ -381,16 +389,15 @@ class HyperGraphFamily(namedtuple("HyperGraphFamily", "r members")):
         return HyperGraphFamily(self.r, self.members + other.members)
 
 
+def digest16(data):
+    """The first 16 hex digits of the SHA-256 of the bytes ``data``."""
+    return sha256(data).hexdigest()[:16]
+
+
 def family_key(fam):
     """Canonical hash of a family: stable across member order and relabeling."""
-    import hashlib
-
-    h = hashlib.sha256()
-    h.update(f"r={fam.r};".encode())
-    for f in sorted(canonical_form(m) for m in fam.members):
-        h.update(f)
-        h.update(b"|")
-    return h.hexdigest()[:16]
+    forms = sorted(canonical_form(m) for m in fam.members)
+    return digest16(f"r={fam.r};".encode() + b"".join(f + b"|" for f in forms))
 
 
 # -- embedding search -----------------------------------------------------------

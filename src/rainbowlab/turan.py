@@ -298,7 +298,8 @@ class _Ctx:
         self.full = comb(n - 1, r - 1) * self.ones
 
     def start(self):
-        """The greedy incumbent a value pass starts from, as (edges, mask)."""
+        """The greedy incumbent a value pass starts from, as (edges, mask).
+        It keeps edge 0, as every copy has two edges or more (``_rungs``)."""
         greedy = _greedy(range(self.E), self.cmax)
         return greedy.bit_count(), greedy
 
@@ -489,10 +490,10 @@ def _climb(ms, rung, caps, budget, nodes=0, values=None):
     closed_by).
 
     ``rung(m)`` is rung m's value when no search is needed, else a context
-    with ``E`` (its edge count), ``start()`` (the solver's greedy, a feasible
-    (best, incumbent)) and ``run(search, below)``.  ``caps(m, below)`` names
-    proven caps on rung m from the value of the rung below; the first rung is
-    trivial, or its caps need none.  A pass below the top starts from
+    with ``E`` (its edge count), ``start()`` (the solver's seed, a feasible
+    (best, incumbent) with best >= 1) and ``run(search, below)``.
+    ``caps(m, below)`` names proven caps on rung m from the value of the rung
+    below; the first rung is trivial, or its caps need none.  A pass below the top starts from
     ``start()`` and stops once its incumbent reaches the least cap; it is
     skipped when the start does.  By induction every rung is exact, as it
     reaches its cap or runs to the end, and stopping at a cap drops only
@@ -510,7 +511,7 @@ def _climb(ms, rung, caps, budget, nodes=0, values=None):
     (and a value of 0 caps rung m at 0).
 
     The witness is the first leaf with the value V in the search's decision
-    order.  The top pass starts at s-1 for a start s > 0, with the start as
+    order.  The top pass starts at s-1 for its start s, with the start as
     its incumbent, so it also offers a leaf equal to s, and its last
     incumbent is that first leaf.  Proof: the rules that do not read
     ``best`` (symmetry breaking, forward checking) fix the tree and the order
@@ -520,8 +521,7 @@ def _climb(ms, rung, caps, budget, nodes=0, values=None):
     and the pass starts below V (s <= V), so ``best`` < V on the whole path
     to w, no prune drops w (its subtree holds a leaf with V) and no cap stops
     the pass before it (a cap is at least V, and only a leaf that reaches it
-    stops the pass).  So w is offered, and no later leaf beats V.  When V = 0
-    there is no leaf to offer and the incumbent stays the start's.
+    stops the pass).  So w is offered, and no later leaf beats V.
 
     ``nodes`` counts every pass on top of the nodes given; ``budget`` caps the
     total.  When it runs out, closed_by is ``budget``, (value, incumbent) a
@@ -549,7 +549,7 @@ def _climb(ms, rung, caps, budget, nodes=0, values=None):
         else:
             named, floor = caps(m, below), below if searched else None
             start, incumbent = ctx.start()
-            best = start - 1 if start and m == top and values is None else start
+            best = start - 1 if m == top and values is None else start
             search = _Search(best, incumbent, budget, cap=min(named.values()), nodes=nodes)
             if search.best < search.cap:
                 ctx.run(search, floor)

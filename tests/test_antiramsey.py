@@ -174,6 +174,16 @@ def small_tilings(draw):
     return F, t, draw(st.integers(t * v, most))
 
 
+def seed(rung, F, t):
+    """``rung.start()``, checked: at least one class, a restricted growth
+    string, and no rainbow tF in its partition."""
+    classes, rgs = rung.start()
+    assert classes >= 1 and _rgs([c + 1 for c in rgs]) == rgs and classes == max(rgs) + 1
+    chi = EdgeColoring(F.r, rung.m, classes, [c + 1 for c in rgs])
+    assert find_rainbow_copy(chi, disjoint_union(F, t)) is None
+    return classes, rgs
+
+
 #: the ``ar-ladder`` calls of the benchmark, as (n, t, shape)
 LADDER = [
     (6, 3, "K2"),
@@ -520,11 +530,15 @@ class TestArExact:
     def test_greedy_seed_has_no_rainbow_copy(self, case):
         F, t, n = case
         rung = _ar_ladder(disjoint_union(F, t), {})[0](n)
-        classes, rgs = (rung, None) if isinstance(rung, int) else rung.start()
-        if rgs is not None:
-            assert _rgs([c + 1 for c in rgs]) == rgs and classes == max(rgs) + 1
-            chi = EdgeColoring(F.r, n, max(rgs) + 1, [c + 1 for c in rgs])
-            assert verify_no_rainbow(chi, F, t)
+        if not isinstance(rung, int):
+            seed(rung, F, t)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("t, shape", [(3, "K2"), (2, "P3")])
+    def test_greedy_falls_back_to_one_class(self, n, t, shape):
+        # the greedy meets an edge with no allowed color on these rungs
+        F = CAP_SHAPES[shape]
+        assert seed(_ar_ladder(disjoint_union(F, t), {})[0](n), F, t) == (1, (0,) * comb(n, 2))
 
     def test_one_search_per_searched_rung(self, monkeypatch):
         # in each call the top rung's start is optimal already, and its one
@@ -856,13 +870,13 @@ class TestVerdicts:
         assert g.t_max == 2
         ar_table = ArTable()
         key = family_key(fam_F)
-        ar_table.put(ArRecord(n, 3, 2, key, 12, None, "exact", lo=12, hi=12))
+        ar_table.put(ArRecord(n, 3, key, 12, None, "exact", lo=12, hi=12))
         v = verify_identity_thm15(n, 2, F, table, ar_table)
         assert v.in_range and v.status == "holds"
-        ar_table.put(ArRecord(n, 3, 2, key, 13, None, "exact", lo=13, hi=13))
+        ar_table.put(ArRecord(n, 3, key, 13, None, "exact", lo=13, hi=13))
         v = verify_identity_thm15(n, 2, F, table, ar_table)
         assert v.in_range and v.status == "violation"
-        ar_table.put(ArRecord(n, 3, 2, key, 11, None, "exact", lo=11, hi=11))
+        ar_table.put(ArRecord(n, 3, key, 11, None, "exact", lo=11, hi=11))
         v = verify_identity_thm15(n, 2, F, table, ar_table)
         assert not v.lower_holds and v.status == "violation"
 

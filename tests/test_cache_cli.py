@@ -151,12 +151,15 @@ class TestInconsistentRecords:
 
     def test_ar_bounds_record_needs_a_witness(self, tmp_path):
         argv, path = _planted(tmp_path, "ar", "ar", "-n", "6", "-t", "1", "-F")
-        head = path.read_text().split("\n")[:2]
+        head, meta, _ = path.read_text().split("\n", 2)
         assert ar_record_from_text(path.read_text()).value > 1
-        path.write_text("\n".join(head) + "\nnowitness\n")
-        with pytest.raises(CacheError):
-            Cache(tmp_path / "cache").load_ar(6, 1, K3)
-        assert run(tmp_path, *argv) == 2
+        # as planted, and with value 1, which no searched target has
+        for head in (head, re.sub(r"value=\d+ status=bounds:\d+:", "value=1 status=bounds:1:", head)):
+            path.write_text(f"{head}\n{meta}\nnowitness\n")
+            assert ar_record_from_text(path.read_text()).witness is None
+            with pytest.raises(CacheError):
+                Cache(tmp_path / "cache").load_ar(6, 1, K3)
+            assert run(tmp_path, *argv) == 2
 
     def test_ar_exact_record_of_value_one_needs_a_one_edge_target(self, tmp_path):
         # ar(5, K3) = 5; only a one-edge target has ar = 1 with no witness
@@ -221,16 +224,19 @@ class TestCache:
             cache.load_ar(5, 1, K3)
         assert run(tmp_path, "ar", "-n", "5", "-t", "1", "-F", str(k3)) == 2
 
-    def test_ar_record_without_witness_gets_r_from_F(self, tmp_path):
+    def test_only_a_one_edge_target_record_has_no_witness(self, tmp_path):
         cache = Cache(tmp_path)
         edge3 = HyperGraph(3, 3, [(0, 1, 2)])
         rec = ar_record(cache, 4, 1, edge3)
         assert rec.witness is None and rec.value == 1
-        assert cache.load_ar(4, 1, edge3).r == 3
-        # a bounds record of value 1 loads without a witness for any target
-        cache.store_ar(ar_exact(6, 3, K2, budget=0))
+        assert cache.load_ar(4, 1, edge3) == rec._replace(closed_by="cache")
+        # out of budget before any search, ar(6, 3K2) keeps the one-class seed
+        rec = ar_exact(6, 3, K2, budget=0)
+        assert rec.witness == EdgeColoring(2, 6, 1, [1] * 15)
+        cache.store_ar(rec)
         back = cache.load_ar(6, 3, K2)
-        assert (back.status, back.value, back.lo, back.hi, back.r) == ("bounds", 1, 1, 16, 2)
+        assert (back.status, back.value, back.lo, back.hi) == ("bounds", 2, 2, 16)
+        assert back.witness == rec.witness
 
     def test_recompute_byte_identical(self, tmp_path):
         cache = Cache(tmp_path)
@@ -315,7 +321,7 @@ class TestCli:
         turan_record(cache, 6, singleton(disjoint_union(K2, 3)))
         # fabricate an impossible value below the lower bound ex(6, 2K2) + 2 = 7;
         # its one-color witness has no rainbow 3K2, so the record loads
-        fake = ArRecord(6, 3, 2, family_key(singleton(K2)), 2, EdgeColoring(2, 6, 1, [1] * 15), "exact")
+        fake = ArRecord(6, 3, family_key(singleton(K2)), 2, EdgeColoring(2, 6, 1, [1] * 15), "exact")
         cache.store_ar(fake)
         assert run(tmp_path, "verify", "sandwich", "-n", "6", "-t", "3", "-F", str(k2)) == 1
 
@@ -431,9 +437,10 @@ class TestCli:
 
     def test_cli_import_leaves_heavy_modules_unloaded(self):
         # records are namedtuples, so no `dataclasses` (which pulls in `inspect`),
-        # and only `zoo` needs the constructions
+        # only `zoo` needs the constructions, and SHA-256 comes from the builtin
+        # module, not from `hashlib` (OpenSSL)
         new = _loaded_by("import rainbowlab.cli") - _loaded_by("pass")
-        assert not new & {"dataclasses", "inspect", "rainbowlab.constructions"}
+        assert not new & {"dataclasses", "inspect", "rainbowlab.constructions", "hashlib", "_hashlib"}
 
     def test_malformed_input_exit_two(self, tmp_path):
         bad = tmp_path / "bad.hg"
@@ -453,10 +460,10 @@ class TestCli:
         k3 = tmp_path / "k3.hg"
         run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
         capsys.readouterr()
-        # "--pi=" keeps argparse from reading "-1/3" as an option
-        assert run(tmp_path, "report", "smoothness", "-F", str(k3), "--n-range", "5:6", f"--pi={pi}") == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "pi must lie in [0, 1]" in err
+        for form in ([f"--pi={pi}"], ["--pi", pi]):
+            assert run(tmp_path, "report", "smoothness", "-F", str(k3), "--n-range", "5:6", *form) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "pi must lie in [0, 1]" in err
 
     @pytest.mark.parametrize("budget", ["-5", "-1", "ten", "1.5"])
     @pytest.mark.parametrize("cmd", ["turan -n 6 --forbid", "ar -n 5 -t 1 -F"], ids=["turan", "ar"])

@@ -210,6 +210,13 @@ class TestFamily:
         assert core.family_key(relabeled) == core.family_key(a)
 
 
+@pytest.mark.parametrize("data", [b"", b"abc", b"r=2;|", bytes(range(256)) * 9])
+def test_digest16_is_sha256(data):
+    import hashlib
+
+    assert core.digest16(data) == hashlib.sha256(data).hexdigest()[:16]
+
+
 class TestEmbedding:
     def test_single_edge(self):
         F = HyperGraph(2, 2, [(0, 1)])

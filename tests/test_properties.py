@@ -85,7 +85,6 @@ def ar_records(draw):
     rec = ArRecord(
         n=draw(st.integers(2, 6)) if witness is None else witness.n,
         t=draw(st.integers(1, 3)),
-        r=0 if witness is None else witness.r,
         F_key=draw(KEYS),
         value=value,
         witness=witness,

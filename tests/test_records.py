@@ -22,7 +22,7 @@ RECORDS = [
     tu.DerivedQuantities(5, 1, HALF, HALF),
     tu.CheckResult(5, HALF, HALF, True),
     tu.GapResult(5, 0, 1, 0),
-    anti.ArRecord(3, 1, 2, "key", 1, None, "exact"),
+    anti.ArRecord(3, 1, "key", 1, None, "exact"),
     anti.SandwichVerdict(5, 1, 2, 2, 3, True),
     anti.ReductionVerdict(6, 1, 9, 5, 4, True),
     anti.IdentityVerdict(6, 1, 5, 3, 0, False, True, True, "out-of-range"),
@@ -42,7 +42,7 @@ def test_fields_are_read_only(rec):
 def test_defaults():
     ex = tu.TuranRecord(3, 2, "key", 0, EMPTY, "exact")
     assert (ex.nodes, ex.solver, ex.closed_by) == (0, tu.SOLVER_VERSION, "")
-    ar = anti.ArRecord(3, 1, 2, "key", 1, None, "exact")
+    ar = anti.ArRecord(3, 1, "key", 1, None, "exact")
     assert (ar.lo, ar.hi, ar.nodes, ar.solver, ar.closed_by) == (0, 0, 0, tu.SOLVER_VERSION, "")
     assert tu.CheckResult(5, HALF, HALF, True).note == ""
 
