@@ -8,6 +8,7 @@ edge order) and returns A + 1; surjectivity is automatic since every class of
 a partition is nonempty.
 """
 
+import functools
 from collections import namedtuple
 from fractions import Fraction
 from math import comb
@@ -222,24 +223,31 @@ class ArRecord(
         return self.status == "exact"
 
 
-def _ar_dfs(search, after, allowed, assign, i, k, free, live, floor, star, common):
+def _ar_dfs(search, rung, allowed, assign, i, k, free, fm, live, floor, star, common):
     """Assign a color to each edge i.. of the colex order; k classes so far.
 
     ``allowed[j]`` is the bitmask of colors edge j may take, -1 while no copy
-    constrains it, and ``free`` counts the undecided edges still at -1.
-    Forward checking settles each copy at its second-largest edge i: when the
-    copy's edges below i carry distinct colors (a threat), a color c of i
-    that is not among them narrows the copy's largest edge to those colors
-    and c.  The prune is k + free <= best.  ``live`` holds the lex-leader
-    comparisons still undecided (``_leader``), and a prefix greater than one
-    of its images is pruned.  With ``floor`` = (below, vec, ones, high),
-    below = A(m-1) and the tables of ``turan._vertex_fields``, the star floor
-    prunes a node where some vertex v has fewer than best + 1 - below classes
-    wholly inside star(v) and free undecided edges at v; ``star`` packs those
-    counts per vertex, and ``common[c]`` packs a 1 for each vertex that every
-    edge of class c contains.  ``ar_exact`` and ``_leader`` prove all four
-    sound.  Children that the bound or the star floor would prune on entry
-    are counted, not called (``ar_exact``).
+    constrains it; ``free`` counts the undecided edges still at -1 and ``fm``
+    is their bitmask.  Forward checking settles each copy at its
+    second-largest edge i: when the copy's edges below i carry distinct
+    colors (a threat), a color c of i that is not among them narrows the
+    copy's largest edge to those colors and c.  The prunes are the bound
+    k + free <= best and the threat packing, k + free - p <= best for p live
+    copies with disjoint parts >= i (``_packs``).  ``live`` holds the
+    lex-leader comparisons still undecided after the prefix of edges 0..i-1
+    (``_leader``); a prefix greater than one of its images is pruned.  With
+    ``floor`` = (below, vec, ones, high), below = A(m-1) and the tables of
+    ``turan._vertex_fields``, the star floor prunes a node where some vertex
+    v has fewer than best + 1 - below classes wholly inside star(v) and free
+    undecided edges at v; ``star`` packs those counts per vertex, and
+    ``common[c]`` packs a 1 for each vertex that every edge of class c
+    contains.  ``ar_exact`` and ``_leader`` prove all five sound.
+
+    A node checks each child before it calls it: a child whose narrowing
+    leaves an edge no color (a wipe-out), or that the bound, the star floor
+    or the lex-leader rule prunes, is counted as one node and not called
+    (``ar_exact``).  So only the root, which has no prefix to compare, meets
+    the bound and the star floor on entry.
 
     Colors are tried in ascending order, so leaves come in lexicographic
     order of their restricted growth strings.
@@ -252,16 +260,17 @@ def _ar_dfs(search, after, allowed, assign, i, k, free, live, floor, star, commo
         need = search.best + 1 - below
         if need > 0 and (star + (128 - need) * ones) & high != high:
             return
-    live = _leader(assign, live, i)
-    if live is None:
-        return
     if i == len(assign):
         search.offer(k, tuple(assign))
+        return
+    gap = k + free - search.best  # each live copy holds two free edges or more
+    if 2 * gap <= free and _packs(rung.pack, assign, i, fm, gap):
         return
     here = allowed[i]
     colors = here & ((2 << k) - 1)
     if here == -1:
         free -= 1
+        fm ^= 1 << i
         if floor is not None:
             star -= vec[i]
         if k + free <= search.best or (
@@ -273,7 +282,7 @@ def _ar_dfs(search, after, allowed, assign, i, k, free, live, floor, star, commo
             if not colors:
                 return
     threats = []
-    for last, others in after[i]:
+    for last, others in rung.after[i]:
         mask = 0
         for e in others:
             mask |= 1 << assign[e]
@@ -285,36 +294,93 @@ def _ar_dfs(search, after, allowed, assign, i, k, free, live, floor, star, commo
         colors ^= bit
         assign[i] = c
         narrowed = []
-        rest = free
+        rest, rest_fm = free, fm
         for last, mask in threats:
             if not mask & bit:
                 old = allowed[last]
                 if old == -1:
                     rest -= 1
+                    rest_fm ^= 1 << last
                 allowed[last] = old & (mask | bit)
                 narrowed.append((last, old))
-        s = star
-        if floor is not None:
-            for last, old in narrowed:
-                if old == -1:
-                    s -= vec[last]
-            if c == k:  # a new class, wholly inside the star of each vertex of edge i
-                common.append(vec[i])
-                s += vec[i]
-            else:  # class c stays inside the stars of the vertices edge i shares with it
-                was = common[c]
-                common[c] = was & vec[i]
-                s -= was & ~vec[i]
-        _ar_dfs(search, after, allowed, assign, i + 1, k + (c == k), rest, live, floor, s, common)
-        if floor is not None:
-            if c == k:
-                common.pop()
+                if not allowed[last]:  # a wipe-out: the child has no leaf
+                    search.tick()
+                    break
+        else:
+            s = star
+            if floor is not None:
+                for last, old in narrowed:
+                    if old == -1:
+                        s -= vec[last]
+                # a new class lies wholly inside the star of each vertex of
+                # edge i; class c stays inside the stars of the vertices that
+                # edge i shares with it
+                s += vec[i] if c == k else -(common[c] & ~vec[i])
+                need = search.best + 1 - below
+            if k + (c == k) + rest <= search.best or (
+                floor is not None and need > 0 and (s + (128 - need) * ones) & high != high
+            ):  # the bound or the star floor prunes the child on entry
+                search.tick()
             else:
-                common[c] = was
+                child = _leader(assign, live, i + 1)
+                if child is None:  # the child's prefix is not a lex-leader
+                    search.tick()
+                else:
+                    if floor is not None:  # class c now holds edge i
+                        if c == k:
+                            common.append(vec[i])
+                        else:
+                            was = common[c]
+                            common[c] = was & vec[i]
+                    _ar_dfs(
+                        search, rung, allowed, assign, i + 1, k + (c == k), rest, rest_fm,
+                        child, floor, s, common,
+                    )
+                    if floor is not None:
+                        if c == k:
+                            common.pop()
+                        else:
+                            common[c] = was
         while narrowed:
             last, old = narrowed.pop()
             allowed[last] = old
     assign[i] = -1
+
+
+def _packs(pack, assign, i, fm, gap):
+    """Whether ``gap`` live copies at edge i have pairwise disjoint parts
+    >= i (the threat packing of ``ar_exact``).  A copy is live when its
+    second-largest edge is >= i, its edges >= i are all in ``fm`` and its
+    edges below i have distinct colors in ``assign``.  Copies are taken
+    greedily in index order (``_ArRung``), and each pick drops every copy
+    that meets its edges >= i."""
+    later, through, cmask, down = pack
+    cand = later[i]
+    high = fm | ((1 << i) - 1)
+    p = 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        x = low.bit_length() - 1
+        if cmask[x] | high != high:  # an edge >= i is decided or narrowed
+            continue
+        edges = down[x]
+        seen = 0
+        for e in edges:
+            if e < i:
+                bit = 1 << assign[e]
+                if seen & bit:
+                    break
+                seen |= bit
+        else:
+            p += 1
+            if p == gap:
+                return True
+            for e in edges:
+                if e < i:
+                    break
+                cand &= ~through[e]
+    return False
 
 
 class _ArRung:
@@ -324,17 +390,48 @@ class _ArRung:
     ``after[i]`` lists (last, others) for each copy whose second-largest
     colex edge is i: its largest edge and its edges below i.  The copies of
     one target have one size, so no mask is dominated and the masks are the
-    copies, each of two edges or more (``_ar_ladder``).  Their order does not
-    matter: forward checking only ANDs masks and counts each edge's first
-    narrowing once, so the tree, its nodes and its leaves are the same.
+    copies, each of two edges or more (``_ar_ladder``).  Their order in
+    ``after`` does not matter: forward checking only ANDs masks and counts
+    each edge's first narrowing once.
+
+    The copies are indexed in ascending order of their second-largest edge,
+    then in the order of ``_copy_masks``, and ``pack`` = (later, through,
+    cmask, down) holds the tables of the threat packing: ``later[i]`` marks
+    the copies whose second-largest edge is >= i, ``through[j]`` the copies
+    that hold edge j, and ``cmask[x]`` and ``down[x]`` are copy x's mask and
+    its edges in descending order.  That fixed order is the greedy's
+    (``_packs``): it fixes the node counts, but not the leaves, the value or
+    the witness.  ``pack`` is built on the first scan, so a rung that its
+    start or its cap closes, or whose pass never scans, never builds it.
     """
 
     def __init__(self, m, r, masks):
         self.m, self.r, self.E = m, r, comb(m, r)
         self.after = [[] for _ in range(self.E)]
         for mask in masks:
-            *others, second, last = _bits(mask)
-            self.after[second].append((last, tuple(others)))
+            last = mask.bit_length() - 1
+            rest = mask ^ (1 << last)
+            second = rest.bit_length() - 1
+            self.after[second].append((last, tuple(_bits(rest ^ (1 << second)))))
+
+    @functools.cached_property
+    def pack(self):
+        first, through, cmask, down = [], [0] * self.E, [], []
+        for second, entries in enumerate(self.after):
+            first.append(len(cmask))
+            for last, others in entries:
+                bit = 1 << len(cmask)
+                mask = 1 << last | 1 << second
+                through[last] |= bit
+                through[second] |= bit
+                for j in others:
+                    mask |= 1 << j
+                    through[j] |= bit
+                cmask.append(mask)
+                down.append((last, second, *others[::-1]))
+        everything = (1 << len(cmask)) - 1
+        later = [everything >> x << x for x in first] + [0]
+        return later, through, cmask, down
 
     def live(self):
         """The lex-leader comparisons at the root: none decided yet."""
@@ -372,9 +469,10 @@ class _ArRung:
         if below is not None:
             vec, ones, high = _vertex_fields(self.m, self.r)
             floor, star = (below, vec, ones, high), sum(vec)
-        allowed, assign = [-1] * self.E, [-1] * self.E
+        E = self.E
+        allowed, assign = [-1] * E, [-1] * E
         return search.run(
-            _ar_dfs, self.after, allowed, assign, 0, 0, self.E, self.live(), floor, star, []
+            _ar_dfs, self, allowed, assign, 0, 0, E, (1 << E) - 1, self.live(), floor, star, []
         )
 
 
@@ -437,6 +535,30 @@ def ar_exact(n, t, F, budget=None):
     k + free classes.  The prune drops only subtrees with no leaf above
     ``best``, so it changes neither the value nor the first leaf above
     ``best``, the witness.
+
+    It also prunes by a packing of live threats.  At a node on edge i, a
+    copy is live when its second-largest edge is >= i, its edges below i
+    carry pairwise distinct colors and its edges >= i are all free.  Lemma:
+    in every leaf below, some edge >= i of a live copy opens no class.  If
+    each opened one, those edges would carry new colors, pairwise distinct
+    and unlike every color below i, and the copy would be rainbow.  So p
+    live copies whose parts >= i are pairwise disjoint hold p distinct free
+    edges that open no class, and every leaf below has at most
+    k + free - p classes; a node where that is at most ``best`` holds no
+    leaf above ``best``, and like the bound prune this changes neither the
+    value nor the witness.  A part >= i holds two free edges or more, so
+    p <= free / 2, and ``_packs`` looks for p = gap = k + free - best live
+    copies only when 2 gap <= free.  It takes them greedily in the fixed
+    order of ``_ArRung``, which fixes the node counts.
+
+    A color of edge i that narrows some edge j to no color at all (a
+    wipe-out) has no leaf below: edge j has no color to try, and the edges
+    between offer no leaf.  Such a child is counted as one node and not
+    called.  No leaf is lost, so values and witnesses stay; nodes are those
+    of a child pruned on entry.  A child that the bound, the star floor or
+    the lex-leader rule prunes once its narrowing is done is counted the
+    same way: the node runs the child's checks on entry, in the child's
+    order and with the same ``best``, and a call would tick once and return.
 
     Every pass skips partitions that are not lex-leaders (``_leader``, as
     leaves come in ascending order).  Its comparisons name no color at the

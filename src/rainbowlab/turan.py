@@ -271,7 +271,8 @@ class _Ctx:
     """Immutable search data of one ex(n, fam) problem, from the masks of the
     copies in K_n^r.
 
-    ``cmax[i]`` lists, with bit i cleared, the copies whose largest edge is i.
+    ``cmax[i]`` holds, with bit i cleared, the copies whose largest edge is
+    i, grouped by their next-largest edge (``_grouped``).
     ``pack[i]`` is the mask of the packed copy holding edge i, or 0 when edge
     i is in none, for a greedy packing of ``packs`` edge-disjoint copies (the
     packing bound of ``ex_exact``).
@@ -280,10 +281,7 @@ class _Ctx:
     def __init__(self, n, r, masks):
         self.n, self.r, self.E = n, r, comb(n, r)
         E = self.E
-        self.cmax = [[] for _ in range(E)]
-        for m in masks:
-            top = m.bit_length() - 1
-            self.cmax[top].append(m ^ (1 << top))
+        self.cmax = _grouped(E, zip([m.bit_length() - 1 for m in masks], masks))
         self.pack = [0] * E
         self.packs = 0
         used = 0
@@ -344,10 +342,7 @@ def _dfs(search, ctx, i, chosen, bound, deg, below, assign, live):
         search.offer(bound, chosen)
         return
     # include branch: no copy completed
-    for mw in ctx.cmax[i]:
-        if mw & ~chosen == 0:
-            break
-    else:
+    if not _completes(chosen, ctx.cmax[i]):
         assign[i] = 0
         _dfs(search, ctx, i + 1, chosen | (1 << i), bound, deg, below, assign, live)
     # exclude branch: the bound drops by one, unless edge i is the first
@@ -429,16 +424,41 @@ def _transpositions(m, r):
     return tuple(out)
 
 
+def _grouped(E, pairs):
+    """For each edge i < E, the copy masks mw of the (i, mw) ``pairs`` with
+    bit i cleared, grouped by their largest bit j left, as a list of
+    (1 << j, masks of the group), for ``_completes``.  Each mw holds edge i
+    and another edge."""
+    groups = [{} for _ in range(E)]
+    for i, mw in pairs:
+        mw ^= 1 << i
+        groups[i].setdefault(mw.bit_length() - 1, []).append(mw)
+    return [[(1 << j, group) for j, group in by_j.items()] for by_j in groups]
+
+
+def _completes(chosen, groups):
+    """Whether the edge set ``chosen`` holds some mask of ``groups``
+    (``_grouped``).  Every mask of a group holds the group's bit, so a group
+    whose bit is not chosen is skipped whole: the index by the next-largest
+    edge that makes the copy-completion test of ``_dfs`` cheap."""
+    for bit, group in groups:
+        if chosen & bit:
+            for mw in group:
+                if not mw & ~chosen:
+                    return True
+    return False
+
+
 def _greedy(order, copies_at):
     """A maximal fam-free edge set: take the edges of ``order`` in turn, each
-    unless it completes a copy.  ``copies_at[i]`` lists, with bit i cleared,
-    the copy masks that edge i can complete.  In ascending colex order only
-    the copies whose largest edge is i can be complete at step i, so there
-    ``_Ctx.cmax`` serves.
+    unless it completes a copy.  ``copies_at[i]`` holds, with bit i cleared,
+    the copy masks that edge i can complete, grouped by ``_grouped``.  In
+    ascending colex order only the copies whose largest edge is i can be
+    complete at step i, so there ``_Ctx.cmax`` serves.
     """
     chosen = 0
     for i in order:
-        if all(mw & ~chosen for mw in copies_at[i]):
+        if not _completes(chosen, copies_at[i]):
             chosen |= 1 << i
     return chosen
 
@@ -514,9 +534,11 @@ def _climb(ms, rung, caps, budget, nodes=0, values=None):
     order.  The top pass starts at s-1 for its start s, with the start as
     its incumbent, so it also offers a leaf equal to s, and its last
     incumbent is that first leaf.  Proof: the rules that do not read
-    ``best`` (symmetry breaking, forward checking) fix the tree and the order
-    of its leaves; those that do drop only subtrees with no leaf above
-    ``best``.
+    ``best`` (symmetry breaking, forward checking and the wipe-out count of
+    ``ar_exact``, which drops only subtrees with no leaf) fix the leaves and
+    their order; those that do (the bounds of both solvers, the threat
+    packing of ``ar_exact``, the vertex floors and the sibling counts) drop
+    only subtrees with no leaf above ``best``.
     Let w be the first leaf with V.  Every leaf before w has fewer than V,
     and the pass starts below V (s <= V), so ``best`` < V on the whole path
     to w, no prune drops w (its subtree holds a leaf with V) and no cap stops
@@ -752,10 +774,7 @@ def boundedness_falsifier(F, c1, c2, n, samples, table, seed=0):
     E = comb(n, r)
     edges = all_edges_colex(n, r)
     # in a random order an edge can complete any copy it lies in
-    copies_at = [[] for _ in range(E)]
-    for m in masks:
-        for i in _bits(m):
-            copies_at[i].append(m ^ (1 << i))
+    copies_at = _grouped(E, [(i, m) for m in masks for i in _bits(m)])
 
     rng = random.Random(seed)
     candidates = [sum(1 << colex_rank(e) for e in table.get(fam, n).witness.edges)]

@@ -621,9 +621,10 @@ class TestArExact:
 
     @pytest.mark.parametrize(
         "n, t, F, most, capped",
-        # measured 768, 237, 686, 3,055, 1,338 and 989 nodes; before the
-        # ``ex`` ladder had the lex-leader rule 1,759, 236, 686, 3,547, 1,886
-        # and 1,130; with the value pass trying the fresh class first, no
+        # measured 747, 237, 67, 596, 608 and 978 nodes; before the threat
+        # packing and the wipe-out count 768, 237, 686, 3,055, 1,338 and 989;
+        # before the ``ex`` ladder had the lex-leader rule 1,759, 236, 686,
+        # 3,547, 1,886 and 1,130; with the value pass trying the fresh class first, no
         # greedy seed and a witness pass on every call as well 7,040,
         # 17,274, 707, 6,571, 3,544 and 3,559; without the lex-leader rule
         # in ``ar`` as well 22,017, 74,704, 6,360, 59,558, 13,482 and
@@ -652,44 +653,50 @@ class TestArExact:
     @pytest.mark.parametrize(
         "n, t, name, value, nodes, closed_by",
         [
-            (6, 3, "K2", 7, 3_055, "search"),
-            (6, 2, "K3", 12, 5_431, "search"),
-            (6, 1, "K3", 6, 605, "search"),
-            (6, 1, "C4", 8, 768, "sandwich"),
-            (6, 2, "P3", 8, 1_338, "search"),
+            (6, 3, "K2", 7, 596, "search"),
+            (6, 2, "K3", 12, 448, "search"),
+            (6, 1, "K3", 6, 600, "search"),
+            (6, 1, "C4", 8, 747, "sandwich"),
+            (6, 2, "P3", 8, 608, "search"),
             (6, 1, "K4", 11, 237, "averaging"),
-            (6, 1, "K4^3-", 6, 989, "search"),
-            (6, 2, "E3", 11, 686, "sandwich"),
+            (6, 1, "K4^3-", 6, 978, "search"),
+            (6, 2, "E3", 11, 67, "sandwich"),
         ],
         ids=[f"{t}{name}" for _, t, name in LADDER],
     )
     def test_exact_node_counts(self, n, t, name, value, nodes, closed_by):
-        # the ``LADDER`` calls: the bound prune, forward checking, the
-        # lex-leader rule and the star floor prune exactly these nodes; a
+        # the ``LADDER`` calls: the bound prune, forward checking, the threat
+        # packing, the lex-leader rule and the star floor prune exactly these
+        # nodes (13,109 before the threat packing and the wipe-out count); a
         # change to any of them shows here before it shows in a value
         rec = ar_exact(n, t, CAP_SHAPES[name])
         assert (rec.value, rec.nodes, rec.closed_by) == (value, nodes, closed_by)
 
     @pytest.mark.parametrize(
         "n, t, name, calls",
-        # 5,727 calls for the 13,109 nodes above; 12,149 (2,907, 5,335, 546,
-        # 540, 1,169, 188, 779 and 685) when every pruned child was called
+        # 1,172 calls for the 4,281 nodes above; 5,727 (1,483, 1,740, 388,
+        # 277, 662, 62, 700 and 415) for 13,109 nodes before the threat
+        # packing, the wipe-out count and the checks of each child before its
+        # call, and 12,149 (2,907, 5,335, 546, 540, 1,169, 188, 779 and 685)
+        # when every pruned child was called
         [
-            (6, 3, "K2", 1_483),
-            (6, 2, "K3", 1_740),
-            (6, 1, "K3", 388),
-            (6, 1, "C4", 277),
-            (6, 2, "P3", 662),
-            (6, 1, "K4", 62),
-            (6, 1, "K4^3-", 700),
-            (6, 2, "E3", 415),
+            (6, 3, "K2", 153),
+            (6, 2, "K3", 126),
+            (6, 1, "K3", 208),
+            (6, 1, "C4", 151),
+            (6, 2, "P3", 158),
+            (6, 1, "K4", 45),
+            (6, 1, "K4^3-", 308),
+            (6, 2, "E3", 23),
         ],
         ids=[f"{t}{name}" for _, t, name in LADDER],
     )
     def test_exact_dfs_calls(self, n, t, name, calls, monkeypatch):
         # a node that the bound or the star floor prunes once its edge leaves
         # the free set counts its children that repeat a class and calls only
-        # the others, so the same nodes take fewer calls
+        # the others, and a child that wipes out an edge, or that the bound,
+        # the star floor or the lex-leader rule prunes after narrowing, is
+        # counted, not called
         seen = []
         dfs = anti._ar_dfs
         monkeypatch.setattr(anti, "_ar_dfs", lambda *args: seen.append(1) or dfs(*args))
@@ -700,9 +707,12 @@ class TestArExact:
         "t, F, value",
         # ar(n, K3) = n (Erdos-Simonovits-Sos), ar(n, C4) = floor(4n/3)
         # (Alon 1983), ar(n, K4) = floor(n^2/4) + 2 (Montellano-Ballesteros
-        # and Neumann-Lara 2002; 5,744 nodes, 7,519,383 without the star
-        # floor); ar(7, 2P3) = 8 as the search found it without the
-        # lex-leader rule, in 162,742 nodes
+        # and Neumann-Lara 2002; 3,084 nodes, 5,744 without the threat
+        # packing, 7,519,383 without the star floor as well); ar(7, 2P3) = 8
+        # as the search found it without the lex-leader rule, in 162,742
+        # nodes; measured 1,453, 4,765, 12,818 and 2,232 nodes for 3K2, K3,
+        # C4 and 2P3 (4,028, 5,676, 91,304 and 6,822 without the threat
+        # packing)
         [
             (3, K2, ar_matching(7, 3)),
             (1, K3, 7),
@@ -720,8 +730,8 @@ class TestArExact:
 
     @pytest.mark.parametrize(
         "F, value",
-        # ar(n, K3) = n, ar(n, K4) = floor(n^2/4) + 2; measured 84,298 and
-        # 27,302 nodes
+        # ar(n, K3) = n, ar(n, K4) = floor(n^2/4) + 2; measured 67,074 and
+        # 4,060 nodes (84,298 and 27,302 without the threat packing)
         [(K3, 8), (K4, 8 * 8 // 4 + 2)],
         ids=["K3", "K4"],
     )
@@ -735,8 +745,9 @@ class TestArExact:
     @pytest.mark.parametrize(
         "t, F, value",
         # ar(9, K4) = floor(n^2/4) + 2, and ar(9, 2K3) = ex(9, K3) + 2 by the
-        # identity of Theorem 1.5 at t = 1; measured 108,950 and 120,227
-        # nodes, both closed by the averaging cap
+        # identity of Theorem 1.5 at t = 1; measured 7,018 and 11,001 nodes
+        # (108,950 and 120,227 without the threat packing), both closed by
+        # the averaging cap
         [(1, K4, 9 * 9 // 4 + 2), (2, K3, 9 * 9 // 4 + 2)],
         ids=["K4", "2K3"],
     )
@@ -747,9 +758,36 @@ class TestArExact:
         assert rec.witness.ncolors == value - 1
         assert verify_no_rainbow(rec.witness, F, t)
 
+    @pytest.mark.parametrize(
+        "n, t, F, value",
+        # ar(n, 2K3) = ex(n, K3) + 2 = floor(n^2/4) + 2, the identity of
+        # Theorem 1.5 at t = 1: 24,134 and 102,770 nodes; 1,251,727 for n = 10
+        # without the threat packing, and only bounds 27..32 after 5M nodes
+        # for n = 11; ar(8, 4K2) = ex(8, 3K2) + 2, the sandwich floor, with
+        # ex(8, 3K2) = 13 (Erdos-Gallai): 266,414 nodes, bounds 15..22 after
+        # 5M without the threat packing
+        [(10, 2, K3, 10 * 10 // 4 + 2), (11, 2, K3, 11 * 11 // 4 + 2), (8, 4, K2, 13 + 2)],
+        ids=["2K3-10", "2K3-11", "4K2-8"],
+    )
+    def test_frontier_closed_forms(self, n, t, F, value):
+        rec = ar_exact(n, t, F)
+        assert (rec.value, rec.status) == (value, "exact")
+        assert rec.nodes < 300_000
+        assert rec.witness.ncolors == value - 1
+        assert verify_no_rainbow(rec.witness, F, t)
+
+    def test_nine_vertex_triangle_factor(self):
+        # ar(9, 3K3), a rainbow triangle factor: 161,774 nodes; only bounds
+        # 30..31 after 5M nodes without the threat packing
+        rec = ar_exact(9, 3, K3)
+        assert (rec.value, rec.status, rec.closed_by) == (30, "exact", "search")
+        assert rec.nodes < 200_000
+        assert rec.witness.ncolors == 29
+        assert verify_no_rainbow(rec.witness, K3, 3)
+
     def test_seven_vertex_double_triangle(self):
-        # ar(7, 2K3): 46,426 nodes; 7,997,683 without the star floor, same
-        # witness
+        # ar(7, 2K3): 7,436 nodes; 46,426 without the threat packing and
+        # 7,997,683 without the star floor as well, same witness
         rec = ar_exact(7, 2, K3)
         assert (rec.value, rec.status, rec.closed_by) == (14, "exact", "search")
         assert rec.nodes < 60_000
@@ -784,6 +822,45 @@ class TestArExact:
             outside = {c for c, e in zip(rgs, edges) if v not in e}
             assert classes - len(outside) >= classes - below
 
+    @settings(max_examples=150, deadline=None)
+    @given(rainbow_free_partitions())
+    def test_threat_packing_lemma(self, case):
+        # at every prefix i, p copies that are rainbow below i, hold two or
+        # more edges >= i and have pairwise disjoint parts >= i each hold an
+        # edge >= i that opens no class, so a partition with no rainbow tF
+        # has at most classes(rgs[:i]) + (E - i) - p classes
+        F, t, m, rgs = case
+        E = len(rgs)
+        copies = sorted(copies_brute(disjoint_union(F, t), m))
+        for i in range(E + 1):
+            used = p = 0
+            for cp in copies:
+                upper = cp >> i << i
+                lower = [rgs[e] for e in range(i) if cp >> e & 1]
+                if upper.bit_count() >= 2 and not upper & used and len(set(lower)) == len(lower):
+                    used |= upper
+                    p += 1
+            assert max(rgs) + 1 <= len(set(rgs[:i])) + (E - i) - p
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_tilings().filter(lambda case: comb(case[2], case[0].r) <= 10))
+    def test_brute_agreement_on_small_tilings(self, case):
+        # every prune, the threat packing and the wipe-out count included,
+        # keeps the value and the first maximizer of the unpruned enumeration
+        F, t, n = case
+        rec = ar_exact(n, t, F)
+        assert rec.value == ar_brute(n, t, F)
+        colors = None if rec.witness is None else rec.witness.colors
+        assert colors == ar_brute_witness(n, t, F)
+
+    def test_packing_tables_wait_for_a_scan(self):
+        # a rung that is only started builds no packing tables
+        rung = _ar_ladder(disjoint_union(K3, 2), {})[0](6)
+        best, incumbent = rung.start()
+        assert "pack" not in vars(rung)
+        rung.run(_Search(best - 1, incumbent))
+        assert "pack" in vars(rung)
+
     def test_star_floor_on_thirty_vertices(self):
         # a 1-uniform tF spreads over 30 vertices; the floor's tables grow
         # with the edges, not with the vertex subsets
@@ -799,8 +876,9 @@ class TestArExact:
         assert (rec.status, rec.value) == ("exact", 3)
 
     def test_tetrahedron(self):
-        # ar(6, K4^3), the paper's headline case: 16,622 nodes; 1,797,573
-        # without the star floor; in earlier versions 2,243,451 without the
+        # ar(6, K4^3), the paper's headline case: 11,794 nodes; 16,622
+        # without the threat packing; 1,797,573 without the star floor as
+        # well; in earlier versions 2,243,451 without the
         # star floor, with the value pass trying the fresh class first and no
         # greedy seed, and 52,518,436 without the lex-leader rule as well;
         # the witness is the one found then

@@ -319,8 +319,12 @@ class TestLadder:
             # without the lex-leader rule
             (10, cycle(5), 25, 78_527, "kns"),
             (11, cycle(4), 18, 252_425, "search"),
+            # ex(10, C6) = 21, where up to 1,680 copies end at one edge: the
+            # copy-completion index skips the groups whose next-largest edge
+            # is not chosen
+            (10, cycle(6), 21, 158_749, "search"),
         ],
-        ids=["C4", "K4^3", "F3,2", "Fano", "2K3", "C5", "3K2", "C5-10", "C4-11"],
+        ids=["C4", "K4^3", "F3,2", "Fano", "2K3", "C5", "3K2", "C5-10", "C4-11", "C6-10"],
     )
     def test_exact_node_counts(self, n, F, value, nodes, closed_by):
         # the packing bound, the degree floor and the lex-leader rule prune
