@@ -246,20 +246,21 @@ def _ar_dfs(search, rung, allowed, assign, i, k, free, fm, live, floor, star, co
     A node checks each child before it calls it: a child whose narrowing
     leaves an edge no color (a wipe-out), or that the bound, the star floor
     or the lex-leader rule prunes, is counted as one node and not called
-    (``ar_exact``).  So only the root, which has no prefix to compare, meets
-    the bound and the star floor on entry.
+    (``ar_exact``).  So no node but the root meets the bound or the star
+    floor on entry, and the root passes both, so none checks them there.
+    The rung is not trivial, so some copy has two edges or more and best,
+    the classes of a partition with no rainbow copy, is below E = k + free.
+    The star floor is on only in a ``_climb`` pass, run only when best is
+    below the averaging cap m below / (m-r), with below = A(m-1) <= C(m-1, r):
+    so best + 1 - below <= r below / (m-r) <= C(m-1, r-1), the star count of
+    each vertex at the root.
 
     Colors are tried in ascending order, so leaves come in lexicographic
     order of their restricted growth strings.
     """
     search.tick()
-    if k + free <= search.best:
-        return
     if floor is not None:
         below, vec, ones, high = floor
-        need = search.best + 1 - below
-        if need > 0 and (star + (128 - need) * ones) & high != high:
-            return
     if i == len(assign):
         search.offer(k, tuple(assign))
         return
@@ -273,6 +274,7 @@ def _ar_dfs(search, rung, allowed, assign, i, k, free, fm, live, floor, star, co
         fm ^= 1 << i
         if floor is not None:
             star -= vec[i]
+            need = search.best + 1 - below
         if k + free <= search.best or (
             floor is not None and need > 0 and (star + (128 - need) * ones) & high != high
         ):  # every child that repeats a class is pruned on entry: count, not call
@@ -557,8 +559,8 @@ def ar_exact(n, t, F, budget=None):
     called.  No leaf is lost, so values and witnesses stay; nodes are those
     of a child pruned on entry.  A child that the bound, the star floor or
     the lex-leader rule prunes once its narrowing is done is counted the
-    same way: the node runs the child's checks on entry, in the child's
-    order and with the same ``best``, and a call would tick once and return.
+    same way: the node runs those checks for the child, with the child's
+    state and the same ``best``, where a call would tick once and return.
 
     Every pass skips partitions that are not lex-leaders (``_leader``, as
     leaves come in ascending order).  Its comparisons name no color at the
@@ -633,56 +635,25 @@ def verify_no_rainbow(chi, F, t):
     return find_rainbow_copy(chi, disjoint_union(F, t)) is None
 
 
-class ArTable:
-    """Map (F key, n, t) -> ArRecord.
-
-    On a miss the table asks ``loader(n, t, F)`` for the record (None when
-    there is none) and keeps what it returns, so each record is loaded once.
-    Asked for a tF that does not fit in K_n^r, it raises ``ar_exact``'s
-    ValueError before it looks.
-    """
-
-    def __init__(self, loader=None):
-        self._records = {}
-        self._loader = loader
-
-    def put(self, record):
-        self._records[record.F_key, record.n, record.t] = record
-
-    def get(self, F, n, t):
-        _check_embeds(n, t, F)  # no record can exist, so name why
-        key = family_key(singleton(F))
-        rec = self._records.get((key, n, t))
-        if rec is None and self._loader is not None:
-            rec = self._loader(n, t, F)
-            if rec is not None:
-                self.put(rec)
-        if rec is None or not rec.is_exact():
-            raise MissingRecordError(f"no exact ar record for n={n}, t={t}, F={key}")
-        return rec
-
-    def ar(self, F, n, t):
-        return self.get(F, n, t).value
-
-
 # -- verification of the finite statements ---------------------------------------
 
 
 SandwichVerdict = namedtuple("SandwichVerdict", "n s ar_value lower upper holds")
 
 
-def sandwich_check(n, s, F, turan_table, ar_table):
-    """ex(n,(s-1)F)+2 <= ar(n,sF) <= ex(n,sF)+1 from exact records.
+def sandwich_check(n, s, F, records):
+    """ex(n,(s-1)F)+2 <= ar(n,sF) <= ex(n,sF)+1 from the exact records of
+    ``records``, a ``cache.Records`` store.
 
     For s = 1 the lower bound degenerates (a single color admits no rainbow F
     with two or more edges): 2 when |F| >= 2, else 1.
     """
     if s < 1:
         raise ValueError(f"the sandwich needs s >= 1, got s={s}")
-    ar_rec = ar_table.get(F, n, s)
-    upper = turan_table.ex(singleton(disjoint_union(F, s)), n) + 1
+    ar_rec = records.ar(F, n, s)
+    upper = records.ex(singleton(disjoint_union(F, s)), n) + 1
     if s >= 2:
-        lower = turan_table.ex(singleton(disjoint_union(F, s - 1)), n) + 2
+        lower = records.ex(singleton(disjoint_union(F, s - 1)), n) + 2
     else:
         lower = 2 if len(F.edges) >= 2 else 1
     holds = lower <= ar_rec.value <= upper
@@ -692,12 +663,12 @@ def sandwich_check(n, s, F, turan_table, ar_table):
 ReductionVerdict = namedtuple("ReductionVerdict", "n t ar_big crossing ar_inner holds")
 
 
-def reduction_check(n, t, F, ar_table):
+def reduction_check(n, t, F, records):
     """ar(n,(t+2)F) >= C(n,r) - C(n-t,r) + ar(n-t, 2F) from exact records."""
     if t < 0:
         raise ValueError(f"the reduction needs t >= 0, got t={t}")
-    big = ar_table.get(F, n, t + 2)
-    inner = ar_table.get(F, n - t, 2)
+    big = records.ar(F, n, t + 2)
+    inner = records.ar(F, n - t, 2)
     crossing = comb(n, F.r) - comb(n - t, F.r)
     holds = big.value >= crossing + inner.value
     return ReductionVerdict(n, t, big.value, crossing, inner.value, holds)
@@ -714,7 +685,7 @@ class IdentityVerdict(
     __slots__ = ()
 
 
-def verify_identity_thm15(n, t, F, turan_table, ar_table):
+def verify_identity_thm15(n, t, F, records):
     """Check ar(n,(t+1)F) = ex(n,tF) + 2 and whether t lies in the certified
     range derived from the Turan gap.  Out-of-range failures are informative;
     an in-range failure (or any failure of the unconditional lower bound)
@@ -723,9 +694,9 @@ def verify_identity_thm15(n, t, F, turan_table, ar_table):
 
     if t < 1:
         raise ValueError(f"the identity needs t >= 1, got t={t}")
-    ar_value = ar_table.ar(F, n, t + 1)
-    ex_value = turan_table.ex(singleton(disjoint_union(F, t)), n)
-    gap = edge_sensitivity_gap(F, n, turan_table)
+    ar_value = records.ar(F, n, t + 1).value
+    ex_value = records.ex(singleton(disjoint_union(F, t)), n)
+    gap = edge_sensitivity_gap(F, n, records)
     in_range = 1 <= t <= gap.t_max
     identity = ar_value == ex_value + 2
     lower = ar_value >= ex_value + 2
@@ -744,14 +715,14 @@ def verify_identity_thm15(n, t, F, turan_table, ar_table):
 CensusResult = namedtuple("CensusResult", "threshold alpha vertices")
 
 
-def stability_degree_census(H, F, pi, table):
+def stability_degree_census(H, F, pi, records):
     """Vertices of H with degree >= d(n,F) + (1-pi)/(7 v(F)) * C(n-1, r-1).
 
     Exact rational comparison; n is the vertex count of H and ex(n,F) must be
     an exact record.
     """
     n = H.n
-    ex_n = table.ex(singleton(F), n)
+    ex_n = records.ex(singleton(F), n)
     alpha = Fraction(1 - pi, 7 * F.n)
     threshold = Fraction(F.r * ex_n, n) + alpha * comb(n - 1, F.r - 1)
     degs = H.degrees()

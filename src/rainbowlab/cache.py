@@ -21,13 +21,21 @@ from pathlib import Path
 
 from .antiramsey import (
     ArRecord,
+    _check_embeds,
     ar_exact,
     coloring_from_text,
     coloring_to_text,
     verify_no_rainbow,
 )
 from .core import digest16, family_key, from_text, to_text
-from .turan import SOLVER_VERSION, TuranRecord, ex_exact, singleton, verify_witness
+from .turan import (
+    SOLVER_VERSION,
+    MissingRecordError,
+    TuranRecord,
+    ex_exact,
+    singleton,
+    verify_witness,
+)
 
 
 class CacheError(Exception):
@@ -88,7 +96,6 @@ def turan_record_from_text(text):
     witness = from_text(body)
     rec = TuranRecord(
         n=_int(n),
-        r=witness.r,
         family_key=fam,
         value=_int(value),
         witness=witness,
@@ -229,24 +236,55 @@ class Cache:
         return path
 
 
-# -- compute-through helpers -----------------------------------------------------
+# -- the records of one command -------------------------------------------------
 
 
-def turan_record(cache, n, fam, budget=None, manifest=""):
-    """Cached ex(n, fam): load + re-verify, else compute and store."""
-    rec = cache.load_turan(n, fam)
-    if rec is not None and rec.is_exact():
+class Records:
+    """The exact records one command reads: ex(n, fam) and ar(n, tF).
+
+    A lookup tries the records already read or ``put``, then ``cache``,
+    which re-verifies what it loads.  Only with a ``manifest`` id (any
+    string, "" included) does it then run the solver and store the record
+    citing that manifest; with None, a missing or inexact record raises
+    MissingRecordError, so nothing is computed.  A record computed under a
+    node ``budget`` may come back inexact.
+    """
+
+    def __init__(self, cache=None, manifest=None):
+        self.cache = cache
+        self.manifest = manifest
+        self._held = {}
+
+    def put(self, rec):
+        """Hold a TuranRecord or an ArRecord as if it had been read."""
+        key = (rec.n, rec.family_key) if isinstance(rec, TuranRecord) else (rec.n, rec.t, rec.F_key)
+        self._held[key] = rec
+
+    def turan(self, fam, n, budget=None):
+        key = family_key(fam)
+        return self._get("turan", (n, key), (n, fam), budget, f"n={n}, fam={key}")
+
+    def ex(self, fam, n):
+        return self.turan(fam, n).value
+
+    def ar(self, F, n, t, budget=None):
+        """The record of ar(n, tF).  For a tF that does not fit in K_n^r no
+        record can exist, so it raises ``ar_exact``'s ValueError first."""
+        _check_embeds(n, t, F)
+        key = family_key(singleton(F))
+        return self._get("ar", (n, t, key), (n, t, F), budget, f"n={n}, t={t}, F={key}")
+
+    def _get(self, kind, key, args, budget, name):
+        """The record of ``kind`` under ``key``, from the held records, then
+        ``Cache.load_<kind>(*args)``, then the solver on ``args``."""
+        rec = self._held.get(key)
+        if rec is None and self.cache is not None:
+            rec = getattr(self.cache, f"load_{kind}")(*args)
+        if rec is None or not rec.is_exact():
+            if self.manifest is None:
+                raise MissingRecordError(f"no exact {kind} record for {name}")
+            rec = (ex_exact if kind == "turan" else ar_exact)(*args, budget=budget)
+            if self.cache is not None:
+                getattr(self.cache, f"store_{kind}")(rec, self.manifest)
+        self._held[key] = rec
         return rec
-    rec = ex_exact(n, fam, budget=budget)
-    cache.store_turan(rec, manifest)
-    return rec
-
-
-def ar_record(cache, n, t, F, budget=None, manifest=""):
-    """Cached ar(n, tF): load + re-verify, else compute and store."""
-    rec = cache.load_ar(n, t, F)
-    if rec is not None and rec.is_exact():
-        return rec
-    rec = ar_exact(n, t, F, budget=budget)
-    cache.store_ar(rec, manifest)
-    return rec

@@ -13,14 +13,7 @@ from pathlib import Path
 
 from . import antiramsey as anti
 from . import turan as tur
-from .cache import (
-    Cache,
-    CacheError,
-    ar_record,
-    ar_record_to_text,
-    turan_record,
-    turan_record_to_text,
-)
+from .cache import Cache, CacheError, Records, ar_record_to_text, turan_record_to_text
 from .core import (
     CapacityError,
     FormatError,
@@ -30,7 +23,7 @@ from .core import (
     read_file,
     write_file,
 )
-from .turan import MissingRecordError, TuranTable, singleton
+from .turan import MissingRecordError, singleton
 
 
 def _hash_file(path):
@@ -88,8 +81,8 @@ def _inputs(args):
 
 # -- subcommands ------------------------------------------------------------------
 #
-# Each command but ``zoo`` takes the manifest id its records should cite and
-# returns (exit code, verdicts); ``main`` times it and writes the manifest.
+# Each command but ``zoo`` takes the command's ``Records`` store and returns
+# (exit code, verdicts); ``main`` times it and writes the manifest.
 
 
 def cmd_zoo(args):
@@ -113,59 +106,57 @@ def cmd_zoo(args):
     return 0
 
 
-def cmd_turan(args, cache, mid):
+def cmd_turan(args, records):
     members = [read_file(p) for p in args.forbid]
     fam = HyperGraphFamily(members[0].r, members)
-    rec = turan_record(cache, args.n, fam, budget=args.budget, manifest=mid)
+    rec = records.turan(fam, args.n, budget=args.budget)
     print(turan_record_to_text(rec).partition("\n")[0])
     return 0, [f"value={rec.value}", rec.status, f"closed_by={rec.closed_by}"]
 
 
-def cmd_ar(args, cache, mid):
-    rec = ar_record(cache, args.n, args.t, read_file(args.F), budget=args.budget, manifest=mid)
+def cmd_ar(args, records):
+    rec = records.ar(read_file(args.F), args.n, args.t, budget=args.budget)
     print(ar_record_to_text(rec).partition("\n")[0])
     return 0, [f"value={rec.value}", rec.status, f"closed_by={rec.closed_by}"]
 
 
-def cmd_construct(args, cache, mid):
+def cmd_construct(args, records):
     F = read_file(args.F)
     if args.construct_cmd == "fact21":
-        rec = turan_record(cache, args.n, singleton(disjoint_union(F, args.t)), manifest=mid)
+        rec = records.turan(singleton(disjoint_union(F, args.t)), args.n)
         chi = anti.build_coloring_fact21(args.n, args.t, F, rec)
         target = f"rainbow-{args.t + 1}F-free"
     else:
         inner = anti.coloring_from_text(Path(args.inner).read_text(encoding="ascii"))
         chi = anti.build_coloring_fact31(args.n, args.t, F, inner)
         target = f"rainbow-{args.t + 2}F-free"
-    path = cache.store_coloring(chi) if args.output is None else Path(args.output)
+    path = records.cache.store_coloring(chi) if args.output is None else Path(args.output)
     if args.output is not None:
         path.write_text(anti.coloring_to_text(chi), encoding="ascii")
     print(f"coloring r={chi.r} n={chi.n} ncolors={chi.ncolors} certified {target} -> {path}")
     return 0, [f"ncolors={chi.ncolors}", "certified"]
 
 
-def cmd_verify(args, cache, mid):
-    """Check one statement against cached records; a missing one raises
-    MissingRecordError, and nothing is computed."""
+def cmd_verify(args, records):
+    """Check one statement against cached records; its store has no manifest,
+    so a missing record raises MissingRecordError and nothing is computed."""
     F = read_file(args.F)
-    table = TuranTable(cache.load_turan)
-    ar_table = anti.ArTable(cache.load_ar)
     if args.verify_cmd == "sandwich":
-        v = anti.sandwich_check(args.n, args.t, F, table, ar_table)
+        v = anti.sandwich_check(args.n, args.t, F, records)
         line = (
             f"sandwich n={v.n} s={v.s}: {v.lower} <= ar={v.ar_value} <= {v.upper}: "
             + ("holds" if v.holds else "VIOLATION")
         )
         ok = v.holds
     elif args.verify_cmd == "identity":
-        v = anti.verify_identity_thm15(args.n, args.t, F, table, ar_table)
+        v = anti.verify_identity_thm15(args.n, args.t, F, records)
         line = (
             f"identity n={v.n} t={v.t}: ar={v.ar_value} vs ex+2={v.ex_value + 2} "
             f"t_max={v.t_max}: {v.status}"
         )
         ok = v.status != "violation"
     else:  # reduction
-        v = anti.reduction_check(args.n, args.t, F, ar_table)
+        v = anti.reduction_check(args.n, args.t, F, records)
         line = (
             f"reduction n={v.n} t={v.t}: ar={v.ar_big} >= {v.crossing}+{v.ar_inner}: "
             + ("holds" if v.holds else "VIOLATION")
@@ -175,18 +166,14 @@ def cmd_verify(args, cache, mid):
     return (0 if ok else 1), [line]
 
 
-def _computing_table(cache, mid):
-    return TuranTable(lambda n, fam: turan_record(cache, n, fam, manifest=mid))
-
-
-def cmd_derived(args, cache, mid):
+def cmd_derived(args, records):
     F = read_file(args.F)
-    dq = tur.derived_quantities(F, _computing_table(cache, mid), args.n)
+    dq = tur.derived_quantities(F, records, args.n)
     print(f"n={dq.n} delta={dq.delta_n} d={dq.d_n} pi_hat={dq.pi_hat}")
     return 0, [f"delta={dq.delta_n}", f"d={dq.d_n}", f"pi_hat={dq.pi_hat}"]
 
 
-def cmd_report(args, cache, mid):
+def cmd_report(args, records):
     """Print one table; its rows are computed before the first line is
     printed, so a command that fails leaves stdout empty."""
     if args.report_cmd == "facts":
@@ -203,16 +190,15 @@ def cmd_report(args, cache, mid):
         print("fact51 grid complete" + (" (all hold)" if not fails else ""))
         return 0, [f"fact51 r={r} n={n} t={t} FAILS" for r, n, t in fails] + ["fact51 grid done"]
     F = read_file(args.F)
-    table = _computing_table(cache, mid)
     if args.report_cmd == "gap":
-        gaps = list(tur.edge_sensitivity_gaps(F, args.n_range, table))
+        gaps = list(tur.edge_sensitivity_gaps(F, args.n_range, records))
         print(f"{'n':>4} {'gap':>6} {'threshold':>10} {'t_max':>6}")
         for g in gaps:
             print(f"{g.n:>4} {g.gap:>6} {g.threshold:>10} {g.t_max:>6}")
         return 0, [f"gap n={g.n} gap={g.gap} t_max={g.t_max}" for g in gaps]
     ns = args.n_range
-    pi = args.pi if args.pi is not None else tur.derived_quantities(F, table, max(ns)).pi_hat
-    rows = tur.smoothness_check(F, pi, table, ns)
+    pi = args.pi if args.pi is not None else tur.derived_quantities(F, records, max(ns)).pi_hat
+    rows = tur.smoothness_check(F, pi, records, ns)
     print(f"pi = {pi}")
     print(f"{'n':>4} {'lhs':>12} {'rhs':>14} {'holds':>6}")
     for row in rows:
@@ -308,8 +294,10 @@ def main(argv=None):
         if args.cmd == "zoo":
             return cmd_zoo(args)
         hashes = {p: _hash_file(p) for p in _inputs(args)}
+        mid = cache.manifest_id(argv, hashes)
+        records = Records(cache, None if args.cmd == "verify" else mid)  # verify computes nothing
         t0 = time.time()
-        code, verdicts = COMMANDS[args.cmd](args, cache, cache.manifest_id(argv, hashes))
+        code, verdicts = COMMANDS[args.cmd](args, records)
         cache.write_manifest(argv, hashes, time.time() - t0, verdicts)
         return code
     except (OSError, FormatError, ValueError, CapacityError, CacheError) as exc:

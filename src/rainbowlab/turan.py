@@ -186,7 +186,7 @@ def ex_enumerate(n, fam):
 class TuranRecord(
     namedtuple(
         "TuranRecord",
-        "n r family_key value witness status nodes solver closed_by",
+        "n family_key value witness status nodes solver closed_by",
         defaults=(0, SOLVER_VERSION, ""),
     )
 ):
@@ -652,59 +652,32 @@ def ex_exact(n, fam, budget=None):
     value = rung(n)
     if isinstance(value, int):
         witness = complete_host(n, r) if value else HyperGraph(r, n, [])
-        return TuranRecord(n, r, key, value, witness, "exact", nodes=1, closed_by="trivial")
+        return TuranRecord(n, key, value, witness, "exact", nodes=1, closed_by="trivial")
     value, mask, _, nodes, closed_by = _climb(range(r, n + 1), rung, caps, budget)
     status = "lower_bound_only" if closed_by == "budget" else "exact"
     witness = HyperGraph(r, n, [e for i, e in enumerate(all_edges_colex(n, r)) if mask >> i & 1])
-    return TuranRecord(n, r, key, value, witness, status, nodes=nodes, closed_by=closed_by)
+    return TuranRecord(n, key, value, witness, status, nodes=nodes, closed_by=closed_by)
 
 
 def verify_witness(record, fam):
-    """Re-check a record's witness: right host size, fam-free, and as many
-    edges as the value, whatever the status (a lower bound is the witness's
-    edge count too).
+    """Re-check a record's witness: right host size and uniformity, fam-free,
+    and as many edges as the value, whatever the status (a lower bound is the
+    witness's edge count too).
 
     An edgeless member on at most n vertices forces value 0 by convention,
     so with one the value and the witness must be empty.
     """
     w = record.witness
-    if w is None or w.n != record.n or w.r != record.r:
+    if w is None or w.n != record.n or w.r != fam.r:
         return False
     if any(m.n <= w.n and not m.edges for m in fam.members):
         return record.value == len(w.edges) == 0
     return not contains_member(w, fam) and len(w.edges) == record.value
 
 
-# -- tables and derived quantities ------------------------------------------------
-
-
-class TuranTable:
-    """Map (family key, n) -> TuranRecord.
-
-    On a miss the table asks ``loader(n, fam)`` for the record (None when
-    there is none) and keeps what it returns, so each record is loaded once.
-    """
-
-    def __init__(self, loader=None):
-        self._records = {}
-        self._loader = loader
-
-    def put(self, record):
-        self._records[record.family_key, record.n] = record
-
-    def get(self, fam, n):
-        key = family_key(fam)
-        rec = self._records.get((key, n))
-        if rec is None and self._loader is not None:
-            rec = self._loader(n, fam)
-            if rec is not None:
-                self.put(rec)
-        if rec is None or not rec.is_exact():
-            raise MissingRecordError(f"no exact turan record for n={n}, fam={key}")
-        return rec
-
-    def ex(self, fam, n):
-        return self.get(fam, n).value
+# -- derived quantities ---------------------------------------------------------
+#
+# The checks below read exact records from ``records``, a ``cache.Records``.
 
 
 def singleton(F):
@@ -714,11 +687,11 @@ def singleton(F):
 DerivedQuantities = namedtuple("DerivedQuantities", "n delta_n d_n pi_hat")
 
 
-def derived_quantities(F, table, n):
+def derived_quantities(F, records, n):
     """delta(n,F), d(n,F), and the finite density ex(n,F)/C(n,r); exact rationals."""
     fam = singleton(F)
-    ex_n = table.ex(fam, n)
-    ex_prev = table.ex(fam, n - 1)
+    ex_n = records.ex(fam, n)
+    ex_prev = records.ex(fam, n - 1)
     return DerivedQuantities(
         n=n,
         delta_n=ex_n - ex_prev,
@@ -730,7 +703,7 @@ def derived_quantities(F, table, n):
 CheckResult = namedtuple("CheckResult", "n lhs rhs holds note", defaults=("",))
 
 
-def smoothness_check(F, pi, table, n_range):
+def smoothness_check(F, pi, records, n_range):
     """Per-n comparison of |delta(n,F) - d(n-1,F)| against the smoothness
     threshold (1-pi)/(8 v(F)) * C(n, r-1), for pi in [0, 1].  Reports only;
     finite n proves nothing asymptotic.  Degenerate (r-partite) F is smooth
@@ -741,8 +714,8 @@ def smoothness_check(F, pi, table, n_range):
     degenerate = is_r_partite(F)
     fam = singleton(F)
     for n in n_range:
-        dq = derived_quantities(F, table, n)
-        d_prev = Fraction(F.r * table.ex(fam, n - 1), n - 1)
+        dq = derived_quantities(F, records, n)
+        d_prev = Fraction(F.r * records.ex(fam, n - 1), n - 1)
         lhs = abs(Fraction(dq.delta_n) - d_prev)
         rhs = (1 - pi) / (8 * F.n) * comb(n, F.r - 1)
         if degenerate:
@@ -752,7 +725,7 @@ def smoothness_check(F, pi, table, n_range):
     return rows
 
 
-def boundedness_falsifier(F, c1, c2, n, samples, table, seed=0):
+def boundedness_falsifier(F, c1, c2, n, samples, records, seed=0):
     """Search for an F-free n-vertex r-graph meeting both boundedness premises.
 
     Any returned graph certifies that (c1,c2)-boundedness fails at this n for
@@ -762,7 +735,7 @@ def boundedness_falsifier(F, c1, c2, n, samples, table, seed=0):
     if c1 <= 0 or c2 <= 0:
         raise ValueError("c1 and c2 must be positive")
     fam = singleton(F)
-    ex_n = table.ex(fam, n)
+    ex_n = records.ex(fam, n)
     r = F.r
     deg_needed = Fraction(r * ex_n, n) + c1 * comb(n - 1, r - 1)
     size_needed = (1 - c2) * ex_n
@@ -777,7 +750,7 @@ def boundedness_falsifier(F, c1, c2, n, samples, table, seed=0):
     copies_at = _grouped(E, [(i, m) for m in masks for i in _bits(m)])
 
     rng = random.Random(seed)
-    candidates = [sum(1 << colex_rank(e) for e in table.get(fam, n).witness.edges)]
+    candidates = [sum(1 << colex_rank(e) for e in records.turan(fam, n).witness.edges)]
     through0 = [i for i in range(E) if 0 in edges[i]]
     others = [i for i in range(E) if 0 not in edges[i]]
     for _ in range(samples):
@@ -806,7 +779,7 @@ def boundedness_falsifier(F, c1, c2, n, samples, table, seed=0):
 GapResult = namedtuple("GapResult", "n gap threshold t_max")
 
 
-def edge_sensitivity_gaps(F, ns, table):
+def edge_sensitivity_gaps(F, ns, records):
     """For each n of ns: gap = ex(n,F) - ex(n,{F} u F+F), the edge-sensitivity
     threshold 2 v(F) |F| C(n-1,r-1), and t_max = floor(sqrt(gap/threshold)).
     The family {F} u F+F is built once, before the first n.  A superfamily's
@@ -817,7 +790,7 @@ def edge_sensitivity_gaps(F, ns, table):
     fam_F = singleton(F)
     fam_union = fam_F.union(edge_sum_family(F, F))
     for n in ns:
-        ex_F, ex_union = table.ex(fam_F, n), table.ex(fam_union, n)
+        ex_F, ex_union = records.ex(fam_F, n), records.ex(fam_union, n)
         if ex_F < ex_union:
             raise ValueError(
                 f"records contradict superfamily monotonicity at n={n}: "
@@ -829,9 +802,9 @@ def edge_sensitivity_gaps(F, ns, table):
         yield GapResult(n=n, gap=gap, threshold=threshold, t_max=t_max)
 
 
-def edge_sensitivity_gap(F, n, table):
+def edge_sensitivity_gap(F, n, records):
     """The gap, threshold and t_max of ``edge_sensitivity_gaps`` at one n."""
-    return next(edge_sensitivity_gaps(F, [n], table))
+    return next(edge_sensitivity_gaps(F, [n], records))
 
 
 def fact51_check(n, t, r):
@@ -853,27 +826,27 @@ def fact51_check(n, t, r):
     return CheckResult(n, lhs, rhs, holds, note)
 
 
-def fact52_check(F, n, t, table):
+def fact52_check(F, n, t, records):
     """|d(n,F) - d(n-t,F)| <= 4t C(n-t, r-2), from exact records."""
     if t < 1 or t * F.r > n - F.r:
         raise ValueError(f"precondition 1 <= t <= n/r - 1 violated: t={t}, n={n}, r={F.r}")
     fam = singleton(F)
-    d_n = Fraction(F.r * table.ex(fam, n), n)
-    d_nt = Fraction(F.r * table.ex(fam, n - t), n - t)
+    d_n = Fraction(F.r * records.ex(fam, n), n)
+    d_nt = Fraction(F.r * records.ex(fam, n - t), n - t)
     lhs = abs(d_n - d_nt)
     rhs = Fraction(4 * t * comb(n - t, F.r - 2))
     return CheckResult(n, lhs, rhs, lhs <= rhs)
 
 
-def lemma53_report(F, n, t, table, pi):
+def lemma53_report(F, n, t, records, pi):
     """Advisory comparison of |ex(n,F) - ex(n-t,F) - t d(n,F)| against the
     smooth-growth envelope; the hypothesis is asymptotic, so this never
     asserts, it only reports."""
     if t < 1 or t > n:
         raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
     fam = singleton(F)
-    ex_n = table.ex(fam, n)
-    ex_nt = table.ex(fam, n - t)
+    ex_n = records.ex(fam, n)
+    ex_nt = records.ex(fam, n - t)
     d_n = Fraction(F.r * ex_n, n)
     lhs = abs(Fraction(ex_n - ex_nt) - t * d_n)
     m = F.n

@@ -17,6 +17,7 @@ import rainbowlab
 from rainbowlab import antiramsey as anti
 from rainbowlab import constructions as cons
 from rainbowlab import turan as tu
+from rainbowlab.cache import Records
 from rainbowlab.core import (
     HyperGraph,
     HyperGraphFamily,
@@ -149,16 +150,15 @@ def test_criterion_5_fact31_certification():
 
 def test_criterion_6_sandwich():
     with _Criterion(6, "sandwich invariant", 1800.0):
-        turan_table = tu.TuranTable()
-        ar_table = anti.ArTable()
+        records = Records()
         for n, s, F in ((4, 2, K2), (5, 2, K2), (5, 1, K3)):
             rec = anti.ar_exact(n, s, F)
             assert rec.is_exact()
-            ar_table.put(rec)
-            turan_table.put(tu.ex_exact(n, tu.singleton(disjoint_union(F, s))))
+            records.put(rec)
+            records.put(tu.ex_exact(n, tu.singleton(disjoint_union(F, s))))
             if s >= 2:
-                turan_table.put(tu.ex_exact(n, tu.singleton(disjoint_union(F, s - 1))))
-            v = anti.sandwich_check(n, s, F, turan_table, ar_table)
+                records.put(tu.ex_exact(n, tu.singleton(disjoint_union(F, s - 1))))
+            v = anti.sandwich_check(n, s, F, records)
             assert v.holds, v
 
 
@@ -180,7 +180,7 @@ def test_criterion_8_numeric_facts():
                     t_cap += 1
                 for t in range(t_cap + 1):
                     assert tu.fact51_check(n, t, r).holds, (n, t, r)
-        table = tu.TuranTable()
+        table = Records()
         for n in range(4, 10):
             table.put(tu.ex_exact(n, tu.singleton(K3)))
         for n in range(6, 10):

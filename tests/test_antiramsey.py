@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from rainbowlab import antiramsey as anti
 from rainbowlab import turan
 from rainbowlab.antiramsey import (
-    ArTable,
     CertificationError,
     EdgeColoring,
     _ArRung,
@@ -31,6 +30,7 @@ from rainbowlab.antiramsey import (
     verify_no_rainbow,
 )
 from rainbowlab.constructions import complete_graph, cycle, edge_sum_family
+from rainbowlab.cache import Records
 from rainbowlab.core import (
     CapacityError,
     FormatError,
@@ -42,7 +42,6 @@ from rainbowlab.core import (
     disjoint_union,
 )
 from rainbowlab.turan import (
-    TuranTable,
     _climb,
     _ex_ladder,
     _Search,
@@ -891,35 +890,34 @@ class TestArExact:
 
 class TestVerdicts:
     def setup_method(self):
-        self.turan = TuranTable()
-        self.ar = ArTable()
+        self.records = Records()
 
     def test_sandwich_matrix(self):
         cases = [(4, 2, K2), (5, 2, K2), (5, 1, K3)]
         for n, s, F in cases:
-            self.ar.put(ar_exact(n, s, F))
-            self.turan.put(ex_exact(n, singleton(disjoint_union(F, s))))
+            self.records.put(ar_exact(n, s, F))
+            self.records.put(ex_exact(n, singleton(disjoint_union(F, s))))
             if s >= 2:
-                self.turan.put(ex_exact(n, singleton(disjoint_union(F, s - 1))))
+                self.records.put(ex_exact(n, singleton(disjoint_union(F, s - 1))))
         for n, s, F in cases:
-            v = sandwich_check(n, s, F, self.turan, self.ar)
+            v = sandwich_check(n, s, F, self.records)
             assert v.holds, v
 
     def test_reduction(self):
         # ar(6, 3K2) >= C(6,2) - C(5,2) + ar(5, 2K2)
-        self.ar.put(ar_exact(6, 3, K2))
-        self.ar.put(ar_exact(5, 2, K2))
-        v = reduction_check(6, 1, K2, self.ar)
+        self.records.put(ar_exact(6, 3, K2))
+        self.records.put(ar_exact(5, 2, K2))
+        v = reduction_check(6, 1, K2, self.records)
         assert v.holds, v
 
     def test_identity_out_of_range_is_informative(self):
         F = K3
-        self.ar.put(ar_exact(6, 2, F))
+        self.records.put(ar_exact(6, 2, F))
         fam_F = singleton(F)
         fam_u = fam_F.union(edge_sum_family(F, F))
         for fam in (singleton(disjoint_union(F, 1)), fam_F, fam_u):
-            self.turan.put(ex_exact(6, fam))
-        v = verify_identity_thm15(6, 1, F, self.turan, self.ar)
+            self.records.put(ex_exact(6, fam))
+        v = verify_identity_thm15(6, 1, F, self.records)
         assert v.lower_holds  # the extremal+dump lower bound is unconditional
         assert v.t_max == 0 and not v.in_range
         assert v.status == "out-of-range"
@@ -939,34 +937,33 @@ class TestVerdicts:
         fam_u = fam_F.union(edge_sum_family(F, F))
         fam_2F = singleton(disjoint_union(F, 2))
         empty = HG(2, n, [])
-        table = TuranTable()
+        table = Records()
         # gap = 800 >= threshold 2*2*1*C(49,1) = 196 -> t_max = 2
-        table.put(TuranRecord(n, 2, family_key(fam_F), 800, empty, "exact"))
-        table.put(TuranRecord(n, 2, family_key(fam_u), 0, empty, "exact"))
-        table.put(TuranRecord(n, 2, family_key(fam_2F), 10, empty, "exact"))
+        table.put(TuranRecord(n, family_key(fam_F), 800, empty, "exact"))
+        table.put(TuranRecord(n, family_key(fam_u), 0, empty, "exact"))
+        table.put(TuranRecord(n, family_key(fam_2F), 10, empty, "exact"))
         g = edge_sensitivity_gap(F, n, table)
         assert g.t_max == 2
-        ar_table = ArTable()
         key = family_key(fam_F)
-        ar_table.put(ArRecord(n, 3, key, 12, None, "exact", lo=12, hi=12))
-        v = verify_identity_thm15(n, 2, F, table, ar_table)
+        table.put(ArRecord(n, 3, key, 12, None, "exact", lo=12, hi=12))
+        v = verify_identity_thm15(n, 2, F, table)
         assert v.in_range and v.status == "holds"
-        ar_table.put(ArRecord(n, 3, key, 13, None, "exact", lo=13, hi=13))
-        v = verify_identity_thm15(n, 2, F, table, ar_table)
+        table.put(ArRecord(n, 3, key, 13, None, "exact", lo=13, hi=13))
+        v = verify_identity_thm15(n, 2, F, table)
         assert v.in_range and v.status == "violation"
-        ar_table.put(ArRecord(n, 3, key, 11, None, "exact", lo=11, hi=11))
-        v = verify_identity_thm15(n, 2, F, table, ar_table)
+        table.put(ArRecord(n, 3, key, 11, None, "exact", lo=11, hi=11))
+        v = verify_identity_thm15(n, 2, F, table)
         assert not v.lower_holds and v.status == "violation"
 
     def test_identity_holds_for_matching_edge(self):
         # F = K_2 at n=4, t=1: ar(4, 2K_2) = 4 = ex(4, K_2) + 2 + ... compare
         F = K2
-        self.ar.put(ar_exact(4, 2, F))
+        self.records.put(ar_exact(4, 2, F))
         fam_F = singleton(F)
         fam_u = fam_F.union(edge_sum_family(F, F))
         for fam in (singleton(disjoint_union(F, 1)), fam_F, fam_u):
-            self.turan.put(ex_exact(4, fam))
-        v = verify_identity_thm15(4, 1, F, self.turan, self.ar)
+            self.records.put(ex_exact(4, fam))
+        v = verify_identity_thm15(4, 1, F, self.records)
         # gap is 0 for a single edge, so the range is empty; the identity
         # itself fails informatively (ar = 4 vs ex + 2 = 2)
         assert v.status == "out-of-range"
@@ -975,13 +972,13 @@ class TestVerdicts:
 
 class TestCensus:
     def test_edgeless_host(self):
-        table = TuranTable()
+        table = Records()
         table.put(ex_exact(5, singleton(K3)))
         res = stability_degree_census(HyperGraph(2, 5, []), K3, Fraction(1, 2), table)
         assert res.vertices == ()
 
     def test_complete_host(self):
-        table = TuranTable()
+        table = Records()
         table.put(ex_exact(5, singleton(K3)))
         res = stability_degree_census(complete(5, 2), K3, Fraction(1, 2), table)
         # every K_5 vertex has degree 4; threshold = 12/5 + (1/14)*4
@@ -989,14 +986,14 @@ class TestCensus:
         assert res.vertices == (0, 1, 2, 3, 4)
 
     def test_pi_one_threshold_is_average_degree(self):
-        table = TuranTable()
+        table = Records()
         table.put(ex_exact(5, singleton(K3)))
         res = stability_degree_census(complete(5, 2), K3, Fraction(1), table)
         assert res.threshold == Fraction(12, 5)
         assert res.alpha == 0
 
     def test_params_meet_target(self):
-        table = TuranTable()
+        table = Records()
         table.put(ex_exact(5, singleton(K3)))
         res = stability_degree_census(complete(5, 2), K3, Fraction(1, 2), table)
         assert len(res.vertices) >= 3

@@ -12,10 +12,9 @@ from rainbowlab.antiramsey import ArRecord, EdgeColoring, ar_exact
 from rainbowlab.cache import (
     Cache,
     CacheError,
-    ar_record,
+    Records,
     ar_record_from_text,
     ar_record_to_text,
-    turan_record,
     turan_record_from_text,
     turan_record_to_text,
 )
@@ -23,7 +22,7 @@ from rainbowlab import constructions as cons
 from rainbowlab.cli import _hash_file, main
 from rainbowlab.constructions import complete_graph
 from rainbowlab.core import HyperGraph, HyperGraphFamily, disjoint_union, family_key, from_text, to_text
-from rainbowlab.turan import ex_exact, singleton
+from rainbowlab.turan import MissingRecordError, ex_exact, singleton
 
 K2 = HyperGraph(2, 2, [(0, 1)])
 K3 = complete_graph(3)
@@ -175,21 +174,38 @@ class TestInconsistentRecords:
             Cache(tmp_path / "cache").load_ar(5, 1, K3)
         assert run(tmp_path, *argv) == 2
 
+    def test_turan_witness_of_another_uniformity_fails_verification(self, tmp_path, capsys):
+        # ex(5, K3) = 6, with a 3-graph of six edges as witness
+        k3 = tmp_path / "k3.hg"
+        k3.write_text(to_text(K3))
+        argv = ["turan", "-n", "5", "--forbid", str(k3)]
+        assert run(tmp_path, *argv) == 0
+        (path,) = (tmp_path / "cache" / "turan").iterdir()
+        head, meta, _ = path.read_text().split("\n", 2)
+        assert "value=6 status=exact" in head
+        triples = HyperGraph(3, 5, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 4), (0, 3, 4)])
+        path.write_text(f"{head}\n{meta}\n{to_text(triples)}")
+        with pytest.raises(CacheError):
+            Cache(tmp_path / "cache").load_turan(5, singleton(K3))
+        capsys.readouterr()
+        assert run(tmp_path, *argv) == 2
+        assert capsys.readouterr().err.startswith("error: witness verification failed")
+
 
 class TestCache:
     def test_store_load_verify(self, tmp_path):
         cache = Cache(tmp_path)
         fam = singleton(K3)
-        rec = turan_record(cache, 5, fam)
+        rec = Records(cache, "").turan(fam, 5)
         again = cache.load_turan(5, fam)
         assert again.value == rec.value
-        arec = ar_record(cache, 5, 1, K3)
+        arec = Records(cache, "").ar(K3, 5, 1)
         assert cache.load_ar(5, 1, K3).value == arec.value
 
     def test_tampered_witness_rejected(self, tmp_path):
         cache = Cache(tmp_path)
         fam = singleton(K3)
-        rec = turan_record(cache, 5, fam)
+        rec = Records(cache, "").turan(fam, 5)
         path = cache._turan_path(5, rec.family_key)
         text = path.read_text()
         # claim one more edge than the witness carries
@@ -200,7 +216,7 @@ class TestCache:
 
     def test_tampered_ar_witness_rejected(self, tmp_path):
         cache = Cache(tmp_path)
-        rec = ar_record(cache, 4, 2, K2)
+        rec = Records(cache, "").ar(K2, 4, 2)
         path = cache._ar_path(4, 2, rec.F_key)
         text = path.read_text()
         lines = text.split("\n")
@@ -227,7 +243,7 @@ class TestCache:
     def test_only_a_one_edge_target_record_has_no_witness(self, tmp_path):
         cache = Cache(tmp_path)
         edge3 = HyperGraph(3, 3, [(0, 1, 2)])
-        rec = ar_record(cache, 4, 1, edge3)
+        rec = Records(cache, "").ar(edge3, 4, 1)
         assert rec.witness is None and rec.value == 1
         assert cache.load_ar(4, 1, edge3) == rec._replace(closed_by="cache")
         # out of budget before any search, ar(6, 3K2) keeps the one-class seed
@@ -241,12 +257,28 @@ class TestCache:
     def test_recompute_byte_identical(self, tmp_path):
         cache = Cache(tmp_path)
         fam = singleton(K3)
-        turan_record(cache, 5, fam, manifest=cache.manifest_id(["x"], {}))
-        path = cache._turan_path(5, turan_record(cache, 5, fam).family_key)
+        Records(cache, cache.manifest_id(["x"], {})).turan(fam, 5)
+        path = cache._turan_path(5, Records(cache, "").turan(fam, 5).family_key)
         first = path.read_bytes()
         path.unlink()
-        turan_record(cache, 5, fam, manifest=cache.manifest_id(["x"], {}))
+        Records(cache, cache.manifest_id(["x"], {})).turan(fam, 5)
         assert path.read_bytes() == first
+
+    def test_records_compute_only_with_a_manifest(self, tmp_path):
+        cache = Cache(tmp_path)
+        fam = singleton(K3)
+        with pytest.raises(MissingRecordError, match="no exact turan record for n=5"):
+            Records(cache).turan(fam, 5)
+        assert not (tmp_path / "turan").exists()
+        rec = Records(cache, "").turan(fam, 5)
+        assert Records(cache).turan(fam, 5) == rec._replace(nodes=0, closed_by="cache")
+        # a record computed under a budget comes back inexact; only a store
+        # with a manifest replaces it
+        assert not Records(cache, "").turan(fam, 7, budget=20).is_exact()
+        with pytest.raises(MissingRecordError):
+            Records(cache).turan(fam, 7)
+        assert Records(cache, "").turan(fam, 7).value == 12
+        assert Records(cache).ex(fam, 7) == 12
 
     def test_manifest_id_ignores_wall_time(self, tmp_path):
         cache = Cache(tmp_path)
@@ -257,7 +289,7 @@ class TestCache:
     def test_env_var_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LAB_CACHE_DIR", str(tmp_path / "envcache"))
         cache = Cache()
-        turan_record(cache, 4, singleton(K3))
+        Records(cache, "").turan(singleton(K3), 4)
         assert (tmp_path / "envcache" / "turan").exists()
 
 
@@ -317,8 +349,8 @@ class TestCli:
         run(tmp_path, "zoo", "emit", "complete-graph", "-l", "2", "-o", str(k2))
         cache = Cache(tmp_path / "cache")
         # ex(6, 2K2) and ex(6, 3K2)
-        turan_record(cache, 6, singleton(disjoint_union(K2, 2)))
-        turan_record(cache, 6, singleton(disjoint_union(K2, 3)))
+        Records(cache, "").turan(singleton(disjoint_union(K2, 2)), 6)
+        Records(cache, "").turan(singleton(disjoint_union(K2, 3)), 6)
         # fabricate an impossible value below the lower bound ex(6, 2K2) + 2 = 7;
         # its one-color witness has no rainbow 3K2, so the record loads
         fake = ArRecord(6, 3, family_key(singleton(K2)), 2, EdgeColoring(2, 6, 1, [1] * 15), "exact")
@@ -396,6 +428,38 @@ class TestCli:
         monkeypatch.setattr(cons, "edge_sum_family", lambda F, F2: calls.append(F) or real(F, F2))
         assert run(tmp_path, "report", "gap", "-F", str(k3), "--n-range", "5:9") == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "argv,count",
+        [
+            # ex(n, K3) for n = 4..9, though it asks twice for each ex(n-1)
+            (["report", "smoothness", "--n-range", "5:9", "--pi", "1/2"], 6),
+            # ex(n, K3) and ex(n, {K3, C4}) for n = 5..9
+            (["report", "gap", "--n-range", "5:9"], 10),
+            # ar(6, 2K3), ex(6, K3) and ex(6, {K3, C4}); ex(6, K3) is asked twice
+            (["verify", "identity", "-n", "6", "-t", "1"], 3),
+        ],
+        ids=["smoothness", "gap", "identity"],
+    )
+    def test_a_command_loads_each_record_once(self, tmp_path, monkeypatch, argv, count):
+        k3 = tmp_path / "k3.hg"
+        run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
+        for warm in (["ar", "-n", "6", "-t", "2"], ["report", "smoothness", "--n-range", "5:9"]):
+            assert run(tmp_path, *warm, "-F", str(k3)) == 0
+        assert run(tmp_path, "report", "gap", "--n-range", "5:9", "-F", str(k3)) == 0
+        loaded = []
+
+        def counted(load):
+            def wrapper(self, *key):
+                loaded.append(load(self, *key))
+                return loaded[-1]
+
+            return wrapper
+
+        for name in ("load_turan", "load_ar"):
+            monkeypatch.setattr(Cache, name, counted(getattr(Cache, name)))
+        assert run(tmp_path, *argv, "-F", str(k3)) == 0
+        assert len(loaded) == count and None not in loaded
 
     def test_turan_manifest_says_what_closed_the_search(self, tmp_path):
         k3 = tmp_path / "k3.hg"

@@ -63,7 +63,6 @@ def turan_records(draw):
     witness = draw(hypergraphs())
     rec = TuranRecord(
         n=witness.n,
-        r=witness.r,
         family_key=draw(KEYS),
         value=len(witness.edges),
         witness=witness,

@@ -7,6 +7,7 @@ import pytest
 
 from rainbowlab import antiramsey as anti
 from rainbowlab import turan as tu
+from rainbowlab.cache import Records
 from rainbowlab.core import Embedding, HyperGraph
 
 EMPTY = HyperGraph(2, 3, [])
@@ -18,7 +19,7 @@ RECORDS = [
     Embedding((0, 1)),
     EMPTY,
     anti.EdgeColoring(2, 2, 1, (1,)),
-    tu.TuranRecord(3, 2, "key", 0, EMPTY, "exact"),
+    tu.TuranRecord(3, "key", 0, EMPTY, "exact"),
     tu.DerivedQuantities(5, 1, HALF, HALF),
     tu.CheckResult(5, HALF, HALF, True),
     tu.GapResult(5, 0, 1, 0),
@@ -40,7 +41,7 @@ def test_fields_are_read_only(rec):
 
 
 def test_defaults():
-    ex = tu.TuranRecord(3, 2, "key", 0, EMPTY, "exact")
+    ex = tu.TuranRecord(3, "key", 0, EMPTY, "exact")
     assert (ex.nodes, ex.solver, ex.closed_by) == (0, tu.SOLVER_VERSION, "")
     ar = anti.ArRecord(3, 1, "key", 1, None, "exact")
     assert (ar.lo, ar.hi, ar.nodes, ar.solver, ar.closed_by) == (0, 0, 0, tu.SOLVER_VERSION, "")
@@ -59,4 +60,4 @@ def test_defaults():
 )
 def test_check_params_reject_constants_out_of_range(check):
     with pytest.raises(ValueError):
-        check(tu.TuranTable())  # empty: the constants are checked before any record is read
+        check(Records())  # empty: the constants are checked before any record is read

@@ -18,6 +18,7 @@ from rainbowlab.constructions import (
     matching,
 )
 from rainbowlab import core
+from rainbowlab.cache import Records
 from rainbowlab.core import (
     HyperGraph,
     HyperGraphFamily,
@@ -31,7 +32,6 @@ from rainbowlab.core import (
 from rainbowlab import turan as tu
 from rainbowlab.turan import (
     MissingRecordError,
-    TuranTable,
     derived_quantities,
     edge_sensitivity_gap,
     ex_enumerate,
@@ -93,7 +93,7 @@ def free_graphs(draw):
 
 
 def ladder(fam, lo, hi, **kw):
-    table = TuranTable()
+    table = Records()
     for n in range(lo, hi + 1):
         table.put(ex_exact(n, fam, **kw))
     return table
@@ -470,7 +470,7 @@ class TestDerived:
 
     def test_missing_record(self):
         with pytest.raises(MissingRecordError):
-            derived_quantities(K3, TuranTable(), 6)
+            derived_quantities(K3, Records(), 6)
 
 
 class TestSmoothness:
@@ -531,7 +531,7 @@ class TestGap:
     def test_frozen_values(self):
         fam_F = singleton(K3)
         fam_u = fam_F.union(edge_sum_family(K3, K3))
-        table = TuranTable()
+        table = Records()
         for n in (5, 6, 7):
             table.put(ex_exact(n, fam_F))
             table.put(ex_exact(n, fam_u))
@@ -543,7 +543,7 @@ class TestGap:
     def test_gap_nonnegative(self):
         fam_F = singleton(K3)
         fam_u = fam_F.union(edge_sum_family(K3, K3))
-        table = TuranTable()
+        table = Records()
         for n in (5, 6):
             table.put(ex_exact(n, fam_F))
             table.put(ex_exact(n, fam_u))
@@ -554,9 +554,9 @@ class TestGap:
         # an understated ex(5, K3) = 4 (a 4-cycle) against ex(5, {K3, C4}) = 5
         fam_F = singleton(K3)
         fam_u = fam_F.union(edge_sum_family(K3, K3))
-        table = TuranTable()
+        table = Records()
         c4 = HyperGraph(2, 5, [(0, 1), (1, 2), (0, 3), (2, 3)])
-        table.put(tu.TuranRecord(5, 2, core.family_key(fam_F), 4, c4, "exact"))
+        table.put(tu.TuranRecord(5, core.family_key(fam_F), 4, c4, "exact"))
         table.put(ex_exact(5, fam_u))
         msg = "at n=5: ex(n, F) = 4 < ex(n, F u F+F) = 5"
         with pytest.raises(ValueError, match=re.escape(msg)):
@@ -565,7 +565,7 @@ class TestGap:
     def test_single_edge_gap_zero(self):
         fam_F = singleton(K2)
         fam_u = fam_F.union(edge_sum_family(K2, K2))
-        table = TuranTable()
+        table = Records()
         table.put(ex_exact(4, fam_F))
         table.put(ex_exact(4, fam_u))
         g = edge_sensitivity_gap(K2, 4, table)
