@@ -205,16 +205,18 @@ def build_coloring_fact31(n, t, F, inner):
 class ArRecord(
     namedtuple(
         "ArRecord",
-        "n t F_key value witness status lo hi nodes solver closed_by",
-        defaults=(0, 0, 0, SOLVER_VERSION, ""),
+        "n t F_key value witness status hi nodes solver closed_by",
+        defaults=(0, 0, SOLVER_VERSION, ""),
     )
 ):
     """ar(n, tF) with a witness EdgeColoring on value-1 colors (None: a one-edge tF).
 
-    status is "exact" or "bounds".  closed_by says what proved the value:
-    "sandwich" or "averaging" (the value pass reached that cap), "search"
-    (the value pass ran to the end), "budget" (not proved: the node budget
-    ran out) or "cache" (loaded).  Like ``nodes``, it is never written.
+    status is "exact" or "bounds"; a bounds record proves
+    value <= ar(n, tF) <= hi, and hi is 0 in an exact one.  closed_by says
+    what proved the value: "sandwich" or "averaging" (the value pass reached
+    that cap), "search" (the value pass ran to the end), "budget" (not
+    proved: the node budget ran out) or "cache" (loaded).  Like ``nodes``,
+    it is never written.
     """
 
     __slots__ = ()
@@ -223,25 +225,26 @@ class ArRecord(
         return self.status == "exact"
 
 
-def _ar_dfs(search, rung, allowed, assign, i, k, free, fm, live, floor, star, common):
-    """Assign a color to each edge i.. of the colex order; k classes so far.
+def _ar_dfs(search, rung, allowed, assign, i, fm, live, below, star, common):
+    """Assign a color to each edge i.. of the colex order.
 
     ``allowed[j]`` is the bitmask of colors edge j may take, -1 while no copy
-    constrains it; ``free`` counts the undecided edges still at -1 and ``fm``
-    is their bitmask.  Forward checking settles each copy at its
+    constrains it; ``fm`` is the bitmask of the undecided edges still at -1,
+    and free counts them.  Forward checking settles each copy at its
     second-largest edge i: when the copy's edges below i carry distinct
     colors (a threat), a color c of i that is not among them narrows the
-    copy's largest edge to those colors and c.  The prunes are the bound
+    copy's largest edge to those colors and c.  ``common[c]`` packs a 1 for
+    each vertex that every edge of class c contains, one entry per class, so
+    the prefix has k = len(common) classes.  The prunes are the bound
     k + free <= best and the threat packing, k + free - p <= best for p live
     copies with disjoint parts >= i (``_packs``).  ``live`` holds the
     lex-leader comparisons still undecided after the prefix of edges 0..i-1
     (``_leader``); a prefix greater than one of its images is pruned.  With
-    ``floor`` = (below, vec, ones, high), below = A(m-1) and the tables of
-    ``turan._vertex_fields``, the star floor prunes a node where some vertex
+    below = A(m-1) and the tables ``vec``, ``ones`` and ``high`` of the rung
+    (``turan._vertex_fields``), the star floor prunes a node where some vertex
     v has fewer than best + 1 - below classes wholly inside star(v) and free
-    undecided edges at v; ``star`` packs those counts per vertex, and
-    ``common[c]`` packs a 1 for each vertex that every edge of class c
-    contains.  ``ar_exact`` and ``_leader`` prove all five sound.
+    undecided edges at v; ``star`` packs those counts per vertex.
+    ``ar_exact`` and ``_leader`` prove all five sound.
 
     A node checks each child before it calls it: a child whose narrowing
     leaves an edge no color (a wipe-out), or that the bound, the star floor
@@ -250,34 +253,34 @@ def _ar_dfs(search, rung, allowed, assign, i, k, free, fm, live, floor, star, co
     floor on entry, and the root passes both, so none checks them there.
     The rung is not trivial, so some copy has two edges or more and best,
     the classes of a partition with no rainbow copy, is below E = k + free.
-    The star floor is on only in a ``_climb`` pass, run only when best is
-    below the averaging cap m below / (m-r), with below = A(m-1) <= C(m-1, r):
-    so best + 1 - below <= r below / (m-r) <= C(m-1, r-1), the star count of
-    each vertex at the root.
+    At the root the star floor needs best + 1 - below <= 0 with the inert
+    below = E (``_ArRung.run``).  Otherwise below = A(m-1) <= C(m-1, r), and
+    ``_climb`` runs the pass only when best is below the averaging cap
+    m below / (m-r), so best + 1 - below <= r below / (m-r) <= C(m-1, r-1),
+    the star count of each vertex at the root.
 
     Colors are tried in ascending order, so leaves come in lexicographic
     order of their restricted growth strings.
     """
     search.tick()
-    if floor is not None:
-        below, vec, ones, high = floor
+    k = len(common)
     if i == len(assign):
         search.offer(k, tuple(assign))
         return
+    free = fm.bit_count()
     gap = k + free - search.best  # each live copy holds two free edges or more
     if 2 * gap <= free and _packs(rung.pack, assign, i, fm, gap):
         return
+    vec, ones, high = rung.vec, rung.ones, rung.high
     here = allowed[i]
     colors = here & ((2 << k) - 1)
     if here == -1:
         free -= 1
         fm ^= 1 << i
-        if floor is not None:
-            star -= vec[i]
-            need = search.best + 1 - below
-        if k + free <= search.best or (
-            floor is not None and need > 0 and (star + (128 - need) * ones) & high != high
-        ):  # every child that repeats a class is pruned on entry: count, not call
+        star -= vec[i]
+        need = search.best + 1 - below
+        if k + free <= search.best or (need > 0 and (star + (128 - need) * ones) & high != high):
+            # every child that repeats a class is pruned on entry: count, not call
             pruned = colors if k + 1 + free <= search.best else colors & ~(1 << k)
             search.tick(pruned.bit_count())
             colors ^= pruned
@@ -296,53 +299,43 @@ def _ar_dfs(search, rung, allowed, assign, i, k, free, fm, live, floor, star, co
         colors ^= bit
         assign[i] = c
         narrowed = []
-        rest, rest_fm = free, fm
+        s, rest_fm = star, fm
         for last, mask in threats:
             if not mask & bit:
                 old = allowed[last]
                 if old == -1:
-                    rest -= 1
                     rest_fm ^= 1 << last
+                    s -= vec[last]
                 allowed[last] = old & (mask | bit)
                 narrowed.append((last, old))
                 if not allowed[last]:  # a wipe-out: the child has no leaf
                     search.tick()
                     break
         else:
-            s = star
-            if floor is not None:
-                for last, old in narrowed:
-                    if old == -1:
-                        s -= vec[last]
-                # a new class lies wholly inside the star of each vertex of
-                # edge i; class c stays inside the stars of the vertices that
-                # edge i shares with it
-                s += vec[i] if c == k else -(common[c] & ~vec[i])
-                need = search.best + 1 - below
-            if k + (c == k) + rest <= search.best or (
-                floor is not None and need > 0 and (s + (128 - need) * ones) & high != high
+            # a new class lies wholly inside the star of each vertex of edge
+            # i; class c stays inside the stars of the vertices that edge i
+            # shares with it
+            s += vec[i] if c == k else -(common[c] & ~vec[i])
+            need = search.best + 1 - below
+            if k + (c == k) + rest_fm.bit_count() <= search.best or (
+                need > 0 and (s + (128 - need) * ones) & high != high
             ):  # the bound or the star floor prunes the child on entry
                 search.tick()
             else:
                 child = _leader(assign, live, i + 1)
                 if child is None:  # the child's prefix is not a lex-leader
                     search.tick()
-                else:
-                    if floor is not None:  # class c now holds edge i
-                        if c == k:
-                            common.append(vec[i])
-                        else:
-                            was = common[c]
-                            common[c] = was & vec[i]
-                    _ar_dfs(
-                        search, rung, allowed, assign, i + 1, k + (c == k), rest, rest_fm,
-                        child, floor, s, common,
-                    )
-                    if floor is not None:
-                        if c == k:
-                            common.pop()
-                        else:
-                            common[c] = was
+                else:  # class c now holds edge i
+                    if c == k:
+                        common.append(vec[i])
+                    else:
+                        was = common[c]
+                        common[c] = was & vec[i]
+                    _ar_dfs(search, rung, allowed, assign, i + 1, rest_fm, child, below, s, common)
+                    if c == k:
+                        common.pop()
+                    else:
+                        common[c] = was
         while narrowed:
             last, old = narrowed.pop()
             allowed[last] = old
@@ -415,6 +408,9 @@ class _ArRung:
             rest = mask ^ (1 << last)
             second = rest.bit_length() - 1
             self.after[second].append((last, tuple(_bits(rest ^ (1 << second)))))
+        # the star floor: per-edge vertex vectors, and every vertex's star
+        self.vec, self.ones, self.high = _vertex_fields(m, r)
+        self.full = comb(m - 1, r - 1) * self.ones
 
     @functools.cached_property
     def pack(self):
@@ -465,16 +461,13 @@ class _ArRung:
         return k, tuple(assign)
 
     def run(self, search, below=None):
-        """Run ``search`` over every edge of the host, each free at the root.
-        ``below`` = A(m-1) turns on the star floor (``ar_exact``)."""
-        floor, star = None, 0
-        if below is not None:
-            vec, ones, high = _vertex_fields(self.m, self.r)
-            floor, star = (below, vec, ones, high), sum(vec)
+        """Run ``search`` over every edge of the host, each free at the root,
+        with the star floor from ``below`` = A(m-1) (``ar_exact``).  None
+        stands for the inert E, which no searched rung's best reaches."""
         E = self.E
-        allowed, assign = [-1] * E, [-1] * E
+        below = E if below is None else below
         return search.run(
-            _ar_dfs, self, allowed, assign, 0, 0, E, (1 << E) - 1, self.live(), floor, star, []
+            _ar_dfs, self, [-1] * E, [-1] * E, 0, (1 << E) - 1, self.live(), below, self.full, []
         )
 
 
@@ -579,7 +572,8 @@ def ar_exact(n, t, F, budget=None):
     that sum falls below best + 1 - below at some vertex holds no leaf above
     ``best``.  Like the bound prune, the star floor keeps every leaf above
     ``best``, so it changes neither the value nor the witness.  ``_climb``
-    gives below to the pass on rung m unless rung m-1 is trivial.
+    gives below to the pass on rung m unless rung m-1 is trivial; then below
+    is the inert E.
 
     A node counts the children that the bound or the star floor would drop
     on entry instead of calling them.  Once edge i leaves the free set, a
@@ -604,8 +598,8 @@ def ar_exact(n, t, F, budget=None):
     ``search`` when the value pass ran to the end.
 
     ``nodes`` counts both ladders and is the same on every run; ``budget``
-    caps them together.  When it runs out the record degrades to bounds(lo,
-    hi), one above the bounds on A that ``_climb`` returns, with its
+    caps them together.  When it runs out the record degrades to bounds from
+    value to hi, one above the bounds on A that ``_climb`` returns, with its
     incumbent as witness: the top rung's seed when it runs out below the top.
     """
     if t < 1:
@@ -626,8 +620,8 @@ def ar_exact(n, t, F, budget=None):
     nodes = _climb(ms, *_ex_ladder(r, (target,)), budget, values=ex)[3]
     A, rgs, hi, nodes, closed_by = _climb(ms, rung, caps, budget, nodes)
     witness = EdgeColoring(r, n, max(rgs) + 1, [c + 1 for c in rgs])
-    status, lo, hi = ("bounds", A + 1, hi + 1) if closed_by == "budget" else ("exact", 0, 0)
-    return ArRecord(n, t, key, A + 1, witness, status, lo, hi, nodes, closed_by=closed_by)
+    status, hi = ("bounds", hi + 1) if closed_by == "budget" else ("exact", 0)
+    return ArRecord(n, t, key, A + 1, witness, status, hi, nodes, closed_by=closed_by)
 
 
 def verify_no_rainbow(chi, F, t):

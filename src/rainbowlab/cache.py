@@ -109,7 +109,7 @@ def turan_record_from_text(text):
 
 
 def ar_record_to_text(rec, manifest=""):
-    status = f"bounds:{rec.lo}:{rec.hi}" if rec.status == "bounds" else rec.status
+    status = f"bounds:{rec.value}:{rec.hi}" if rec.status == "bounds" else rec.status
     head = f"AR n={rec.n} t={rec.t} F={rec.F_key} value={rec.value} status={status}"
     meta = f"meta solver={rec.solver} manifest={manifest}"
     body = coloring_to_text(rec.witness) if rec.witness is not None else "nowitness\n"
@@ -121,7 +121,7 @@ def ar_record_from_text(text):
     (n, t, F, value, status), (solver, manifest), body = _parse_record(
         text, "AR", ("n", "t", "F", "value", "status")
     )
-    lo = hi = 0
+    hi = 0
     if status.startswith("bounds:"):
         bounds = status.split(":")
         if len(bounds) != 3:
@@ -139,7 +139,6 @@ def ar_record_from_text(text):
         value=_int(value),
         witness=witness,
         status=status,
-        lo=lo,
         hi=hi,
         solver=solver,
         closed_by="cache",

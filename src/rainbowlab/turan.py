@@ -224,7 +224,6 @@ class _Search:
         self.budget = budget
         self.cap = cap
         self.nodes = nodes
-        self.truncated = False
 
     def offer(self, k, incumbent):
         self.best = k
@@ -238,7 +237,6 @@ class _Search:
         self.nodes += count
         if self.budget is not None and self.nodes > self.budget:
             self.nodes = self.budget + 1
-            self.truncated = True
             raise _Stop
 
     def run(self, dfs, *args):
@@ -308,8 +306,10 @@ class _Ctx:
 
     def run(self, search, below=None):
         """Run the include-first search from the root, where no edge is
-        decided and every pack is intact, so the packing bound is E - packs.
-        ``below`` = ex(n-1) turns on the degree floor (``ex_exact``)."""
+        decided and every pack is intact, so the packing bound is E - packs,
+        with the degree floor from ``below`` = ex(n-1) (``ex_exact``).  None
+        stands for the inert E, which no searched rung's best reaches."""
+        below = self.E if below is None else below
         return search.run(
             _dfs, self, 0, 0, self.E - self.packs, self.full, below, [-1] * self.E, self.live()
         )
@@ -324,17 +324,16 @@ def _dfs(search, ctx, i, chosen, bound, deg, below, assign, live):
     intact packs, which is k at a leaf (no node includes a whole copy, so no
     pack stays intact); the node is pruned when it is at most best.  ``deg``
     packs, per vertex, its included and undecided edges
-    (``_vertex_fields``); with ``below`` = ex(n-1) the node is pruned when
-    one of them is under best + 1 - below.  ``live`` holds the lex-leader
-    comparisons still undecided (``_leader``).
+    (``_vertex_fields``); the node is pruned when one of them is under
+    best + 1 - below, for below = ex(n-1) or the inert E (``_Ctx.run``).
+    ``live`` holds the lex-leader comparisons still undecided (``_leader``).
     """
     search.tick()
     if bound <= search.best:
         return
-    if below is not None:  # the degree floor (``_vertex_fields``)
-        need = search.best + 1 - below
-        if need > 0 and (deg + (128 - need) * ctx.ones) & ctx.high != ctx.high:
-            return
+    need = search.best + 1 - below  # the degree floor (``_vertex_fields``)
+    if need > 0 and (deg + (128 - need) * ctx.ones) & ctx.high != ctx.high:
+        return
     live = _leader(assign, live, i)
     if live is None:
         return
@@ -525,10 +524,11 @@ def _climb(ms, rung, caps, budget, nodes=0, values=None):
 
     Each pass on rung m also gets the value of rung m-1 as ``below``, for the
     vertex floors of the solvers, which prune only subtrees with no leaf
-    above ``best``.  It gets None when rung m-1 is trivial: a trivial value
-    of C(m-1, r) gives a floor that only restates that at most C(m-1, r)
-    edges, or classes, avoid a vertex, which costs more time than it prunes
-    (and a value of 0 caps rung m at 0).
+    above ``best``.  It gets None when rung m-1 is trivial, which the floors
+    read as the inert E = C(m, r): every searched rung has best < E, so
+    best + 1 - E <= 0 and they never prune.  (A trivial C(m-1, r) only
+    restates that at most C(m-1, r) edges, or classes, avoid a vertex, and
+    costs more time than it prunes; a trivial 0 caps rung m at 0.)
 
     The witness is the first leaf with the value V in the search's decision
     order.  The top pass starts at s-1 for its start s, with the start as
@@ -576,7 +576,7 @@ def _climb(ms, rung, caps, budget, nodes=0, values=None):
             if search.best < search.cap:
                 ctx.run(search, floor)
             nodes = search.nodes
-            if search.truncated:
+            if budget is not None and nodes > budget:  # the pass ran out
                 if m < top:
                     continue  # the budget check above ends the climb
                 return max(search.best, start), search.incumbent, search.cap, nodes, "budget"
@@ -639,7 +639,7 @@ def ex_exact(n, fam, budget=None):
     fewer than best + 1 - below included and undecided edges holds no leaf
     above ``best``, and pruning it changes neither the value nor the first
     leaf above ``best``, the witness (``_climb``).  ``_climb`` gives below to
-    the pass on rung m unless rung m-1 is trivial.
+    the pass on rung m unless rung m-1 is trivial; then below is the inert E.
     """
     r = fam.r
     if n < r:
@@ -688,7 +688,10 @@ DerivedQuantities = namedtuple("DerivedQuantities", "n delta_n d_n pi_hat")
 
 
 def derived_quantities(F, records, n):
-    """delta(n,F), d(n,F), and the finite density ex(n,F)/C(n,r); exact rationals."""
+    """delta(n,F), d(n,F), and the finite density ex(n,F)/C(n,r); exact rationals.
+    delta(n,F) = ex(n,F) - ex(n-1,F) needs n - 1 >= r."""
+    if n - 1 < F.r:
+        raise ValueError(f"delta(n, F) needs n - 1 >= r, got n={n}, r={F.r}")
     fam = singleton(F)
     ex_n = records.ex(fam, n)
     ex_prev = records.ex(fam, n - 1)

@@ -492,7 +492,7 @@ class TestArExact:
     def test_budget_gives_bounds(self):
         rec = ar_exact(5, 1, K3, budget=20)
         assert rec.status == "bounds"
-        assert rec.lo <= 5 <= rec.hi
+        assert rec.value <= 5 <= rec.hi
         if rec.witness is not None:
             assert verify_no_rainbow(rec.witness, K3, 1)
         # one budget over the ladder and both passes: it runs out in each phase
@@ -502,25 +502,25 @@ class TestArExact:
             for budget in range(full.nodes):
                 rec = ar_exact(n, t, F, budget=budget)
                 assert (rec.status, rec.closed_by) == ("bounds", "budget")
-                assert rec.lo <= full.value <= rec.hi
+                assert rec.value <= full.value <= rec.hi
                 # the node that passes the budget stops the search, counted
                 # one at a time or many siblings at once
                 assert rec.nodes == budget + 1
                 cap = min(caps.values()) if budget >= ladder_nodes else comb(n, F.r)
                 assert rec.hi <= cap + 1
                 if rec.witness is not None:
-                    assert rec.witness.ncolors == rec.lo - 1
+                    assert rec.witness.ncolors == rec.value - 1
                     assert verify_no_rainbow(rec.witness, F, t)
             assert ar_exact(n, t, F, budget=full.nodes) == full
 
     def test_budget_out_below_the_top_returns_the_top_seed(self):
-        # as ex_exact returns its greedy start: lo is one above the classes
-        # of the top rung's seed, and the seed is the witness
+        # as ex_exact returns its greedy start: the value is one above the
+        # classes of the top rung's seed, and the seed is the witness
         for n, t, F in ((6, 1, C4), (5, 1, K3), (6, 2, K3)):
             rec = ar_exact(n, t, F, budget=0)
             classes, rgs = _ar_ladder(disjoint_union(F, t), {})[0](n).start()
             assert (rec.status, rec.closed_by) == ("bounds", "budget")
-            assert (rec.lo, rec.hi) == (classes + 1, comb(n, F.r) + 1)
+            assert (rec.value, rec.hi) == (classes + 1, comb(n, F.r) + 1)
             assert rec.witness.colors == tuple(c + 1 for c in rgs)
             assert verify_no_rainbow(rec.witness, F, t)
 
@@ -703,100 +703,106 @@ class TestArExact:
         assert len(seen) == calls
 
     @pytest.mark.parametrize(
-        "t, F, value",
+        "t, F, value, nodes",
         # ar(n, K3) = n (Erdos-Simonovits-Sos), ar(n, C4) = floor(4n/3)
         # (Alon 1983), ar(n, K4) = floor(n^2/4) + 2 (Montellano-Ballesteros
-        # and Neumann-Lara 2002; 3,084 nodes, 5,744 without the threat
-        # packing, 7,519,383 without the star floor as well); ar(7, 2P3) = 8
-        # as the search found it without the lex-leader rule, in 162,742
-        # nodes; measured 1,453, 4,765, 12,818 and 2,232 nodes for 3K2, K3,
-        # C4 and 2P3 (4,028, 5,676, 91,304 and 6,822 without the threat
-        # packing)
+        # and Neumann-Lara 2002; 5,744 nodes without the threat packing,
+        # 7,519,383 without the star floor as well); ar(7, 2P3) = 8 as the
+        # search found it without the lex-leader rule, in 162,742 nodes;
+        # 4,028, 5,676, 91,304 and 6,822 nodes for 3K2, K3, C4 and 2P3
+        # without the threat packing
         [
-            (3, K2, ar_matching(7, 3)),
-            (1, K3, 7),
-            (1, C4, 4 * 7 // 3),
-            (1, K4, 7 * 7 // 4 + 2),
-            (2, CAP_SHAPES["P3"], 8),
+            (3, K2, ar_matching(7, 3), 1_453),
+            (1, K3, 7, 4_765),
+            (1, C4, 4 * 7 // 3, 12_818),
+            (1, K4, 7 * 7 // 4 + 2, 3_084),
+            (2, CAP_SHAPES["P3"], 8, 2_232),
         ],
         ids=["3K2", "K3", "C4", "K4", "2P3"],
     )
-    def test_seven_vertex_closed_forms(self, t, F, value):
+    def test_seven_vertex_closed_forms(self, t, F, value, nodes):
         rec = ar_exact(7, t, F)
-        assert rec.is_exact() and rec.value == value
+        assert rec.is_exact() and (rec.value, rec.nodes) == (value, nodes)
         assert rec.witness.ncolors == value - 1
         assert verify_no_rainbow(rec.witness, F, t)
 
     @pytest.mark.parametrize(
-        "F, value",
-        # ar(n, K3) = n, ar(n, K4) = floor(n^2/4) + 2; measured 67,074 and
-        # 4,060 nodes (84,298 and 27,302 without the threat packing)
-        [(K3, 8), (K4, 8 * 8 // 4 + 2)],
-        ids=["K3", "K4"],
+        "F, value, nodes, closed_by",
+        # ar(n, K3) = n, ar(n, K4) = floor(n^2/4) + 2 (84,298 and 27,302
+        # nodes without the threat packing), ar(n, C4) = floor(4n/3) (Alon
+        # 1983; 1,234,361 nodes without the threat packing)
+        [
+            (K3, 8, 67_074, "search"),
+            (K4, 8 * 8 // 4 + 2, 4_060, "averaging"),
+            (C4, 4 * 8 // 3, 370_249, "search"),
+        ],
+        ids=["K3", "K4", "C4"],
     )
-    def test_eight_vertex_closed_forms(self, F, value):
+    def test_eight_vertex_closed_forms(self, F, value, nodes, closed_by):
         rec = ar_exact(8, 1, F)
         assert rec.is_exact() and rec.value == value
-        assert rec.nodes < 150_000
+        assert (rec.nodes, rec.closed_by) == (nodes, closed_by)
         assert rec.witness.ncolors == value - 1
         assert verify_no_rainbow(rec.witness, F, 1)
 
     @pytest.mark.parametrize(
-        "t, F, value",
+        "t, F, value, nodes",
         # ar(9, K4) = floor(n^2/4) + 2, and ar(9, 2K3) = ex(9, K3) + 2 by the
-        # identity of Theorem 1.5 at t = 1; measured 7,018 and 11,001 nodes
-        # (108,950 and 120,227 without the threat packing), both closed by
-        # the averaging cap
-        [(1, K4, 9 * 9 // 4 + 2), (2, K3, 9 * 9 // 4 + 2)],
+        # identity of Theorem 1.5 at t = 1 (108,950 and 120,227 nodes
+        # without the threat packing), both closed by the averaging cap
+        [(1, K4, 9 * 9 // 4 + 2, 7_018), (2, K3, 9 * 9 // 4 + 2, 11_001)],
         ids=["K4", "2K3"],
     )
-    def test_nine_vertex_closed_forms(self, t, F, value):
+    def test_nine_vertex_closed_forms(self, t, F, value, nodes):
         rec = ar_exact(9, t, F)
         assert (rec.value, rec.status, rec.closed_by) == (value, "exact", "averaging")
-        assert rec.nodes < 200_000
+        assert rec.nodes == nodes
         assert rec.witness.ncolors == value - 1
         assert verify_no_rainbow(rec.witness, F, t)
 
     @pytest.mark.parametrize(
-        "n, t, F, value",
+        "n, t, F, value, nodes",
         # ar(n, 2K3) = ex(n, K3) + 2 = floor(n^2/4) + 2, the identity of
-        # Theorem 1.5 at t = 1: 24,134 and 102,770 nodes; 1,251,727 for n = 10
-        # without the threat packing, and only bounds 27..32 after 5M nodes
-        # for n = 11; ar(8, 4K2) = ex(8, 3K2) + 2, the sandwich floor, with
-        # ex(8, 3K2) = 13 (Erdos-Gallai): 266,414 nodes, bounds 15..22 after
-        # 5M without the threat packing
-        [(10, 2, K3, 10 * 10 // 4 + 2), (11, 2, K3, 11 * 11 // 4 + 2), (8, 4, K2, 13 + 2)],
+        # Theorem 1.5 at t = 1: 1,251,727 nodes for n = 10 without the threat
+        # packing, and only bounds 27..32 after 5M nodes for n = 11;
+        # ar(8, 4K2) = ex(8, 3K2) + 2, the sandwich floor, with ex(8, 3K2) =
+        # 13 (Erdos-Gallai): bounds 15..22 after 5M without the threat packing
+        [
+            (10, 2, K3, 10 * 10 // 4 + 2, 24_134),
+            (11, 2, K3, 11 * 11 // 4 + 2, 102_770),
+            (8, 4, K2, 13 + 2, 266_414),
+        ],
         ids=["2K3-10", "2K3-11", "4K2-8"],
     )
-    def test_frontier_closed_forms(self, n, t, F, value):
+    def test_frontier_closed_forms(self, n, t, F, value, nodes):
         rec = ar_exact(n, t, F)
         assert (rec.value, rec.status) == (value, "exact")
-        assert rec.nodes < 300_000
+        assert rec.nodes == nodes
         assert rec.witness.ncolors == value - 1
         assert verify_no_rainbow(rec.witness, F, t)
 
     def test_nine_vertex_triangle_factor(self):
-        # ar(9, 3K3), a rainbow triangle factor: 161,774 nodes; only bounds
-        # 30..31 after 5M nodes without the threat packing
+        # ar(9, 3K3), a rainbow triangle factor; only bounds 30..31 after 5M
+        # nodes without the threat packing
         rec = ar_exact(9, 3, K3)
         assert (rec.value, rec.status, rec.closed_by) == (30, "exact", "search")
-        assert rec.nodes < 200_000
+        assert rec.nodes == 161_774
         assert rec.witness.ncolors == 29
         assert verify_no_rainbow(rec.witness, K3, 3)
 
     def test_seven_vertex_double_triangle(self):
-        # ar(7, 2K3): 7,436 nodes; 46,426 without the threat packing and
-        # 7,997,683 without the star floor as well, same witness
+        # ar(7, 2K3): 46,426 nodes without the threat packing and 7,997,683
+        # without the star floor as well, same witness
         rec = ar_exact(7, 2, K3)
         assert (rec.value, rec.status, rec.closed_by) == (14, "exact", "search")
-        assert rec.nodes < 60_000
+        assert rec.nodes == 7_436
         assert verify_no_rainbow(rec.witness, K3, 2)
         colors = (1, 1, 1, 1, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 10, 11, 12, 13, 1, 1)
         assert rec.witness.colors == colors
 
     @pytest.mark.parametrize("n, t, name", LADDER, ids=[f"{t}{name}" for _, t, name in LADDER])
     def test_star_floor_changes_neither_value_nor_witness(self, n, t, name, monkeypatch):
-        # both ladders run again with every floor off
+        # both ladders run again with every floor on the inert E, which never prunes
         F = CAP_SHAPES[name]
         rec = ar_exact(n, t, F)
         for ctx in (_ArRung, turan._Ctx):
@@ -875,15 +881,15 @@ class TestArExact:
         assert (rec.status, rec.value) == ("exact", 3)
 
     def test_tetrahedron(self):
-        # ar(6, K4^3), the paper's headline case: 11,794 nodes; 16,622
-        # without the threat packing; 1,797,573 without the star floor as
+        # ar(6, K4^3), the paper's headline case: 16,622 nodes without the
+        # threat packing; 1,797,573 without the star floor as
         # well; in earlier versions 2,243,451 without the
         # star floor, with the value pass trying the fresh class first and no
         # greedy seed, and 52,518,436 without the lex-leader rule as well;
         # the witness is the one found then
         rec = ar_exact(6, 1, complete(4, 3))
         assert (rec.value, rec.status, rec.closed_by) == (12, "exact", "search")
-        assert rec.nodes < 20_000
+        assert rec.nodes == 11_794
         assert verify_no_rainbow(rec.witness, complete(4, 3), 1)
         assert rec.witness.colors == (1, 1, 2, 2, 1, 3, 4, 5, 6, 2, 1, 7, 8, 9, 10, 2, 11, 11, 11, 11)
 
@@ -945,13 +951,13 @@ class TestVerdicts:
         g = edge_sensitivity_gap(F, n, table)
         assert g.t_max == 2
         key = family_key(fam_F)
-        table.put(ArRecord(n, 3, key, 12, None, "exact", lo=12, hi=12))
+        table.put(ArRecord(n, 3, key, 12, None, "exact", hi=12))
         v = verify_identity_thm15(n, 2, F, table)
         assert v.in_range and v.status == "holds"
-        table.put(ArRecord(n, 3, key, 13, None, "exact", lo=13, hi=13))
+        table.put(ArRecord(n, 3, key, 13, None, "exact", hi=13))
         v = verify_identity_thm15(n, 2, F, table)
         assert v.in_range and v.status == "violation"
-        table.put(ArRecord(n, 3, key, 11, None, "exact", lo=11, hi=11))
+        table.put(ArRecord(n, 3, key, 11, None, "exact", hi=11))
         v = verify_identity_thm15(n, 2, F, table)
         assert not v.lower_holds and v.status == "violation"
 

@@ -55,7 +55,7 @@ class TestRecordFormats:
     def test_bounds_status(self):
         rec = ar_exact(5, 1, K3, budget=20)
         back = ar_record_from_text(ar_record_to_text(rec))
-        assert back.status == "bounds" and (back.lo, back.hi) == (rec.lo, rec.hi)
+        assert back.status == "bounds" and (back.value, back.hi) == (rec.value, rec.hi)
 
 
 #: (record kind, text to replace, replacement): header faults the parsers reject
@@ -141,9 +141,9 @@ class TestInconsistentRecords:
         argv, path = _planted(tmp_path, "ar", "ar", "-n", "6", "-t", "1", "-F")
         text = path.read_text()
         rec = ar_record_from_text(text)
-        assert rec.status == "bounds" and rec.lo == rec.value <= rec.hi
-        lo, hi = bounds(rec.lo, rec.hi)
-        path.write_text(text.replace(f"bounds:{rec.lo}:{rec.hi}", f"bounds:{lo}:{hi}", 1))
+        assert rec.status == "bounds" and rec.value <= rec.hi
+        lo, hi = bounds(rec.value, rec.hi)
+        path.write_text(text.replace(f"bounds:{rec.value}:{rec.hi}", f"bounds:{lo}:{hi}", 1))
         with pytest.raises(CacheError):
             Cache(tmp_path / "cache").load_ar(6, 1, K3)
         assert run(tmp_path, *argv) == 2
@@ -251,7 +251,7 @@ class TestCache:
         assert rec.witness == EdgeColoring(2, 6, 1, [1] * 15)
         cache.store_ar(rec)
         back = cache.load_ar(6, 3, K2)
-        assert (back.status, back.value, back.lo, back.hi) == ("bounds", 2, 2, 16)
+        assert (back.status, back.value, back.hi) == ("bounds", 2, 16)
         assert back.witness == rec.witness
 
     def test_recompute_byte_identical(self, tmp_path):
@@ -606,6 +606,20 @@ class TestCli:
         assert run(tmp_path, "ar", "-n", "5", "-t", "-1", "-F", str(k3)) == 2
         out, err = capsys.readouterr()
         assert out == "" and "t=-1" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["derived", "-n", "2"], ["report", "smoothness", "--n-range", "2:4", "--pi", "1/2"]],
+        ids=["derived", "smoothness"],
+    )
+    def test_delta_below_r_plus_one_names_the_n_asked_for(self, tmp_path, capsys, argv):
+        # delta(2, K3) needs ex(1, K3), which does not exist; the error names n=2, not n=1
+        k3 = tmp_path / "k3.hg"
+        run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
+        capsys.readouterr()
+        assert run(tmp_path, *argv, "-F", str(k3)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "n=2," in err and "n=1" not in err
 
     @pytest.mark.parametrize("cmd", ["turan -n 12 --forbid", "ar -n 12 -t 1 -F"], ids=["turan", "ar"])
     def test_over_capacity_exit_two(self, tmp_path, capsys, cmd):

@@ -77,10 +77,10 @@ def turan_records(draw):
 def ar_records(draw):
     witness = draw(st.one_of(st.none(), colorings()))
     value = 1 if witness is None else witness.ncolors + 1
-    lo = hi = 0
+    hi = 0
     status = draw(st.sampled_from(["exact", "bounds"]))
     if status == "bounds":
-        lo, hi = value, value + draw(st.integers(0, 5))
+        hi = value + draw(st.integers(0, 5))
     rec = ArRecord(
         n=draw(st.integers(2, 6)) if witness is None else witness.n,
         t=draw(st.integers(1, 3)),
@@ -88,7 +88,6 @@ def ar_records(draw):
         value=value,
         witness=witness,
         status=status,
-        lo=lo,
         hi=hi,
         solver=SOLVER_VERSION,
         closed_by="cache",

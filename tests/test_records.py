@@ -44,7 +44,7 @@ def test_defaults():
     ex = tu.TuranRecord(3, "key", 0, EMPTY, "exact")
     assert (ex.nodes, ex.solver, ex.closed_by) == (0, tu.SOLVER_VERSION, "")
     ar = anti.ArRecord(3, 1, "key", 1, None, "exact")
-    assert (ar.lo, ar.hi, ar.nodes, ar.solver, ar.closed_by) == (0, 0, 0, tu.SOLVER_VERSION, "")
+    assert (ar.hi, ar.nodes, ar.solver, ar.closed_by) == (0, 0, tu.SOLVER_VERSION, "")
     assert tu.CheckResult(5, HALF, HALF, True).note == ""
 
 

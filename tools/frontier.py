@@ -47,13 +47,12 @@ def run(n, t, shape):
     start = time.perf_counter()
     rec = ar_exact(n, t, SHAPES[shape], budget=BUDGET)
     seconds = time.perf_counter() - start
-    lo, hi = (rec.lo, rec.hi) if rec.status == "bounds" else (rec.value, rec.value)
     return {
         "case": name(n, t, shape),
         "value": rec.value,
         "status": rec.status,
-        "lo": lo,
-        "hi": hi,
+        "lo": rec.value,
+        "hi": rec.hi if rec.status == "bounds" else rec.value,
         "nodes": rec.nodes,
         "closed_by": rec.closed_by,
         "seconds": round(seconds, 3),
