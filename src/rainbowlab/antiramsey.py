@@ -10,13 +10,14 @@ a partition is nonempty.
 
 import functools
 from collections import namedtuple
-from fractions import Fraction
 from math import comb
 
 from .core import (
     CapacityError,
+    CertificationError,
     FormatError,
     HyperGraph,
+    MissingRecordError,
     all_edges_colex,
     colex_rank,
     disjoint_union,
@@ -25,7 +26,6 @@ from .core import (
 )
 from .turan import (
     MAX_EDGES,
-    MissingRecordError,
     SOLVER_VERSION,
     _bits,
     _climb,
@@ -37,10 +37,6 @@ from .turan import (
     _vertex_fields,
     singleton,
 )
-
-
-class CertificationError(Exception):
-    """A coloring failed the rainbow-freeness check it is supposed to satisfy."""
 
 
 class EdgeColoring(namedtuple("EdgeColoring", "r n ncolors colors")):
@@ -173,8 +169,8 @@ def build_coloring_fact31(n, t, F, inner):
     The inner coloring must itself have no rainbow 2F; the result then has no
     rainbow (t+2)F.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t <= n - F.r:
+        raise ValueError(f"fact31 needs 0 <= t <= n - r, got t={t}, n={n}, r={F.r}")
     if inner.r != F.r or inner.n != n - t:
         raise ValueError(f"inner coloring must live on K_{n - t}^{F.r}")
     if find_rainbow_copy(inner, disjoint_union(F, 2)) is not None:
@@ -715,6 +711,8 @@ def stability_degree_census(H, F, pi, records):
     Exact rational comparison; n is the vertex count of H and ex(n,F) must be
     an exact record.
     """
+    from fractions import Fraction  # imported here: no search needs rationals
+
     n = H.n
     ex_n = records.ex(singleton(F), n)
     alpha = Fraction(1 - pi, 7 * F.n)

@@ -16,35 +16,22 @@ every witness is re-verified on load.
 
 import json
 import os
-import tempfile
 from pathlib import Path
 
-from .antiramsey import (
-    ArRecord,
-    _check_embeds,
-    ar_exact,
-    coloring_from_text,
-    coloring_to_text,
-    verify_no_rainbow,
-)
-from .core import digest16, family_key, from_text, to_text
-from .turan import (
-    SOLVER_VERSION,
-    MissingRecordError,
-    TuranRecord,
-    ex_exact,
-    singleton,
-    verify_witness,
-)
+from .core import CacheError, MissingRecordError, digest16, family_key, from_text, to_text
+from .turan import SOLVER_VERSION, TuranRecord, ex_exact, singleton, verify_witness
 
-
-class CacheError(Exception):
-    """Corrupt or failed-verification cache content."""
+# ``antiramsey`` is imported only on the ``ar`` paths below, so that the
+# `lab` commands that read no ``ar`` record never load it.
 
 
 def _atomic_write(path, text):
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory and an atomic rename.  The file gets the mode that ``open()``
+    gives a new file, 0666 & ~umask."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -109,6 +96,8 @@ def turan_record_from_text(text):
 
 
 def ar_record_to_text(rec, manifest=""):
+    from .antiramsey import coloring_to_text
+
     status = f"bounds:{rec.value}:{rec.hi}" if rec.status == "bounds" else rec.status
     head = f"AR n={rec.n} t={rec.t} F={rec.F_key} value={rec.value} status={status}"
     meta = f"meta solver={rec.solver} manifest={manifest}"
@@ -118,6 +107,8 @@ def ar_record_to_text(rec, manifest=""):
 
 def ar_record_from_text(text):
     """Parse an AR record; ``Cache.load_ar`` checks it against its target."""
+    from .antiramsey import ArRecord, coloring_from_text
+
     (n, t, F, value, status), (solver, manifest), body = _parse_record(
         text, "AR", ("n", "t", "F", "value", "status")
     )
@@ -208,6 +199,8 @@ class Cache:
 
     def load_ar(self, n, t, F):
         """Load and re-verify a record for (n, t, F); None when absent."""
+        from .antiramsey import verify_no_rainbow
+
         key = family_key(singleton(F))
         path = self._ar_path(n, t, key)
         if not path.exists():
@@ -229,6 +222,8 @@ class Cache:
     # -- colorings -----------------------------------------------------------------
 
     def store_coloring(self, chi):
+        from .antiramsey import coloring_to_text
+
         text = coloring_to_text(chi)
         path = self.root / "colorings" / f"{digest16(text.encode())}.col"
         _atomic_write(path, text)
@@ -269,6 +264,8 @@ class Records:
     def ar(self, F, n, t, budget=None):
         """The record of ar(n, tF).  For a tF that does not fit in K_n^r no
         record can exist, so it raises ``ar_exact``'s ValueError first."""
+        from .antiramsey import _check_embeds
+
         _check_embeds(n, t, F)
         key = family_key(singleton(F))
         return self._get("ar", (n, t, key), (n, t, F), budget, f"n={n}, t={t}, F={key}")
@@ -282,7 +279,12 @@ class Records:
         if rec is None or not rec.is_exact():
             if self.manifest is None:
                 raise MissingRecordError(f"no exact {kind} record for {name}")
-            rec = (ex_exact if kind == "turan" else ar_exact)(*args, budget=budget)
+            if kind == "turan":
+                rec = ex_exact(*args, budget=budget)
+            else:
+                from .antiramsey import ar_exact
+
+                rec = ar_exact(*args, budget=budget)
             if self.cache is not None:
                 getattr(self.cache, f"store_{kind}")(rec, self.manifest)
         self._held[key] = rec

@@ -8,22 +8,24 @@ Exit codes: 0 success / all verdicts hold, 1 verification failure,
 import argparse
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
-from . import antiramsey as anti
-from . import turan as tur
-from .cache import Cache, CacheError, Records, ar_record_to_text, turan_record_to_text
 from .core import (
+    CacheError,
     CapacityError,
+    CertificationError,
     FormatError,
     HyperGraphFamily,
+    MissingRecordError,
     digest16,
     disjoint_union,
     read_file,
     write_file,
 )
-from .turan import MissingRecordError, singleton
+
+# Each command imports the modules it runs, so that a command compiles and
+# builds no more than it needs: ``zoo`` loads no solver, and only ``ar``,
+# ``construct`` and ``verify`` load ``antiramsey``.
 
 
 def _hash_file(path):
@@ -47,6 +49,8 @@ def _budget(text):
 
 def _fraction(text):
     """argparse type for rationals like 1/2; a zero denominator is a usage error."""
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -107,6 +111,8 @@ def cmd_zoo(args):
 
 
 def cmd_turan(args, records):
+    from .cache import turan_record_to_text
+
     members = [read_file(p) for p in args.forbid]
     fam = HyperGraphFamily(members[0].r, members)
     rec = records.turan(fam, args.n, budget=args.budget)
@@ -115,12 +121,17 @@ def cmd_turan(args, records):
 
 
 def cmd_ar(args, records):
+    from .cache import ar_record_to_text
+
     rec = records.ar(read_file(args.F), args.n, args.t, budget=args.budget)
     print(ar_record_to_text(rec).partition("\n")[0])
     return 0, [f"value={rec.value}", rec.status, f"closed_by={rec.closed_by}"]
 
 
 def cmd_construct(args, records):
+    from . import antiramsey as anti
+    from .turan import singleton
+
     F = read_file(args.F)
     if args.construct_cmd == "fact21":
         rec = records.turan(singleton(disjoint_union(F, args.t)), args.n)
@@ -140,6 +151,8 @@ def cmd_construct(args, records):
 def cmd_verify(args, records):
     """Check one statement against cached records; its store has no manifest,
     so a missing record raises MissingRecordError and nothing is computed."""
+    from . import antiramsey as anti
+
     F = read_file(args.F)
     if args.verify_cmd == "sandwich":
         v = anti.sandwich_check(args.n, args.t, F, records)
@@ -167,6 +180,8 @@ def cmd_verify(args, records):
 
 
 def cmd_derived(args, records):
+    from . import turan as tur
+
     F = read_file(args.F)
     dq = tur.derived_quantities(F, records, args.n)
     print(f"n={dq.n} delta={dq.delta_n} d={dq.d_n} pi_hat={dq.pi_hat}")
@@ -176,6 +191,8 @@ def cmd_derived(args, records):
 def cmd_report(args, records):
     """Print one table; its rows are computed before the first line is
     printed, so a command that fails leaves stdout empty."""
+    from . import turan as tur
+
     if args.report_cmd == "facts":
         fails = [
             (r, n, t)
@@ -218,14 +235,12 @@ COMMANDS = {
 
 
 # -- parser -----------------------------------------------------------------------
+#
+# Each command's arguments are added by one function, so that ``build_parser``
+# can build the subparser of one command alone.
 
 
-def build_parser():
-    p = argparse.ArgumentParser(prog="lab", description=__doc__)
-    p.add_argument("--cache-dir", default=None, help="cache root (default $LAB_CACHE_DIR or ./cache)")
-    sub = p.add_subparsers(dest="cmd", required=True)
-
-    zoo = sub.add_parser("zoo", help="emit named hypergraphs")
+def _zoo_args(zoo):
     zsub = zoo.add_subparsers(dest="zoo_cmd", required=True)
     zsub.add_parser("list")
     zemit = zsub.add_parser("emit")
@@ -236,18 +251,21 @@ def build_parser():
     zemit.add_argument("--minus", action="store_true")
     zemit.add_argument("-o", "--output", required=True)
 
-    t = sub.add_parser("turan", help="exact ex(n, family) with witness")
+
+def _turan_args(t):
     t.add_argument("-n", type=int, required=True)
     t.add_argument("--forbid", action="append", required=True, help="hypergraph file (repeatable)")
     t.add_argument("--budget", type=_budget, default=None)
 
-    a = sub.add_parser("ar", help="exact ar(n, tF) with witness coloring")
+
+def _ar_args(a):
     a.add_argument("-n", type=int, required=True)
     a.add_argument("-t", type=int, required=True)
     a.add_argument("-F", required=True)
     a.add_argument("--budget", type=_budget, default=None)
 
-    c = sub.add_parser("construct", help="lower-bound colorings")
+
+def _construct_args(c):
     csub = c.add_subparsers(dest="construct_cmd", required=True)
     for name in ("fact21", "fact31"):
         cp = csub.add_parser(name)
@@ -258,7 +276,8 @@ def build_parser():
         if name == "fact31":
             cp.add_argument("--inner", required=True)
 
-    v = sub.add_parser("verify", help="check finite inequalities against cached records")
+
+def _verify_args(v):
     vsub = v.add_subparsers(dest="verify_cmd", required=True)
     for name in ("identity", "sandwich", "reduction"):
         vp = vsub.add_parser(name)
@@ -266,11 +285,13 @@ def build_parser():
         vp.add_argument("-t", type=int, required=True)
         vp.add_argument("-F", required=True)
 
-    d = sub.add_parser("derived", help="delta(n,F), d(n,F), pi_hat")
+
+def _derived_args(d):
     d.add_argument("-F", required=True)
     d.add_argument("-n", type=int, required=True)
 
-    rep = sub.add_parser("report", help="per-n tables")
+
+def _report_args(rep):
     rsub = rep.add_subparsers(dest="report_cmd", required=True)
     rg = rsub.add_parser("gap")
     rg.add_argument("-F", required=True)
@@ -282,17 +303,62 @@ def build_parser():
     rf = rsub.add_parser("facts")
     rf.add_argument("--r-range", type=_parse_range, default="2:4")
     rf.add_argument("--n-range", type=_parse_range, default="20:60")
+
+
+#: each command's help line and the function that adds its arguments, in help order
+SUBPARSERS = {
+    "zoo": ("emit named hypergraphs", _zoo_args),
+    "turan": ("exact ex(n, family) with witness", _turan_args),
+    "ar": ("exact ar(n, tF) with witness coloring", _ar_args),
+    "construct": ("lower-bound colorings", _construct_args),
+    "verify": ("check finite inequalities against cached records", _verify_args),
+    "derived": ("delta(n,F), d(n,F), pi_hat", _derived_args),
+    "report": ("per-n tables", _report_args),
+}
+
+
+def _command(argv):
+    """The command that argparse reads from ``argv``: the first argument
+    that is neither ``--cache-dir`` (or an abbreviation such as ``--cache``,
+    with its value after "=" or next) nor that value.  None when that
+    argument names no command, or when it or the value starts with "-"
+    (help, an unknown option, a missing value): only the full parser reads
+    those as argparse does."""
+    args = iter(argv)
+    for arg in args:
+        name, eq, _ = arg.partition("=")
+        if len(name) > 2 and "--cache-dir".startswith(name):
+            if not eq and next(args, "-").startswith("-"):
+                return None
+            continue
+        return arg if arg in SUBPARSERS else None
+    return None
+
+
+def build_parser(cmd=None):
+    """The parser of `lab`: the full one, or, for the ``cmd`` that argparse
+    will read (``_command``), one with that command's subparser alone.  Its
+    usage still lists every command, so it prints the full parser's texts."""
+    p = argparse.ArgumentParser(prog="lab", description=__doc__)
+    p.add_argument("--cache-dir", default=None, help="cache root (default $LAB_CACHE_DIR or ./cache)")
+    every = None if cmd is None else "{" + ",".join(SUBPARSERS) + "}"
+    sub = p.add_subparsers(dest="cmd", required=True, metavar=every)
+    for name in SUBPARSERS if cmd is None else [cmd]:
+        help_text, add_args = SUBPARSERS[name]
+        add_args(sub.add_parser(name, help=help_text))
     return p
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(_join_rationals(argv))
-    cache = Cache(args.cache_dir)
+    joined = _join_rationals(argv)
+    args = build_parser(_command(joined)).parse_args(joined)
     try:
         if args.cmd == "zoo":
             return cmd_zoo(args)
+        from .cache import Cache, Records
+
+        cache = Cache(args.cache_dir)
         hashes = {p: _hash_file(p) for p in _inputs(args)}
         mid = cache.manifest_id(argv, hashes)
         records = Records(cache, None if args.cmd == "verify" else mid)  # verify computes nothing
@@ -306,7 +372,7 @@ def main(argv=None):
     except MissingRecordError as exc:
         print(f"insufficient records: {exc}", file=sys.stderr)
         return 2
-    except anti.CertificationError as exc:
+    except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 1
 

@@ -38,6 +38,23 @@ class FormatError(ValueError):
     """Text-format violation (parser is bit-exact)."""
 
 
+# The errors below belong to ``cache``, ``turan`` and ``antiramsey``, which
+# re-export them; they live here so that ``cli`` can catch them without
+# importing those modules.
+
+
+class CacheError(Exception):
+    """Corrupt or failed-verification cache content."""
+
+
+class MissingRecordError(LookupError):
+    """A required exact Turan/ar record is not available."""
+
+
+class CertificationError(Exception):
+    """A coloring failed the rainbow-freeness check it is supposed to satisfy."""
+
+
 def colex_key(edge):
     """Sort key realizing colexicographic order on sorted tuples."""
     return tuple(reversed(edge))

@@ -18,13 +18,13 @@ import functools
 import itertools
 import random
 from collections import namedtuple
-from fractions import Fraction
 from math import comb, isqrt
 
 from .core import (
     CapacityError,
     HyperGraph,
     HyperGraphFamily,
+    MissingRecordError,  # noqa: F401  (re-exported: it belonged here first)
     all_edges_colex,
     colex_rank,
     contains_member,
@@ -38,14 +38,6 @@ SOLVER_VERSION = "rainbowlab-0.1.0"
 #: the most host edges C(n, r) that ``ex_exact`` and ``ar_exact`` search; it
 #: keeps every ``_vertex_fields`` counter at most C(n-1, r-1) <= 35 < 128
 MAX_EDGES = 64
-
-#: certified enclosure of e^{1/5}
-E15_LO = Fraction(12214027, 10**7)
-E15_HI = Fraction(12214028, 10**7)
-
-
-class MissingRecordError(LookupError):
-    """A required exact Turan/ar record is not available."""
 
 
 # -- copies of a pattern inside the complete host -------------------------------
@@ -678,6 +670,8 @@ def verify_witness(record, fam):
 # -- derived quantities ---------------------------------------------------------
 #
 # The checks below read exact records from ``records``, a ``cache.Records``.
+# Each imports ``fractions`` where it builds a rational, so that the searches
+# load without it.
 
 
 def singleton(F):
@@ -690,6 +684,8 @@ DerivedQuantities = namedtuple("DerivedQuantities", "n delta_n d_n pi_hat")
 def derived_quantities(F, records, n):
     """delta(n,F), d(n,F), and the finite density ex(n,F)/C(n,r); exact rationals.
     delta(n,F) = ex(n,F) - ex(n-1,F) needs n - 1 >= r."""
+    from fractions import Fraction
+
     if n - 1 < F.r:
         raise ValueError(f"delta(n, F) needs n - 1 >= r, got n={n}, r={F.r}")
     fam = singleton(F)
@@ -711,6 +707,8 @@ def smoothness_check(F, pi, records, n_range):
     threshold (1-pi)/(8 v(F)) * C(n, r-1), for pi in [0, 1].  Reports only;
     finite n proves nothing asymptotic.  Degenerate (r-partite) F is smooth
     by definition."""
+    from fractions import Fraction
+
     if not 0 <= pi <= 1:
         raise ValueError(f"pi must lie in [0, 1], got {pi}")
     rows = []
@@ -735,6 +733,8 @@ def boundedness_falsifier(F, c1, c2, n, samples, records, seed=0):
     these constants, both positive.  An empty list is not a proof of
     boundedness.
     """
+    from fractions import Fraction
+
     if c1 <= 0 or c2 <= 0:
         raise ValueError("c1 and c2 must be positive")
     fam = singleton(F)
@@ -813,24 +813,32 @@ def edge_sensitivity_gap(F, n, records):
 def fact51_check(n, t, r):
     """Certified check of C(n-t, r) >= e^{-1/5} C(n, r) for t <= (n-r)/(5r+1).
 
-    rhs is the conservative rational upper bound C(n,r)/E15_LO; holds means
-    the inequality is certified through the interval enclosure of e^{1/5}.
+    rhs is the conservative rational upper bound C(n,r)/lo, for the
+    certified enclosure lo < e^{1/5} < hi; holds means the inequality is
+    certified through that enclosure.
     """
+    from fractions import Fraction
+
     if n < 1 or r < 1 or t < 0:
         raise ValueError("need n, r >= 1 and t >= 0")
+    if n < r:
+        raise ValueError(f"need n >= r, got n={n}, r={r}")
     if t * (5 * r + 1) > n - r:
         raise ValueError(f"precondition t <= (n-r)/(5r+1) violated: t={t}, n={n}, r={r}")
+    lo, hi = Fraction(12214027, 10**7), Fraction(12214028, 10**7)
     lhs = Fraction(comb(n - t, r))
-    rhs = Fraction(comb(n, r)) / E15_LO
+    rhs = Fraction(comb(n, r)) / lo
     holds = lhs >= rhs
     note = ""
-    if not holds and Fraction(comb(n, r)) / E15_HI <= lhs:
+    if not holds and Fraction(comb(n, r)) / hi <= lhs:
         note = "indeterminate at interval precision"
     return CheckResult(n, lhs, rhs, holds, note)
 
 
 def fact52_check(F, n, t, records):
     """|d(n,F) - d(n-t,F)| <= 4t C(n-t, r-2), from exact records."""
+    from fractions import Fraction
+
     if t < 1 or t * F.r > n - F.r:
         raise ValueError(f"precondition 1 <= t <= n/r - 1 violated: t={t}, n={n}, r={F.r}")
     fam = singleton(F)
@@ -845,6 +853,8 @@ def lemma53_report(F, n, t, records, pi):
     """Advisory comparison of |ex(n,F) - ex(n-t,F) - t d(n,F)| against the
     smooth-growth envelope; the hypothesis is asymptotic, so this never
     asserts, it only reports."""
+    from fractions import Fraction
+
     if t < 1 or t > n:
         raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
     fam = singleton(F)

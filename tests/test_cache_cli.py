@@ -1,6 +1,8 @@
+import argparse
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +21,7 @@ from rainbowlab.cache import (
     turan_record_to_text,
 )
 from rainbowlab import constructions as cons
+from rainbowlab import cli
 from rainbowlab.cli import _hash_file, main
 from rainbowlab.constructions import complete_graph
 from rainbowlab.core import HyperGraph, HyperGraphFamily, disjoint_union, family_key, from_text, to_text
@@ -202,6 +205,20 @@ class TestCache:
         arec = Records(cache, "").ar(K3, 5, 1)
         assert cache.load_ar(5, 1, K3).value == arec.value
 
+    def test_files_take_the_umask(self, tmp_path):
+        # a cache shared between users must be readable by them: its files get
+        # the mode open() gives, not the owner-only mode of a temp file
+        k3 = tmp_path / "k3.hg"
+        old = os.umask(0o022)
+        try:
+            assert run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3)) == 0
+            assert run(tmp_path, "construct", "fact21", "-n", "6", "-t", "1", "-F", str(k3)) == 0
+        finally:
+            os.umask(old)
+        files = [p for p in (tmp_path / "cache").rglob("*") if p.is_file()]
+        assert {p.parent.name for p in files} == {"turan", "manifests", "colorings"}
+        assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in files} == {p.name: 0o644 for p in files}
+
     def test_tampered_witness_rejected(self, tmp_path):
         cache = Cache(tmp_path)
         fam = singleton(K3)
@@ -293,13 +310,16 @@ class TestCache:
         assert (tmp_path / "envcache" / "turan").exists()
 
 
-def _loaded_by(code):
-    """The names in sys.modules after running code in a fresh interpreter."""
+def _loaded_by(code, cwd=None):
+    """The names in sys.modules after running code in a fresh interpreter
+    in directory ``cwd``; the code may print, as a `lab` command does."""
     src = str(Path(rainbowlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code += "; import sys; print(' '.join(sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return set(out.stdout.split())
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, check=True
+    )
+    return set(out.stdout.splitlines()[-1].split())
 
 
 def run(tmp_path, *argv):
@@ -307,6 +327,25 @@ def run(tmp_path, *argv):
 
 
 class TestCli:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("report facts --r-range 2:2 --n-range 1:3", "need n >= r, got n=1, r=2"),
+            (
+                "construct fact31 -n 6 -t 7 -F {k3} --inner {inner}",
+                "fact31 needs 0 <= t <= n - r, got t=7, n=6, r=2",
+            ),
+        ],
+        ids=["facts", "fact31"],
+    )
+    def test_error_names_the_fault(self, tmp_path, capsys, argv, message):
+        k3, inner = tmp_path / "k3.hg", tmp_path / "inner.col"
+        run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(k3))
+        run(tmp_path, "construct", "fact21", "-n", "6", "-t", "1", "-F", str(k3), "-o", str(inner))
+        capsys.readouterr()
+        assert run(tmp_path, *argv.format(k3=k3, inner=inner).split()) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_zoo_emit_golden(self, tmp_path, capsys):
         out = tmp_path / "f.hg"
         assert run(tmp_path, "zoo", "emit", "fano", "-o", str(out)) == 0
@@ -505,6 +544,27 @@ class TestCli:
         # module, not from `hashlib` (OpenSSL)
         new = _loaded_by("import rainbowlab.cli") - _loaded_by("pass")
         assert not new & {"dataclasses", "inspect", "rainbowlab.constructions", "hashlib", "_hashlib"}
+
+    def test_cli_import_loads_no_command_modules(self):
+        # each command imports what it runs; the import itself loads none of it
+        new = _loaded_by("import rainbowlab.cli") - _loaded_by("pass")
+        solvers = {"rainbowlab.cache", "rainbowlab.turan", "rainbowlab.antiramsey"}
+        assert not new & (solvers | {"fractions", "json"})
+
+    @pytest.mark.parametrize(
+        "line,unloaded",
+        [
+            ("zoo list", {"rainbowlab.cache", "rainbowlab.turan", "rainbowlab.antiramsey"}),
+            ("turan -n 5 --forbid k3.hg", {"rainbowlab.antiramsey"}),
+            ("ar -n 5 -t 1 -F k3.hg", {"fractions"}),
+        ],
+        ids=["zoo", "turan", "ar"],
+    )
+    def test_command_loads_only_what_it_runs(self, tmp_path, line, unloaded):
+        run(tmp_path, "zoo", "emit", "complete-graph", "-l", "3", "-o", str(tmp_path / "k3.hg"))
+        argv = ["--cache-dir", "cache", *line.split()]
+        loaded = _loaded_by(f"from rainbowlab.cli import main; assert main({argv!r}) == 0", tmp_path)
+        assert not (loaded - _loaded_by("pass")) & unloaded
 
     def test_malformed_input_exit_two(self, tmp_path):
         bad = tmp_path / "bad.hg"
@@ -713,3 +773,96 @@ class TestCli:
         block = readme.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```")[1]
         documented = [ln.split("#")[0].strip()[len("lab "):] for ln in block.splitlines() if ln.startswith("lab ")]
         assert documented == session
+
+
+def _subcommands(parser, prefix=()):
+    """The argument prefix of every command and sub-command of ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield (*prefix, name)
+                yield from _subcommands(sub, (*prefix, name))
+
+
+def _parsed(parser, argv, capsys):
+    """What ``parser`` makes of ``argv``: exit code (None when it returns),
+    stdout, stderr and the parsed arguments."""
+    try:
+        args, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    return (code, *capsys.readouterr(), args)
+
+
+class TestParser:
+    """``build_parser(cmd)`` builds one command's subparser; for every argv
+    that ``_command`` reads as that command, it must parse and print exactly
+    what the full parser does."""
+
+    def _same(self, argv, capsys):
+        cmd = cli._command(argv)
+        full = _parsed(cli.build_parser(), argv, capsys)
+        assert _parsed(cli.build_parser(cmd), argv, capsys) == full
+        return cmd, full
+
+    @pytest.mark.parametrize("path", list(_subcommands(cli.build_parser())), ids=" ".join)
+    def test_help_of_every_command(self, capsys, path):
+        cmd, (code, out, err, _) = self._same([*path, "-h"], capsys)
+        assert (cmd, code, err) == (path[0], 0, "")
+        assert out.startswith(f"usage: lab {' '.join(path)} ")
+
+    @pytest.mark.parametrize(
+        "line,cmd",
+        [
+            ("turan", "turan"),
+            ("turan -n 5 --forbid k3.hg extra", "turan"),
+            ("ar -n x -t 1 -F k3.hg", "ar"),
+            ("ar -n 5 -t 1 -F k3.hg --budget -1", "ar"),
+            ("zoo", "zoo"),
+            ("zoo bogus", "zoo"),
+            ("construct fact31 -n 6 -t 1 -F k3.hg", "construct"),
+            ("verify", "verify"),
+            ("report facts --r-range 4:2", "report"),
+            ("report smoothness -F k3.hg --n-range 5:6 --pi half", "report"),
+        ],
+    )
+    def test_usage_errors(self, capsys, line, cmd):
+        read, (code, *_) = self._same(line.split(), capsys)
+        assert (read, code) == (cmd, 2)
+
+    @pytest.mark.parametrize(
+        "line,cmd",
+        [
+            ("--cache-dir=X turan -n 5 --forbid k3.hg", "turan"),
+            ("--cache-dir zoo ar -n 5 -t 1 -F k3.hg", "ar"),
+            ("--cache X report gap -F k3.hg --n-range 5:9", "report"),
+            ("--c=X verify sandwich -n 5 -t 1 -F k3.hg", "verify"),
+            ("--cache-dir=X derived -h", "derived"),
+            ("--cache-dir zoo ar -h", "ar"),
+            ("--cache X zoo list -h", "zoo"),
+            ("--cache-dir zoo zoo emit fano", "zoo"),
+        ],
+    )
+    def test_cache_dir_before_the_command(self, capsys, line, cmd):
+        assert self._same(line.split(), capsys)[0] == cmd
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "",
+            "-h",
+            "--help turan",
+            "bogus -h",
+            "-- turan -h",
+            "--cache-dir",
+            "--cache-dir -h turan",
+            "--cache-dir -- ar -h",
+            "-x turan",
+            "---cache-dir X turan",
+            "--pi=1/2 report",
+            "--cache-dir X",
+        ],
+    )
+    def test_no_command_builds_the_full_parser(self, capsys, line):
+        cmd, (code, _, _, _) = self._same(line.split(), capsys)
+        assert cmd is None and code in (0, 2)
