@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -29,6 +31,72 @@ from rainbowlab.turan import MissingRecordError, ex_exact, singleton
 
 K2 = HyperGraph(2, 2, [(0, 1)])
 K3 = complete_graph(3)
+
+
+#: the ``lab`` commands of the "Command line" block of README.md, in order
+README_SESSION = [
+    "zoo list",
+    "zoo emit fano -o fano.hg",
+    "zoo emit complete-graph -l 2 -o k2.hg",
+    "zoo emit complete-graph -l 3 -o k3.hg",
+    "turan -n 5 --forbid k3.hg",
+    "ar -n 5 -t 1 -F k3.hg",
+    "verify sandwich -n 5 -t 1 -F k3.hg",
+    "construct fact21 -n 6 -t 1 -F k3.hg -o inner.col",
+    "construct fact31 -n 7 -t 1 -F k3.hg --inner inner.col -o outer.col",
+    "ar -n 6 -t 2 -F k3.hg",
+    "report gap -F k3.hg --n-range 6:6",
+    "verify identity -n 6 -t 1 -F k3.hg",
+    "ar -n 6 -t 3 -F k2.hg",
+    "ar -n 5 -t 2 -F k2.hg",
+    "verify reduction -n 6 -t 1 -F k2.hg",
+    "derived -F k3.hg -n 6",
+    "report gap -F k3.hg --n-range 5:9",
+    "report smoothness -F k3.hg --n-range 5:9 --pi 1/2",
+    "report facts --r-range 2:4 --n-range 20:60",
+]
+
+#: what the README session printed and wrote when it was last regenerated:
+#: ``stdout.txt``, also diffed against the installed ``lab`` in CI, and
+#: ``artifacts.txt`` (``readme_session``).  To rewrite both after a
+#: deliberate change of output:
+#:
+#:     PYTHONPATH=src python tests/test_cache_cli.py
+SESSION_FIXTURE = Path(__file__).with_name("readme_session")
+
+
+def readme_session(workdir):
+    """Run ``README_SESSION`` in ``workdir`` with the cache ``workdir/cache``,
+    each command exiting 0.  Returns (stdout, artifacts): the stdout of the
+    commands, and the bytes of every file they wrote but the manifests (each
+    under a line with its path and size), then the verdicts of each manifest
+    (the manifests also hold wall times)."""
+    workdir = Path(workdir)
+    cwd, env = os.getcwd(), os.environ.get("LAB_CACHE_DIR")
+    out = io.StringIO()
+    try:
+        os.chdir(workdir)
+        os.environ["LAB_CACHE_DIR"] = str(workdir / "cache")
+        with contextlib.redirect_stdout(out):
+            for line in README_SESSION:
+                if main(line.split()) != 0:
+                    raise AssertionError(f"lab {line} failed")
+    finally:
+        os.chdir(cwd)
+        if env is None:
+            del os.environ["LAB_CACHE_DIR"]
+        else:
+            os.environ["LAB_CACHE_DIR"] = env
+    parts, manifests = [], workdir / "cache" / "manifests"
+    for path in sorted(p for p in workdir.rglob("*") if p.is_file() and p.parent != manifests):
+        data = path.read_bytes()
+        parts.append(f"== {path.relative_to(workdir).as_posix()} {len(data)} bytes\n")
+        parts.append(data.decode("ascii"))
+    for path in sorted(manifests.iterdir()):
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        parts.append(f"== verdicts of lab {' '.join(manifest['argv'])}\n")
+        parts.extend(f"{verdict}\n" for verdict in manifest["verdicts"])
+    return out.getvalue(), "".join(parts)
 
 
 class TestRecordFormats:
@@ -742,37 +810,16 @@ class TestCli:
     def test_unknown_zoo_exit_two(self, tmp_path):
         assert run(tmp_path, "zoo", "emit", "nonesuch", "-o", str(tmp_path / "x.hg")) == 2
 
-    def test_readme_session(self, tmp_path, monkeypatch):
-        # the command walkthrough in README.md must run verbatim
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("LAB_CACHE_DIR", str(tmp_path / "cache"))
-        session = [
-            "zoo list",
-            "zoo emit fano -o fano.hg",
-            "zoo emit complete-graph -l 2 -o k2.hg",
-            "zoo emit complete-graph -l 3 -o k3.hg",
-            "turan -n 5 --forbid k3.hg",
-            "ar -n 5 -t 1 -F k3.hg",
-            "verify sandwich -n 5 -t 1 -F k3.hg",
-            "construct fact21 -n 6 -t 1 -F k3.hg -o inner.col",
-            "construct fact31 -n 7 -t 1 -F k3.hg --inner inner.col -o outer.col",
-            "ar -n 6 -t 2 -F k3.hg",
-            "report gap -F k3.hg --n-range 6:6",
-            "verify identity -n 6 -t 1 -F k3.hg",
-            "ar -n 6 -t 3 -F k2.hg",
-            "ar -n 5 -t 2 -F k2.hg",
-            "verify reduction -n 6 -t 1 -F k2.hg",
-            "derived -F k3.hg -n 6",
-            "report gap -F k3.hg --n-range 5:9",
-            "report smoothness -F k3.hg --n-range 5:9 --pi 1/2",
-            "report facts --r-range 2:4 --n-range 20:60",
-        ]
-        for line in session:
-            assert main(line.split()) == 0, line
+    def test_readme_session(self, tmp_path):
+        # the command walkthrough in README.md must run verbatim, and print,
+        # write and decide what it did when the fixture was written
+        stdout, artifacts = readme_session(tmp_path)
+        assert stdout == (SESSION_FIXTURE / "stdout.txt").read_text(encoding="ascii")
+        assert artifacts == (SESSION_FIXTURE / "artifacts.txt").read_text(encoding="ascii")
         readme = Path(__file__).resolve().parents[1] / "README.md"
         block = readme.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```")[1]
         documented = [ln.split("#")[0].strip()[len("lab "):] for ln in block.splitlines() if ln.startswith("lab ")]
-        assert documented == session
+        assert documented == README_SESSION
 
 
 def _subcommands(parser, prefix=()):
@@ -866,3 +913,13 @@ class TestParser:
     def test_no_command_builds_the_full_parser(self, capsys, line):
         cmd, (code, _, _, _) = self._same(line.split(), capsys)
         assert cmd is None and code in (0, 2)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as workdir:
+        stdout, artifacts = readme_session(workdir)
+    SESSION_FIXTURE.mkdir(exist_ok=True)
+    (SESSION_FIXTURE / "stdout.txt").write_text(stdout, encoding="ascii")
+    (SESSION_FIXTURE / "artifacts.txt").write_text(artifacts, encoding="ascii")
