@@ -27,9 +27,11 @@ from .core import (
 from .turan import (
     MAX_EDGES,
     SOLVER_VERSION,
+    _Ctx,
+    _Search,
     _bits,
     _climb,
-    _ex_ladder,
+    _copy_masks,
     _iter_copies,
     _leader,
     _rungs,
@@ -209,10 +211,12 @@ class ArRecord(
 
     status is "exact" or "bounds"; a bounds record proves
     value <= ar(n, tF) <= hi, and hi is 0 in an exact one.  closed_by says
-    what proved the value: "sandwich" or "averaging" (the value pass reached
-    that cap), "search" (the value pass ran to the end), "budget" (not
-    proved: the node budget ran out) or "cache" (loaded).  Like ``nodes``,
-    it is never written.
+    what proved the value: "sandwich" (the value pass reached ex(n, tF),
+    which caps only a host that tF spans, n = v(tF); a one-edge target is
+    closed by it too), "averaging" (the value pass reached the averaging cap
+    from ar(n-1, tF), n > v(tF)), "search" (the value pass ran to the end),
+    "budget" (not proved: the node budget ran out) or "cache" (loaded).
+    Like ``nodes``, it is never written.
     """
 
     __slots__ = ()
@@ -467,27 +471,33 @@ class _ArRung:
         )
 
 
-def _ar_ladder(target, ex):
+def _ar_ladder(target, sandwich):
     """The ``rung`` and ``caps`` of the ladder of A(m) = ar(m, target) - 1,
-    for ``_climb``, given ex(m, target) by m in ``ex``.  ``rung(m)`` builds
-    ``_ArRung`` rungs (``_rungs``); A(m) is trivial below v(tF), C(m, r), and
-    for a one-edge target, 0, so every searched rung has m > r.
+    for ``_climb``, given sandwich = ex(v, target) on v = v(tF) vertices.
+    ``rung(m)`` builds ``_ArRung`` rungs (``_rungs``).  A(m) = C(m, r) is
+    trivial below v, where no copy fits, and ``ar_exact`` climbs only for a
+    target of two edges or more, so v > r and rung v is the first searched.
 
-    ``caps(m, below)`` names two proven caps on A(m), the most classes of a
+    ``caps(m, below)`` names one proven cap on A(m), the most classes of a
     partition of K_m^r with no rainbow tF, with below = A(m-1):
 
-    - sandwich, A(m) <= ex(m, tF) (<= C(m, r)): one edge from each class is a
-      rainbow subgraph, so it contains no tF;
-    - averaging, A(m) <= floor(m A(m-1) / (m-r)).  Deleting a vertex v from
-      such a partition chi leaves a partition chi-v of K_{m-1}^r with no
-      rainbow tF, and chi-v loses exactly the classes whose edges all contain
-      v.  The edges of a class share at most r vertices, so
+    - at m = v, the sandwich, A(v) <= ex(v, tF) (< C(v, r)): one edge from
+      each class is a rainbow subgraph, so it contains no tF.  The averaging
+      cap from the trivial C(v-1, r) is C(v, r) there, which caps nothing;
+    - above v, averaging, A(m) <= floor(m A(m-1) / (m-r)).  Deleting a vertex
+      v from such a partition chi leaves a partition chi-v of K_{m-1}^r with
+      no rainbow tF, and chi-v loses exactly the classes whose edges all
+      contain v.  The edges of a class share at most r vertices, so
       sum_v A(chi-v) >= (m-r) A(chi), and each term is at most A(m-1).
+      The sandwich holds there too, but each rung would need an ``ex``
+      search of its own for it, and the paper's identity
+      ar(m, (t+1)F) = ex(m, tF) + 2 shows it loose once tF no longer spans
+      the host.
     """
-    r = target.r
+    r, v = target.r, target.n
 
     def caps(m, below):
-        return {"sandwich": ex[m], "averaging": m * below // (m - r)}
+        return ("sandwich", sandwich) if m == v else ("averaging", m * below // (m - r))
 
     return _rungs(_ArRung, r, (target,)), caps
 
@@ -584,19 +594,22 @@ def ar_exact(n, t, F, budget=None):
     that passes the budget stops at budget + 1 (``_Search.tick``), so nodes,
     values, witnesses and budget records are those of calling every child.
 
-    The value pass stops at a proven cap on A(n) (``_ar_ladder``), the
-    sandwich ex(n, tF) or the averaging cap from A(n-1): a values-only
-    ``_climb`` of the ``ex_exact`` ladder gives ex(m, tF) for m <= n, then
-    ``_climb`` runs the rungs m = r..n and takes the witness on the top.
-    Both ladders build their rungs with ``_rungs`` from the cached masks of
-    ``_copy_masks``, so each rung's copies of tF are enumerated once.
-    ``closed_by`` names the cap reached (the sandwich first on a tie), or
-    ``search`` when the value pass ran to the end.
+    Each value pass stops at the proven cap of its rung (``_ar_ladder``):
+    the sandwich ex(v, tF) on the rung with v = v(tF) vertices, the first
+    that is searched, and the averaging cap from A(m-1) above it.  One
+    ``ex_exact`` value pass on K_v^r gives ex(v, tF): every rung of the
+    ``ex`` ladder below v is trivial, so that pass starts from its greedy
+    start and runs uncapped, with the inert floor.  Then ``_climb`` runs the
+    rungs m = r..n and takes the witness on the top.  The ``ex`` pass and
+    the rung v of the ladder share the cached masks of ``_copy_masks``.
+    ``closed_by`` is the top rung's cap when the value meets it (so the
+    sandwich only when tF spans K_n^r), else ``search``.
 
-    ``nodes`` counts both ladders and is the same on every run; ``budget``
-    caps them together.  When it runs out the record degrades to bounds from
-    value to hi, one above the bounds on A that ``_climb`` returns, with its
-    incumbent as witness: the top rung's seed when it runs out below the top.
+    ``nodes`` counts the ``ex`` pass and the ladder and is the same on every
+    run; ``budget`` caps them together.  When it runs out the record degrades
+    to bounds from value to hi, one above the bounds on A that ``_climb``
+    returns, with its incumbent as witness: the top rung's seed when it runs
+    out below the top.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got t={t}")
@@ -609,12 +622,15 @@ def ar_exact(n, t, F, budget=None):
         raise CapacityError(f"partition search supports C(n,r) <= {MAX_EDGES} edges, got {E}")
     target = disjoint_union(F, t)
     key = family_key(singleton(F))
-    ms, ex = range(r, n + 1), {}
-    rung, caps = _ar_ladder(target, ex)
-    if isinstance(rung(n), int):  # a one-edge target: A = 0, no search, no witness
+    if len(target.edges) == 1:  # A = 0, no search, no witness
         return ArRecord(n, t, key, 1, None, "exact", closed_by="sandwich")
-    nodes = _climb(ms, *_ex_ladder(r, (target,)), budget, values=ex)[3]
-    A, rgs, hi, nodes, closed_by = _climb(ms, rung, caps, budget, nodes)
+    v = target.n
+    ctx = _Ctx(v, r, _copy_masks((target,), v))
+    # ex(v, tF); a pass that runs out of budget caps nothing, as ``_climb``
+    # then stops before its first rung
+    ex = ctx.run(_Search(*ctx.start(), budget))
+    rung, caps = _ar_ladder(target, ex.best)
+    A, rgs, hi, nodes, closed_by = _climb(range(r, n + 1), rung, caps, budget, ex.nodes)
     witness = EdgeColoring(r, n, max(rgs) + 1, [c + 1 for c in rgs])
     status, hi = ("bounds", hi + 1) if closed_by == "budget" else ("exact", 0)
     return ArRecord(n, t, key, A + 1, witness, status, hi, nodes, closed_by=closed_by)

@@ -38,9 +38,8 @@ class FormatError(ValueError):
     """Text-format violation (parser is bit-exact)."""
 
 
-# The errors below belong to ``cache``, ``turan`` and ``antiramsey``, which
-# re-export them; they live here so that ``cli`` can catch them without
-# importing those modules.
+# The errors below are raised by ``cache`` and ``antiramsey``; they live here
+# so that ``cli`` can catch them without importing those modules.
 
 
 class CacheError(Exception):

@@ -24,7 +24,6 @@ from .core import (
     CapacityError,
     HyperGraph,
     HyperGraphFamily,
-    MissingRecordError,  # noqa: F401  (re-exported: it belonged here first)
     all_edges_colex,
     colex_rank,
     contains_member,
@@ -36,7 +35,8 @@ from .core import complete as complete_host
 SOLVER_VERSION = "rainbowlab-0.1.0"
 
 #: the most host edges C(n, r) that ``ex_exact`` and ``ar_exact`` search; it
-#: keeps every ``_vertex_fields`` counter at most C(n-1, r-1) <= 35 < 128
+#: keeps every ``_vertex_fields`` counter at most C(n-1, r-1) <= 63 < 128
+#: (every searched rung has r < n; the most is at (n, r) = (64, 63))
 MAX_EDGES = 64
 
 
@@ -123,8 +123,8 @@ def _copy_masks(members, n):
     tuple of r-graphs ``members`` of a family, in order of size.
 
     A member with no edges fitting on n vertices has the one copy 0, which
-    every other mask contains, so it leaves (0,).  Cached, so the ``ex`` and
-    ``ar`` ladders of ``ar_exact`` share one enumeration.
+    every other mask contains, so it leaves (0,).  Cached, so the ``ex`` pass
+    and the ``ar`` ladder of ``ar_exact`` share one enumeration.
     """
     masks = {x for m in members for x in subgraph_copies(m, n)}
     # drop masks that contain another mask (dominated constraints); two
@@ -486,16 +486,17 @@ def _ex_ladder(r, members):
     ``rung(m)`` builds ``_Ctx`` rungs (``_rungs``).  The first rung, K_r^r,
     has one edge, so its value is trivial and every later rung has a cap.
 
-    ``caps(m, below)`` is the averaging bound of Katona, Nemetz and Simonovits
-    (1964), ex(m) <= floor(m ex(m-1) / (m-r)), with below = ex(m-1).  Proof:
+    ``caps(m, below)`` names one cap, ``kns``: the averaging bound of Katona,
+    Nemetz and Simonovits (1964), ex(m) <= floor(m ex(m-1) / (m-r)), with
+    below = ex(m-1).  Proof:
     every fam-free G on m vertices has (m-r) e(G) = sum_v e(G-v) <= m ex(m-1),
     since each edge misses m-r vertices and each G-v is fam-free on m-1
     vertices (a copy in G-v, isolated vertices included, is a copy in G).
     """
-    return _rungs(_Ctx, r, members), lambda m, below: {"kns": m * below // (m - r)}
+    return _rungs(_Ctx, r, members), lambda m, below: ("kns", m * below // (m - r))
 
 
-def _climb(ms, rung, caps, budget, nodes=0, values=None):
+def _climb(ms, rung, caps, budget, nodes=0):
     """One value pass per rung m of ``ms`` (ascending, top last); the top
     pass also yields the witness.  Returns (value, incumbent, hi, nodes,
     closed_by).
@@ -503,16 +504,17 @@ def _climb(ms, rung, caps, budget, nodes=0, values=None):
     ``rung(m)`` is rung m's value when no search is needed, else a context
     with ``E`` (its edge count), ``start()`` (the solver's seed, a feasible
     (best, incumbent) with best >= 1) and ``run(search, below)``.
-    ``caps(m, below)`` names proven caps on rung m from the value of the rung
-    below; the first rung is trivial, or its caps need none.  A pass below the top starts from
-    ``start()`` and stops once its incumbent reaches the least cap; it is
-    skipped when the start does.  By induction every rung is exact, as it
-    reaches its cap or runs to the end, and stopping at a cap drops only
-    subtrees with no leaf above ``best``.  The rungs read and write no cache
-    (a cached record proves only a lower bound, so it cannot cap anything),
-    and the witness is taken on the top rung only, so the ladder changes
-    neither value nor witness.  ``closed_by`` names the first cap the value
-    meets, or ``search``.
+    ``caps(m, below)`` is (name, cap): one proven cap on rung m from the
+    value of the rung below; the first rung is trivial, or its cap needs
+    none.  A pass below the top starts from ``start()`` and stops once its
+    incumbent reaches the cap; it is skipped when the start does.  By
+    induction every rung is exact, as it reaches its cap or runs to the
+    end, and stopping at a cap drops only subtrees with no leaf above
+    ``best``.  The rungs read and write no cache (a cached record proves
+    only a lower bound, so it cannot cap anything), and the witness is taken
+    on the top rung only, so the ladder changes neither value nor witness.
+    ``closed_by`` is the top rung's cap name when the value meets that cap,
+    else ``search``.
 
     Each pass on rung m also gets the value of rung m-1 as ``below``, for the
     vertex floors of the solvers, which prune only subtrees with no leaf
@@ -544,41 +546,29 @@ def _climb(ms, rung, caps, budget, nodes=0, values=None):
     - out below the top rung (or before the climb): the top rung's start, E;
     - out in the top pass: the larger of its ``best`` and the start, its
       incumbent (the start's until it offers a leaf), and its cap.
-
-    A dict ``values`` makes the climb values-only: it records m -> value for
-    every rung it proves and starts the top pass from ``start()`` as well.
-    Out below the top rung it returns only ``nodes`` and ``budget``, and
-    never builds the top rung.
     """
     top, below, searched = ms[-1], None, False
     for m in ms:
         if budget is not None and nodes > budget:  # spent below rung m
-            if values is not None:
-                return None, None, None, nodes, "budget"
             ctx = rung(top)
             return (*ctx.start(), ctx.E, nodes, "budget")
         ctx = rung(m)
         if isinstance(ctx, int):
             below, searched = ctx, False
-        else:
-            named, floor = caps(m, below), below if searched else None
-            start, incumbent = ctx.start()
-            best = start - 1 if m == top and values is None else start
-            search = _Search(best, incumbent, budget, cap=min(named.values()), nodes=nodes)
-            if search.best < search.cap:
-                ctx.run(search, floor)
-            nodes = search.nodes
-            if budget is not None and nodes > budget:  # the pass ran out
-                if m < top:
-                    continue  # the budget check above ends the climb
-                return max(search.best, start), search.incumbent, search.cap, nodes, "budget"
-            below, searched = search.best, True
-        if values is not None:
-            values[m] = below
-    if values is not None:
-        return below, None, below, nodes, None
-    closed_by = next((name for name, cap in named.items() if cap == below), "search")
-    return below, search.incumbent, below, nodes, closed_by
+            continue
+        name, cap = caps(m, below)
+        start, incumbent = ctx.start()
+        best = start - 1 if m == top else start
+        search = _Search(best, incumbent, budget, cap=cap, nodes=nodes)
+        if search.best < search.cap:
+            ctx.run(search, below if searched else None)
+        nodes = search.nodes
+        if budget is not None and nodes > budget:  # the pass ran out
+            if m < top:
+                continue  # the budget check above ends the climb
+            return max(search.best, start), search.incumbent, search.cap, nodes, "budget"
+        below, searched = search.best, True
+    return below, search.incumbent, below, nodes, name if below == cap else "search"
 
 
 def ex_exact(n, fam, budget=None):

@@ -42,8 +42,6 @@ from rainbowlab.core import (
     disjoint_union,
 )
 from rainbowlab.turan import (
-    _climb,
-    _ex_ladder,
     _Search,
     ex_exact,
     singleton,
@@ -82,19 +80,21 @@ def ar_matching(n, k):
     return comb(k - 2, 2) + (k - 2) * (n - k + 2) + 2
 
 
-def ladder_caps(n, target):
-    """The proven caps on A(n) = ar(n, target) - 1 by name, and the nodes of
-    the values-only climbs that give them: the ``ex`` ladder up to n and the
-    ``ar`` rungs below n.  On K_r^r, one edge, only the sandwich applies."""
-    r = target.r
-    ex = {}
-    nodes = _climb(range(r, n + 1), *_ex_ladder(r, (target,)), None, values=ex)[3]
-    if n == r:
-        return {"sandwich": ex[n]}, nodes
-    rung, caps = _ar_ladder(target, ex)
-    A = {}
-    nodes = _climb(range(r, n), rung, caps, None, nodes, values=A)[3]
-    return caps(n, A[n - 1]), nodes
+def ladder_cap(n, t, F):
+    """The one proven cap on A(n) = ar(n, tF) - 1 as (name, cap), from the
+    exact values below it (``_ar_ladder``), and the nodes that ``ar_exact``
+    spends before its pass on rung n: all of them but a replay of that pass
+    (none for a one-edge target, which has no pass)."""
+    target = disjoint_union(F, t)
+    if len(target.edges) == 1:  # no ladder: the sandwich ex(n, tF) = 0 closes it
+        return ("sandwich", 0), 0
+    rung, caps = _ar_ladder(target, ex_exact(target.n, singleton(target)).value)
+    # the rung below is searched, and so floors rung n, once tF fits on it
+    below = ar_exact(n - 1, t, F).value - 1 if n > target.n else None
+    name, cap = caps(n, below)
+    start, incumbent = rung(n).start()
+    top = rung(n).run(_Search(start - 1, incumbent, cap=cap), below)
+    return (name, cap), ar_exact(n, t, F).nodes - top.nodes
 
 
 def first_leaf(ctx):
@@ -148,7 +148,7 @@ def _relabeled(rgs, sigma):
 
 def _survives(rgs, n):
     """Whether the lex-leader check of a rung of K_n keeps every prefix of rgs."""
-    live = _ar_ladder(K3, {})[0](n).live()
+    live = _ar_ladder(K3, None)[0](n).live()
     for i in range(len(rgs) + 1):
         live = _leader(list(rgs[:i]) + [-1] * (len(rgs) - i), live, i)
         if live is None:
@@ -430,7 +430,7 @@ class TestArExact:
             assert (rec.nodes, rec.closed_by) == (0, "sandwich")
 
     def test_capacity_limit_before_any_search(self, monkeypatch):
-        for name in ("_ar_ladder", "_ex_ladder"):
+        for name in ("_ar_ladder", "_Ctx"):
             monkeypatch.setattr(anti, name, lambda *a: pytest.fail("searched"))
         with pytest.raises(CapacityError, match="got 66"):
             ar_exact(12, 1, K3)  # C(12, 2) = 66 > 64 edges
@@ -498,7 +498,7 @@ class TestArExact:
         # one budget over the ladder and both passes: it runs out in each phase
         for n, t, F in ((5, 1, K3), (6, 1, C4), (5, 2, K2)):
             full = ar_exact(n, t, F)
-            caps, ladder_nodes = ladder_caps(n, disjoint_union(F, t))
+            (_, top_cap), ladder_nodes = ladder_cap(n, t, F)
             for budget in range(full.nodes):
                 rec = ar_exact(n, t, F, budget=budget)
                 assert (rec.status, rec.closed_by) == ("bounds", "budget")
@@ -506,7 +506,7 @@ class TestArExact:
                 # the node that passes the budget stops the search, counted
                 # one at a time or many siblings at once
                 assert rec.nodes == budget + 1
-                cap = min(caps.values()) if budget >= ladder_nodes else comb(n, F.r)
+                cap = top_cap if budget >= ladder_nodes else comb(n, F.r)
                 assert rec.hi <= cap + 1
                 if rec.witness is not None:
                     assert rec.witness.ncolors == rec.value - 1
@@ -518,7 +518,7 @@ class TestArExact:
         # classes of the top rung's seed, and the seed is the witness
         for n, t, F in ((6, 1, C4), (5, 1, K3), (6, 2, K3)):
             rec = ar_exact(n, t, F, budget=0)
-            classes, rgs = _ar_ladder(disjoint_union(F, t), {})[0](n).start()
+            classes, rgs = _ar_ladder(disjoint_union(F, t), None)[0](n).start()
             assert (rec.status, rec.closed_by) == ("bounds", "budget")
             assert (rec.value, rec.hi) == (classes + 1, comb(n, F.r) + 1)
             assert rec.witness.colors == tuple(c + 1 for c in rgs)
@@ -528,7 +528,7 @@ class TestArExact:
     @given(small_tilings())
     def test_greedy_seed_has_no_rainbow_copy(self, case):
         F, t, n = case
-        rung = _ar_ladder(disjoint_union(F, t), {})[0](n)
+        rung = _ar_ladder(disjoint_union(F, t), None)[0](n)
         if not isinstance(rung, int):
             seed(rung, F, t)
 
@@ -537,14 +537,14 @@ class TestArExact:
     def test_greedy_falls_back_to_one_class(self, n, t, shape):
         # the greedy meets an edge with no allowed color on these rungs
         F = CAP_SHAPES[shape]
-        assert seed(_ar_ladder(disjoint_union(F, t), {})[0](n), F, t) == (1, (0,) * comb(n, 2))
+        assert seed(_ar_ladder(disjoint_union(F, t), None)[0](n), F, t) == (1, (0,) * comb(n, 2))
 
     def test_one_search_per_searched_rung(self, monkeypatch):
         # in each call the top rung's start is optimal already, and its one
         # pass still yields the first leaf with the value
         calls = [(6, 2, K3), (6, 1, K3), (6, 2, E3), (6, None, C4)]
         rungs = [
-            _ar_ladder(disjoint_union(F, t), {})[0](n) if t else turan._ex_ladder(2, (F,))[0](n)
+            _ar_ladder(disjoint_union(F, t), None)[0](n) if t else turan._ex_ladder(2, (F,))[0](n)
             for n, t, F in calls
         ]
         expected = [first_leaf(rung) for rung in rungs]
@@ -556,7 +556,8 @@ class TestArExact:
                 super().__init__(*args, **kwargs)
                 searches.append(self)
 
-        monkeypatch.setattr(turan, "_Search", Recorded)
+        for module in (turan, anti):  # ``ar_exact`` runs its ``ex`` pass itself
+            monkeypatch.setattr(module, "_Search", Recorded)
         for ctx in (_ArRung, turan._Ctx):
             start, run = ctx.start, ctx.run
             monkeypatch.setattr(
@@ -604,11 +605,14 @@ class TestArExact:
         if n > F.r:
             below = ar_brute(n - 1, t, F) - 1 if t * F.n < n else comb(n - 1, F.r)
             assert A <= n * below // (n - F.r)
-        caps, _ = ladder_caps(n, disjoint_union(F, t))
-        assert all(A <= cap for cap in caps.values()), caps
+        # the sandwich lemma on its own, on every rung
+        target = disjoint_union(F, t)
+        assert A <= ex_exact(n, singleton(target)).value
+        (name, cap), _ = ladder_cap(n, t, F)
+        assert A <= cap, (name, cap)
         rec = ar_exact(n, t, F)
         assert rec.value == A + 1
-        assert rec.closed_by == next((k for k, c in caps.items() if c == A), "search")
+        assert rec.closed_by == (name if cap == A else "search")
 
     @pytest.mark.parametrize("n, t, name", SMALL_CASES)
     def test_witness_against_brute(self, n, t, name):
@@ -620,8 +624,10 @@ class TestArExact:
 
     @pytest.mark.parametrize(
         "n, t, F, most, capped",
-        # measured 747, 237, 67, 596, 608 and 978 nodes; before the threat
-        # packing and the wipe-out count 768, 237, 686, 3,055, 1,338 and 989;
+        # measured 538, 189, 67, 596, 608 and 779 nodes; with the sandwich
+        # cap from the ``ex`` ladder on every rung 747, 237, 67, 596, 608 and
+        # 978; before the threat packing and the wipe-out count 768, 237,
+        # 686, 3,055, 1,338 and 989;
         # before the ``ex`` ladder had the lex-leader rule 1,759, 236, 686,
         # 3,547, 1,886 and 1,130; with the value pass trying the fresh class first, no
         # greedy seed and a witness pass on every call as well 7,040,
@@ -645,7 +651,7 @@ class TestArExact:
         if capped:
             assert rec.closed_by in ("sandwich", "averaging")
         # the same value and witness from passes run without a cap
-        A, rgs = first_leaf(_ar_ladder(disjoint_union(F, t), {})[0](n))
+        A, rgs = first_leaf(_ar_ladder(disjoint_union(F, t), None)[0](n))
         assert rec.value == A + 1
         assert rec.witness.colors == tuple(c + 1 for c in rgs)
 
@@ -654,11 +660,11 @@ class TestArExact:
         [
             (6, 3, "K2", 7, 596, "search"),
             (6, 2, "K3", 12, 448, "search"),
-            (6, 1, "K3", 6, 600, "search"),
-            (6, 1, "C4", 8, 747, "sandwich"),
+            (6, 1, "K3", 6, 542, "search"),
+            (6, 1, "C4", 8, 538, "averaging"),
             (6, 2, "P3", 8, 608, "search"),
-            (6, 1, "K4", 11, 237, "averaging"),
-            (6, 1, "K4^3-", 6, 978, "search"),
+            (6, 1, "K4", 11, 189, "averaging"),
+            (6, 1, "K4^3-", 6, 779, "search"),
             (6, 2, "E3", 11, 67, "sandwich"),
         ],
         ids=[f"{t}{name}" for _, t, name in LADDER],
@@ -666,14 +672,15 @@ class TestArExact:
     def test_exact_node_counts(self, n, t, name, value, nodes, closed_by):
         # the ``LADDER`` calls: the bound prune, forward checking, the threat
         # packing, the lex-leader rule and the star floor prune exactly these
-        # nodes (13,109 before the threat packing and the wipe-out count); a
-        # change to any of them shows here before it shows in a value
+        # nodes (4,281 with the sandwich cap from the ``ex`` ladder on every
+        # rung, 13,109 before the threat packing and the wipe-out count as
+        # well); a change to any of them shows here before it shows in a value
         rec = ar_exact(n, t, CAP_SHAPES[name])
         assert (rec.value, rec.nodes, rec.closed_by) == (value, nodes, closed_by)
 
     @pytest.mark.parametrize(
         "n, t, name, calls",
-        # 1,172 calls for the 4,281 nodes above; 5,727 (1,483, 1,740, 388,
+        # 1,172 calls for the 3,767 nodes above; 5,727 (1,483, 1,740, 388,
         # 277, 662, 62, 700 and 415) for 13,109 nodes before the threat
         # packing, the wipe-out count and the checks of each child before its
         # call, and 12,149 (2,907, 5,335, 546, 540, 1,169, 188, 779 and 685)
@@ -710,13 +717,14 @@ class TestArExact:
         # 7,519,383 without the star floor as well); ar(7, 2P3) = 8 as the
         # search found it without the lex-leader rule, in 162,742 nodes;
         # 4,028, 5,676, 91,304 and 6,822 nodes for 3K2, K3, C4 and 2P3
-        # without the threat packing
+        # without the threat packing; 1,453, 4,765, 12,818, 3,084 and 2,232
+        # with the sandwich cap from the ``ex`` ladder on every rung
         [
-            (3, K2, ar_matching(7, 3), 1_453),
-            (1, K3, 7, 4_765),
-            (1, C4, 4 * 7 // 3, 12_818),
-            (1, K4, 7 * 7 // 4 + 2, 3_084),
-            (2, CAP_SHAPES["P3"], 8, 2_232),
+            (3, K2, ar_matching(7, 3), 888),
+            (1, K3, 7, 4_663),
+            (1, C4, 4 * 7 // 3, 12_609),
+            (1, K4, 7 * 7 // 4 + 2, 2_984),
+            (2, CAP_SHAPES["P3"], 8, 1_735),
         ],
         ids=["3K2", "K3", "C4", "K4", "2P3"],
     )
@@ -730,11 +738,12 @@ class TestArExact:
         "F, value, nodes, closed_by",
         # ar(n, K3) = n, ar(n, K4) = floor(n^2/4) + 2 (84,298 and 27,302
         # nodes without the threat packing), ar(n, C4) = floor(4n/3) (Alon
-        # 1983; 1,234,361 nodes without the threat packing)
+        # 1983; 1,234,361 nodes without the threat packing); 67,074, 4,060
+        # and 370,249 with the sandwich cap from the ``ex`` ladder on every rung
         [
-            (K3, 8, 67_074, "search"),
-            (K4, 8 * 8 // 4 + 2, 4_060, "averaging"),
-            (C4, 4 * 8 // 3, 370_249, "search"),
+            (K3, 8, 66_886, "search"),
+            (K4, 8 * 8 // 4 + 2, 3_863, "averaging"),
+            (C4, 4 * 8 // 3, 368_784, "search"),
         ],
         ids=["K3", "K4", "C4"],
     )
@@ -749,8 +758,9 @@ class TestArExact:
         "t, F, value, nodes",
         # ar(9, K4) = floor(n^2/4) + 2, and ar(9, 2K3) = ex(9, K3) + 2 by the
         # identity of Theorem 1.5 at t = 1 (108,950 and 120,227 nodes
-        # without the threat packing), both closed by the averaging cap
-        [(1, K4, 9 * 9 // 4 + 2, 7_018), (2, K3, 9 * 9 // 4 + 2, 11_001)],
+        # without the threat packing, 7,018 and 11,001 with the sandwich cap
+        # from the ``ex`` ladder on every rung), both closed by the averaging cap
+        [(1, K4, 9 * 9 // 4 + 2, 6_641), (2, K3, 9 * 9 // 4 + 2, 9_019)],
         ids=["K4", "2K3"],
     )
     def test_nine_vertex_closed_forms(self, t, F, value, nodes):
@@ -764,12 +774,14 @@ class TestArExact:
         "n, t, F, value, nodes",
         # ar(n, 2K3) = ex(n, K3) + 2 = floor(n^2/4) + 2, the identity of
         # Theorem 1.5 at t = 1: 1,251,727 nodes for n = 10 without the threat
-        # packing, and only bounds 27..32 after 5M nodes for n = 11;
-        # ar(8, 4K2) = ex(8, 3K2) + 2, the sandwich floor, with ex(8, 3K2) =
-        # 13 (Erdos-Gallai): bounds 15..22 after 5M without the threat packing
+        # packing, and only bounds 27..32 after 5M nodes for n = 11; 24,134
+        # and 102,770 nodes with the sandwich cap from the ``ex`` ladder on
+        # every rung; ar(8, 4K2) = ex(8, 3K2) + 2, the sandwich floor, with
+        # ex(8, 3K2) = 13 (Erdos-Gallai): bounds 15..22 after 5M without the
+        # threat packing
         [
-            (10, 2, K3, 10 * 10 // 4 + 2, 24_134),
-            (11, 2, K3, 11 * 11 // 4 + 2, 102_770),
+            (10, 2, K3, 10 * 10 // 4 + 2, 11_921),
+            (11, 2, K3, 11 * 11 // 4 + 2, 17_116),
             (8, 4, K2, 13 + 2, 266_414),
         ],
         ids=["2K3-10", "2K3-11", "4K2-8"],
@@ -780,6 +792,33 @@ class TestArExact:
         assert rec.nodes == nodes
         assert rec.witness.ncolors == value - 1
         assert verify_no_rainbow(rec.witness, F, t)
+
+    def test_spanning_sandwich(self):
+        # ar(8, 2C4) = ex(8, 2C4) + 1: 2C4 spans K_8, so the sandwich from
+        # the one ``ex`` pass caps the only searched rung, and closes it;
+        # 11,224 nodes with no sandwich and no ``ex`` pass
+        rec = ar_exact(8, 2, C4)
+        assert rec.value == ex_exact(8, singleton(disjoint_union(C4, 2))).value + 1 == 23
+        assert (rec.status, rec.closed_by, rec.nodes) == ("exact", "sandwich", 3_168)
+        assert verify_no_rainbow(rec.witness, C4, 2)
+
+    def test_spanning_sandwich_caps_a_budget_record(self):
+        # out of budget in the top pass of ar(8, 4K2), the bounds keep the
+        # sandwich: hi = ex(8, 4K2) + 1 = C(7, 2) + 1 (Erdos-Gallai)
+        rec = ar_exact(8, 4, K2, budget=60_000)
+        assert (rec.status, rec.closed_by, rec.nodes) == ("bounds", "budget", 60_001)
+        assert rec.value <= 15 <= rec.hi == comb(7, 2) + 1
+        assert verify_no_rainbow(rec.witness, K2, 4)
+
+    def test_one_ex_pass(self, monkeypatch):
+        # the sandwich comes from one ``ex`` value pass, on the v(2K3) = 6
+        # vertices where 2K3 first fits; no ``ex`` rung above it is searched
+        sizes = []
+        run = turan._Ctx.run
+        monkeypatch.setattr(turan._Ctx, "run", lambda self, *a: sizes.append(self.n) or run(self, *a))
+        rec = ar_exact(9, 2, K3)
+        assert (rec.value, rec.status) == (9 * 9 // 4 + 2, "exact")
+        assert sizes == [6]
 
     def test_nine_vertex_triangle_factor(self):
         # ar(9, 3K3), a rainbow triangle factor; only bounds 30..31 after 5M
@@ -792,17 +831,19 @@ class TestArExact:
 
     def test_seven_vertex_double_triangle(self):
         # ar(7, 2K3): 46,426 nodes without the threat packing and 7,997,683
-        # without the star floor as well, same witness
+        # without the star floor as well, same witness (7,436 with the
+        # sandwich cap from the ``ex`` ladder on every rung)
         rec = ar_exact(7, 2, K3)
         assert (rec.value, rec.status, rec.closed_by) == (14, "exact", "search")
-        assert rec.nodes == 7_436
+        assert rec.nodes == 7_066
         assert verify_no_rainbow(rec.witness, K3, 2)
         colors = (1, 1, 1, 1, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 10, 11, 12, 13, 1, 1)
         assert rec.witness.colors == colors
 
     @pytest.mark.parametrize("n, t, name", LADDER, ids=[f"{t}{name}" for _, t, name in LADDER])
     def test_star_floor_changes_neither_value_nor_witness(self, n, t, name, monkeypatch):
-        # both ladders run again with every floor on the inert E, which never prunes
+        # the ``ex`` pass and the ladder run again with every floor on the
+        # inert E, which never prunes
         F = CAP_SHAPES[name]
         rec = ar_exact(n, t, F)
         for ctx in (_ArRung, turan._Ctx):
@@ -860,7 +901,7 @@ class TestArExact:
 
     def test_packing_tables_wait_for_a_scan(self):
         # a rung that is only started builds no packing tables
-        rung = _ar_ladder(disjoint_union(K3, 2), {})[0](6)
+        rung = _ar_ladder(disjoint_union(K3, 2), None)[0](6)
         best, incumbent = rung.start()
         assert "pack" not in vars(rung)
         rung.run(_Search(best - 1, incumbent))
@@ -886,10 +927,11 @@ class TestArExact:
         # well; in earlier versions 2,243,451 without the
         # star floor, with the value pass trying the fresh class first and no
         # greedy seed, and 52,518,436 without the lex-leader rule as well;
+        # 11,794 with the sandwich cap from the ``ex`` ladder on every rung;
         # the witness is the one found then
         rec = ar_exact(6, 1, complete(4, 3))
         assert (rec.value, rec.status, rec.closed_by) == (12, "exact", "search")
-        assert rec.nodes == 11_794
+        assert rec.nodes == 11_713
         assert verify_no_rainbow(rec.witness, complete(4, 3), 1)
         assert rec.witness.colors == (1, 1, 2, 2, 1, 3, 4, 5, 6, 2, 1, 7, 8, 9, 10, 2, 11, 11, 11, 11)
 

@@ -26,8 +26,16 @@ from rainbowlab import constructions as cons
 from rainbowlab import cli
 from rainbowlab.cli import _hash_file, main
 from rainbowlab.constructions import complete_graph
-from rainbowlab.core import HyperGraph, HyperGraphFamily, disjoint_union, family_key, from_text, to_text
-from rainbowlab.turan import MissingRecordError, ex_exact, singleton
+from rainbowlab.core import (
+    HyperGraph,
+    HyperGraphFamily,
+    MissingRecordError,
+    disjoint_union,
+    family_key,
+    from_text,
+    to_text,
+)
+from rainbowlab.turan import ex_exact, singleton
 
 K2 = HyperGraph(2, 2, [(0, 1)])
 K3 = complete_graph(3)
@@ -597,7 +605,7 @@ class TestCli:
             verdicts.append(json.loads(manifest.read_text())["verdicts"])
             records.append([p.read_bytes() for p in (tmp_path / "cache" / "ar").iterdir()])
         assert verdicts == [
-            ["value=8", "exact", "closed_by=sandwich"],
+            ["value=8", "exact", "closed_by=averaging"],
             ["value=8", "exact", "closed_by=cache"],
         ]
         assert records[0] == records[1] and b"closed_by" not in records[0][0]

@@ -28,7 +28,7 @@ def test_one_case_prints_one_json_line(tmp_path):
         "status": "exact",
         "lo": 9,
         "hi": 9,
-        "nodes": 12_818,
+        "nodes": 12_609,
         "closed_by": "search",
     }
     assert not list(tmp_path.iterdir())  # no cache written

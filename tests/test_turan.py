@@ -22,6 +22,7 @@ from rainbowlab.cache import Records
 from rainbowlab.core import (
     HyperGraph,
     HyperGraphFamily,
+    MissingRecordError,
     all_edges_colex,
     colex_rank,
     complete,
@@ -31,7 +32,6 @@ from rainbowlab.core import (
 )
 from rainbowlab import turan as tu
 from rainbowlab.turan import (
-    MissingRecordError,
     derived_quantities,
     edge_sensitivity_gap,
     ex_enumerate,
@@ -350,10 +350,20 @@ class TestLadder:
         vec, ones, high = tu._vertex_fields(64, 1)
         assert vec == [1 << 8 * x for x in range(64)] and high == ones << 7
 
+    def test_vertex_floor_counters_fit_their_fields(self):
+        # a counter of ``_vertex_fields`` counts edges at one vertex, at most
+        # C(n-1, r-1) on a searched rung (r < n); under the capacity limit
+        # that stays below 128, so no sum carries into the next field
+        stars = {
+            (n, r): comb(n - 1, r - 1)
+            for n in range(2, tu.MAX_EDGES + 2)
+            for r in range(1, n)
+            if comb(n, r) <= tu.MAX_EDGES
+        }
+        assert all(star < 128 for star in stars.values())
+        assert max(stars.values()) == stars[64, 63] == 63
+
     def test_budget_runs_out_in_a_lower_rung(self):
-        rungs = {}
-        nodes = tu._climb(range(2, 9), *tu._ex_ladder(2, GIRTH5.members), 100, values=rungs)[3]
-        assert 8 not in rungs and nodes == 101
         rec = ex_exact(9, GIRTH5, budget=100)
         assert (rec.status, rec.closed_by, rec.nodes) == ("lower_bound_only", "budget", 101)
         assert len(rec.witness.edges) == rec.value > 0
@@ -373,9 +383,13 @@ class TestLadder:
         # one budget over the rungs: it runs out below the top and in the top pass
         full = ex_exact(n, fam)
         rung, caps = tu._ex_ladder(fam.r, fam.members)
-        # the nodes spent by the end of the lower rungs
-        lower = tu._climb(range(fam.r, n), rung, caps, None, values={})[3]
-        start = rung(n).start()[0]
+        # the nodes spent by the end of the lower rungs: all but a replay of
+        # the top pass, capped and floored by ex(n-1) as the climb runs it
+        below = ex_exact(n - 1, fam).value
+        start, incumbent = rung(n).start()
+        floor = None if isinstance(rung(n - 1), int) else below
+        top = rung(n).run(tu._Search(start - 1, incumbent, cap=caps(n, below)[1]), floor)
+        lower = full.nodes - top.nodes
         assert 0 < lower < full.nodes
         for budget in (0, 1, lower - 1, lower, (lower + full.nodes) // 2, full.nodes - 1):
             if budget >= full.nodes:
